@@ -26,11 +26,8 @@ def gram_residuals(u, beta, window=8):
     The window stays put as the truncation grows, so the scan separates the
     two behaviours instead of mixing in edge rows whose lattice support is
     cut off."""
-    basis = u.matrix.basis
-    n_cap = min(basis.trunc.n_a_max, basis.trunc.n_b_max - beta + 1)
-    sec = [basis.index(n, n + beta - 1) for n in range(n_cap + 1)]
-    s = u.matrix.entries[np.ix_(sec, sec)]
-    w = min(window, n_cap) + 1
+    s = u.blocks[beta - 1]
+    w = min(window + 1, s.shape[0])
     eye = np.eye(s.shape[0])
     rows = np.abs(s @ s.T - eye)[:w, :w].max()
     cols = np.abs(s.T @ s - eye)[:w, :w].max()

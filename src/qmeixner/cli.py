@@ -83,7 +83,10 @@ def _numeric(msg: str) -> int:
 def _resolve_c(args) -> float | None:
     """c and theta are two views of one parameter: c = theta^2."""
     if args.theta is not None:
-        return args.theta * args.theta
+        c = args.theta * args.theta
+        if math.isinf(c) and math.isfinite(args.theta):
+            raise OverflowError(f"c = theta^2 at theta = {args.theta}")
+        return c
     return args.c
 
 
@@ -94,6 +97,15 @@ def _resolve_theta(args) -> float | None:
         if args.c <= 0.0:
             raise ValueError(f"c must be positive, got {args.c}")
         return math.sqrt(args.c)
+    return None
+
+
+def _negative_size(args, names: tuple[str, ...]) -> str | None:
+    """The first of the named size options that is negative, if any."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            return f"--{name} must be >= 0, got {value}"
     return None
 
 
@@ -109,6 +121,9 @@ def _sector_keep(trunc: int, beta: int) -> int:
 
 
 def cmd_tabulate(args) -> int:
+    bad = _negative_size(args, ("nmax", "xmax"))
+    if bad:
+        return _usage(bad)
     try:
         records = []
         if args.family == "qmeixner":
@@ -146,6 +161,9 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_xi(args) -> int:
+    bad = _negative_size(args, ("nmax", "xmax", "trunc"))
+    if bad:
+        return _usage(bad)
     try:
         if args.q is None:
             return _usage("xi requires --q")
@@ -201,7 +219,7 @@ def cmd_xi(args) -> int:
                 elif args.source == "operator":
                     rec["value"] = rec.pop("operator")
                 records.append(rec)
-    except (OutOfBlock, OutOfTruncation) as exc:
+    except (OutOfBlock, OutOfTruncation, NonConvergent) as exc:
         return _numeric(str(exc))
 
     if args.source == "both":
@@ -213,6 +231,8 @@ def cmd_xi(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        return _usage(f"--tol must be finite and positive, got {args.tol}")
     names = args.relation if args.relation else [r.value for r in RelationId]
     try:
         relations = [RelationId(name) for name in names]
@@ -411,7 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OverflowError as exc:
+        # every command writes its output only after the last value, so
+        # an overflow leaves stdout empty
+        return _numeric(f"overflow: {exc}")
 
 
 if __name__ == "__main__":

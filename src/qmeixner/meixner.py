@@ -79,8 +79,8 @@ class MeixnerParams:
             raise ValueError(f"b must lie in (0, 1), got {self.b}")
         if self.beta is not None and (not isinstance(self.beta, int) or self.beta < 1):
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
-        if self.c <= 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
     @classmethod
     def from_b(cls, b: float, c: float, ctx: QContext) -> "MeixnerParams":
@@ -114,8 +114,8 @@ class MatrixElementParams:
     ctx: QContext
 
     def __post_init__(self):
-        if self.theta == 0.0:
-            raise ValueError("theta must be nonzero")
+        if self.theta == 0.0 or not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite and nonzero, got {self.theta}")
         if not isinstance(self.beta, int) or self.beta < 1:
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
 

@@ -7,16 +7,24 @@ U(theta) is assembled as the four-factor product
              * E_q(-theta(1-q) q^((B0-A0+1)/2) A-B- )
              * E_q^(1/2)( theta^2 q^(B0+1) ).
 
-The two middle factors are q-exponentials of strictly raising/lowering
-(hence nilpotent) matrices and are computed as exact finite sums; the outer
-factors are diagonal.  U is real and block-diagonal over the sectors
-|n>_beta = |n, n+beta-1>, and its sector elements <n|_beta U |x>_beta
-reproduce the closed-form overlap coefficients xi_{n,x} to rounding error at
-any truncation, because every ladder path between interior states stays
-interior.
+A+B+ and A-B- keep the offset d = n_B - n_A fixed and the outer factors
+are diagonal, so U is real and block-diagonal over offsets; the block of
+offset d is the sector |n>_beta = |n, n+beta-1> with beta = d + 1.  On each
+block the two middle arguments are a single sub-diagonal and its negated
+transpose, whose q-exponentials are exact finite sums in closed form.
+build_U stores U that way, one dense block per offset of side at most
+N + 1; the dense product-space matrix and the ladder matrices are built
+only when UOperator.matrix or UOperator.oscillators is first read.  The
+sector elements <n|_beta U |x>_beta reproduce the closed-form overlap
+coefficients xi_{n,x} to rounding error at any truncation, because every
+ladder path between interior states stays interior.
 
 Numerical facts that shape the rest of the module:
 
+* The outer factor e_q^(1/2)(-theta^2 q^-n_A) falls superexponentially in
+  n_A and underflows (to 0 for n_A >= 49 at q = 0.5, theta = 0.3), while the
+  middle factors grow to match; such rows no longer carry their element, so
+  element() refuses them with NonConvergent rather than return 0.
 * The rows of U are orthonormal: (U U^T - I) vanishes, superexponentially
   fast, on blocks whose rows keep their full lattice support inside the
   truncation (a degree-n row spreads over x near n, so this needs more
@@ -40,12 +48,15 @@ Numerical facts that shape the rest of the module:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
+    EmptySector,
     NonConvergent,
     OutOfBlock,
     ResidualFailure,
@@ -57,6 +68,7 @@ from .oscillator import (
     FockTruncation,
     OperatorMatrix,
     Oscillators,
+    ProductBasis,
     build_classical,
     build_oscillators,
     interior_indices,
@@ -175,16 +187,67 @@ def matrix_qexp_series(
     raise NonConvergent(f"matrix q-exponential did not settle in {max_terms} terms")
 
 
+def _block_levels(t: FockTruncation, d: int) -> np.ndarray:
+    """n_A levels of the states |n_A, n_A + d> inside the truncation."""
+    return np.arange(max(0, -d), min(t.n_a_max, t.n_b_max - d) + 1)
+
+
+def _bidiagonal_qexp(sub: np.ndarray, kind: str, q: float) -> np.ndarray:
+    """q-exponential of the nilpotent matrix whose only nonzero entries are
+    the sub-diagonal sub.
+
+    The k-th sub-diagonal of L^k holds the running products
+    sub[i] ... sub[i+k-1], so entry (i+k, i) of the result is that product
+    over (q;q)_k, times q^C(k,2) for the big kind.  The factors are applied
+    one step at a time in the order of the dense power series, which keeps
+    every intermediate at the size of a term of the result.
+    """
+    size = sub.size + 1
+    out = np.eye(size)
+    term = np.ones(size)
+    for k in range(1, size):
+        term = (sub[k - 1 :] * term[:-1]) / (1.0 - q**k)
+        if kind == "big":
+            term = term * q ** (k - 1)
+        idx = np.arange(size - k)
+        out[idx + k, idx] = term
+    return out
+
+
 @dataclass
 class UOperator:
-    """Built pseudorotation operator with its assembly context."""
+    """Built pseudorotation operator, stored one offset block at a time.
 
-    matrix: OperatorMatrix
+    blocks[d] is U restricted to the states |m, m+d>, d = n_B - n_A, with m
+    running upward from max(0, -d); U has no entries between blocks.
+    row_factor[n_A] and col_factor[n_B] are the diagonal outer factors
+    e_q^(1/2)(-theta^2 q^-n_A) and E_q^(1/2)(theta^2 q^(n_B+1)) already
+    folded into the blocks.  matrix and oscillators are the dense product
+    space forms, built on first use.
+    """
+
+    blocks: dict[int, np.ndarray]
+    row_factor: np.ndarray
+    col_factor: np.ndarray
     theta: float
     beta: int
     truncation: FockTruncation
     ctx: QContext
-    oscillators: Oscillators
+
+    @cached_property
+    def matrix(self) -> OperatorMatrix:
+        t = self.truncation
+        basis = ProductBasis(t)
+        dense = np.zeros((basis.dim, basis.dim))
+        for d, block in self.blocks.items():
+            na = _block_levels(t, d)
+            idx = na * (t.n_b_max + 1) + na + d
+            dense[np.ix_(idx, idx)] = block
+        return OperatorMatrix(dense, basis)
+
+    @cached_property
+    def oscillators(self) -> Oscillators:
+        return build_oscillators(self.truncation, self.ctx)
 
     # interior = all levels except the top quarter of each oscillator
     @property
@@ -205,7 +268,13 @@ class UOperator:
 def build_U(
     mp: MatrixElementParams, t: FockTruncation, edge_tol: float = 1e-6
 ) -> UOperator:
-    """Assemble U(theta) on the truncated space.
+    """Assemble U(theta) on the truncated space, one offset block at a time.
+
+    On the block of offset d the raising factor's argument
+    theta(1-q) q^((d+1)/2) A+B+ is a sub-diagonal L_d and the lowering
+    factor's is -L_d^T, so the block is
+    d1 * (e_q(L_d) E_q(-L_d^T)) * d4 with both q-exponentials in closed
+    form (_bidiagonal_qexp).
 
     Precondition: the truncation must hold the whole numerically relevant
     support of the mp.beta sector, measured by the edge weight
@@ -225,57 +294,71 @@ def build_U(
             f"increase the truncation ({t})"
         )
 
-    osc = build_oscillators(t, ctx)
-    basis = osc.a0.basis
-    na = basis.na.astype(float)
-    nb = basis.nb.astype(float)
-    pref = q ** ((nb - na + 1.0) / 2.0)
-
-    x_plus = OperatorMatrix(
-        theta * (1.0 - q) * (pref[:, None] * (osc.a_plus.entries @ osc.b_plus.entries)),
-        basis,
-    )
-    x_minus = OperatorMatrix(
-        -theta
-        * (1.0 - q)
-        * (pref[:, None] * (osc.a_minus.entries @ osc.b_minus.entries)),
-        basis,
-    )
-    f2 = matrix_qexp(x_plus, "little", 1.0, ctx)
-    f3 = matrix_qexp(x_minus, "big", 1.0, ctx)
-
     t2 = theta * theta
-    d1 = np.sqrt(
-        np.array([little_qexp(-t2 * q ** (-int(n)), ctx).value for n in na])
+    row_factor = np.sqrt(
+        np.array([little_qexp(-t2 * q ** (-n), ctx).value for n in range(t.n_a_max + 1)])
     )
-    d4 = np.sqrt(
-        np.array([big_qexp(t2 * q ** (int(n) + 1), ctx).value for n in nb])
+    col_factor = np.sqrt(
+        np.array([big_qexp(t2 * q ** (n + 1), ctx).value for n in range(t.n_b_max + 1)])
     )
-    u = d1[:, None] * (f2.entries @ f3.entries) * d4[None, :]
+    # <n+1|A+|n> and <n+1|B+|n> by the level n+1 they reach
+    a_up = np.sqrt((1.0 - q ** np.arange(1.0, t.n_a_max + 1)) / (1.0 - q))
+    b_up = np.sqrt((q ** -np.arange(1.0, t.n_b_max + 1) - 1.0) / (1.0 - q))
+
+    blocks = {}
+    # rows whose outer factor underflows meet overflowing middle entries;
+    # element() refuses them, so the inf and nan they make are left in place
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(-t.n_a_max, t.n_b_max + 1):
+            na = _block_levels(t, d)
+            pref = q ** ((d + 1.0) / 2.0)
+            sub = theta * (1.0 - q) * (pref * (a_up[na[:-1]] * b_up[na[:-1] + d]))
+            mid = _bidiagonal_qexp(sub, "little", q) @ _bidiagonal_qexp(-sub, "big", q).T
+            blocks[d] = row_factor[na][:, None] * mid * col_factor[na + d][None, :]
     return UOperator(
-        matrix=OperatorMatrix(u, basis),
+        blocks=blocks,
+        row_factor=row_factor,
+        col_factor=col_factor,
         theta=theta,
         beta=mp.beta,
         truncation=t,
         ctx=ctx,
-        oscillators=osc,
     )
 
 
 def element(u: UOperator, beta: int, n: int, x: int) -> float:
-    """Sector matrix element <n|_beta U |x>_beta.
+    """Sector matrix element <n|_beta U |x>_beta, read from block beta-1.
 
     Restricted to the interior part of the sector so that every returned
     element is also trustworthy in summed identities; outside that block
-    OutOfBlock is raised.
+    OutOfBlock is raised.  Where an outer factor of the element underflows
+    to zero or a subnormal, or is not finite, the four-factor product has
+    lost the element and NonConvergent is raised; so it is for a non-finite
+    element.
     """
-    sec = sector(u.truncation, beta)
+    t = u.truncation
+    if beta < 1 or beta - 1 > t.n_b_max:
+        raise EmptySector(f"beta={beta} has no states under truncation {t}")
     cap = u.sector_interior(beta)
     if n < 0 or x < 0 or n > cap or x > cap:
         raise OutOfBlock(
             f"(n={n}, x={x}) outside interior block 0..{cap} of sector beta={beta}"
         )
-    return float(u.matrix.entries[sec.indices[n], sec.indices[x]])
+    d = beta - 1
+    value = float(u.blocks[d][n, x])
+    d1 = float(u.row_factor[n])
+    d4 = float(u.col_factor[x + d])
+    if not (_normal(d1) and _normal(d4) and math.isfinite(value)):
+        raise NonConvergent(
+            f"<{n}|U|{x}> in sector beta={beta} is lost in double precision: "
+            f"outer factors {d1:.3g} and {d4:.3g}, element {value:.3g}"
+        )
+    return value
+
+
+def _normal(v: float) -> bool:
+    """Finite and at least the smallest normal double in magnitude."""
+    return math.isfinite(v) and abs(v) >= sys.float_info.min
 
 
 def unitarity_residual(u: UOperator) -> float:
@@ -285,16 +368,21 @@ def unitarity_residual(u: UOperator) -> float:
     converges to the identity, the column Gram U^T U to a projector with
     diagonal entries strictly below 1.  The reported maximum is therefore an
     honest measure of how far the truncated matrix is from two-sided
-    unitarity, not of the truncation quality alone.
+    unitarity, not of the truncation quality alone.  Both Gram matrices are
+    block-diagonal over offsets like U, so they are formed block by block.
     """
-    m = u.matrix.entries
-    basis = u.matrix.basis
-    mask = interior_indices(basis, u.na_interior, u.nb_interior)
-    eye = np.eye(basis.dim)
-    d1 = m @ m.T - eye
-    d2 = m.T @ m - eye
-    sub = np.ix_(mask, mask)
-    return float(max(np.abs(d1[sub]).max(), np.abs(d2[sub]).max()))
+    t = u.truncation
+    worst = []
+    for d, block in u.blocks.items():
+        na = _block_levels(t, d)
+        keep = (na <= u.na_interior) & (na + d <= u.nb_interior)
+        if not keep.any():
+            continue
+        eye = np.eye(block.shape[0])
+        sub = np.ix_(keep, keep)
+        worst.append(np.abs((block @ block.T - eye)[sub]).max())
+        worst.append(np.abs((block.T @ block - eye)[sub]).max())
+    return float(np.max(worst))
 
 
 def interior_residual(
@@ -369,7 +457,7 @@ def conjugated_lowering(
     rhs = u_shift.matrix.entries @ rhs_closed
     mask = interior_indices(basis, u_theta.na_interior, u_theta.nb_interior)
     residual = _interior_residual(lhs, rhs, mask)
-    if residual > tol:
+    if not (residual <= tol):
         raise ResidualFailure(
             f"conjugated lowering residual {residual:.3g} > {tol:.3g}", residual
         )
@@ -402,7 +490,7 @@ def conjugated_raising(
     rhs = u_theta.matrix.entries @ rhs_closed
     mask = interior_indices(basis, u_theta.na_interior, u_theta.nb_interior)
     residual = _interior_residual(lhs, rhs, mask)
-    if residual > tol:
+    if not (residual <= tol):
         raise ResidualFailure(
             f"conjugated raising residual {residual:.3g} > {tol:.3g}", residual
         )
@@ -436,7 +524,7 @@ def conjugated_lowering_dual(
     rhs = rhs_closed @ u.matrix.entries
     mask = interior_indices(basis, u.na_interior, u.nb_interior)
     residual = _interior_residual(lhs, rhs, mask)
-    if residual > tol:
+    if not (residual <= tol):
         raise ResidualFailure(
             f"dual conjugated lowering residual {residual:.3g} > {tol:.3g}", residual
         )
@@ -470,7 +558,7 @@ def conjugated_raising_dual(
     rhs = rhs_closed @ u.matrix.entries
     mask = interior_indices(basis, u.na_interior, u.nb_interior)
     residual = _interior_residual(lhs, rhs, mask)
-    if residual > tol:
+    if not (residual <= tol):
         raise ResidualFailure(
             f"dual conjugated raising residual {residual:.3g} > {tol:.3g}", residual
         )

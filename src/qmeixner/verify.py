@@ -747,7 +747,7 @@ def check(
             relative = absolute / scale
             report.grid.append(pt)
             report.residuals.append((absolute, relative))
-            if relative > tol:
+            if not (relative <= tol):
                 report.failures.append(pt)
     if not report.grid:
         raise EmptyGrid(f"no evaluable grid points for {rid.value}")

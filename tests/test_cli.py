@@ -1,10 +1,13 @@
 """CLI contract: exit codes, format parity, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeixner.cli import main
 
@@ -180,3 +183,69 @@ def test_float_round_trip_formatting(capsys):
     for row in parse_csv(out):
         v = float(row["value"])
         assert repr(v) == row["value"]
+
+
+def test_xi_operator_refuses_underflowed_rows(capsys):
+    # truncation 120: the outer factor of U underflows to 0 for n >= 49
+    code, out, err = run(
+        capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
+        "--nmax", "60", "--xmax", "60", "--source", "operator",
+    )
+    assert code == 3
+    assert out == ""
+    assert "lost in double precision" in err
+
+
+def test_verify_nan_tol_is_usage_error(capsys):
+    code, out, _ = run(capsys, "verify", "--relation", "ortho_variable", "--tol", "nan")
+    assert code == 2
+    assert out == ""
+
+
+def main_quiet(*argv):
+    """main() with stdout and stderr captured; usable inside @given."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    theta=st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200"]),
+    cmd=st.sampled_from([
+        ("xi", "--source", "closed"),
+        ("xi", "--source", "operator"),
+        ("tabulate",),
+    ]),
+)
+def test_non_finite_or_overflowing_theta_exit_codes(theta, cmd):
+    # non-finite theta is a usage error; a finite theta whose square
+    # overflows is a numeric one
+    code, out, err = main_quiet(
+        *cmd, "--q", "0.5", "--beta", "1", f"--theta={theta}",
+        "--nmax", "1", "--xmax", "1",
+    )
+    assert code == (3 if theta.endswith("e200") else 2)
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--nmax", "--xmax"])
+def test_tabulate_negative_size_is_usage_error(capsys, flag):
+    code, out, _ = run(
+        capsys, "tabulate", "--q", "0.5", "--beta", "1", "--theta", "0.3", flag, "-1",
+    )
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--nmax", "--xmax", "--trunc"])
+def test_xi_negative_size_is_usage_error(capsys, flag):
+    code, out, _ = run(
+        capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
+        "--source", "operator", flag, "-1",
+    )
+    assert code == 2
+    assert out == ""

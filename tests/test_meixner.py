@@ -85,6 +85,14 @@ def test_params_validation():
         MatrixElementParams(0.0, 1, CTX)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        MeixnerParams.from_beta(2, bad, CTX)
+    with pytest.raises(ValueError):
+        MatrixElementParams(bad, 1, CTX)
+
+
 # --- weight and norm -------------------------------------------------------
 
 

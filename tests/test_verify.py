@@ -1,7 +1,11 @@
 """Relation registry behavior: grids, domains, judgments, known defects."""
 
+import dataclasses
+import math
+
 import pytest
 
+from qmeixner import verify
 from qmeixner.errors import EmptyGrid
 from qmeixner.verify import (
     IDENTITY_RELATIONS,
@@ -130,3 +134,15 @@ def test_string_relation_names_accepted():
     assert report.passed
     with pytest.raises(ValueError):
         check("no_such_relation")
+
+
+def test_nan_residual_fails_its_point(monkeypatch):
+    rid = RelationId.RECURRENCE
+    nan_spec = dataclasses.replace(
+        verify._REGISTRY[rid], evaluate=lambda pt, cache: (math.nan, 1.0, None)
+    )
+    monkeypatch.setitem(verify._REGISTRY, rid, nan_spec)
+    pt = GridPoint(0.5, 1, 0.3, 1, 1)
+    report = check(rid, grid=[pt])
+    assert report.failures == [pt]
+    assert not report.passed
