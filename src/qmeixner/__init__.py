@@ -4,7 +4,6 @@ certifies every identity the family satisfies."""
 
 from .errors import (
     DenominatorPole,
-    DomainViolation,
     EmptyGrid,
     EmptySector,
     NonConvergent,

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 from .errors import (
     EmptyGrid,
@@ -38,9 +39,15 @@ from .meixner import (
     xi,
 )
 from .oscillator import FockTruncation
-from .pseudorotation import build_U, classical_U, classical_element, element
+from .pseudorotation import (
+    build_U,
+    classical_U,
+    classical_element,
+    element,
+    sector_interior,
+)
 from .qseries import QContext
-from .verify import RelationId, check, default_grid
+from .verify import RelationId, check, default_grid, limit_passes
 
 __all__ = ["main"]
 
@@ -48,8 +55,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_CONVERGED = 1e-11  # matches the verify judge's rounding-noise floor
 
 
 def _cell(v) -> str:
@@ -109,14 +114,6 @@ def _negative_size(args, names: tuple[str, ...]) -> str | None:
     return None
 
 
-def _sector_keep(trunc: int, beta: int) -> int:
-    """Sector reach of the interior block at a given per-mode truncation."""
-    na_keep = trunc - math.ceil(trunc / 4)
-    nb_max = trunc + beta - 1
-    nb_keep = nb_max - math.ceil(nb_max / 4)
-    return min(na_keep, nb_keep - beta + 1)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -125,7 +122,6 @@ def cmd_tabulate(args) -> int:
     if bad:
         return _usage(bad)
     try:
-        records = []
         if args.family == "qmeixner":
             if args.q is None:
                 return _usage("tabulate --family qmeixner requires --q")
@@ -139,9 +135,7 @@ def cmd_tabulate(args) -> int:
                 params = MeixnerParams.from_b(args.b, c, ctx)
             else:
                 return _usage("tabulate --family qmeixner requires --beta or --b")
-            for n in range(args.nmax + 1):
-                for x in range(args.xmax + 1):
-                    records.append({"n": n, "x": x, "value": qmeixner(n, x, params)})
+            value = partial(qmeixner, p=params)
         else:  # classical
             beta = args.beta if args.beta is not None else args.b
             if beta is None:
@@ -149,11 +143,15 @@ def cmd_tabulate(args) -> int:
             c = _resolve_c(args)
             if c is None:
                 return _usage("tabulate requires --theta or --c")
-            for n in range(args.nmax + 1):
-                for x in range(args.xmax + 1):
-                    records.append(
-                        {"n": n, "x": x, "value": classical_meixner(n, float(x), beta, c)}
-                    )
+
+            def value(n, x):
+                return classical_meixner(n, float(x), beta, c)
+
+        records = [
+            {"n": n, "x": x, "value": value(n, x)}
+            for n in range(args.nmax + 1)
+            for x in range(args.xmax + 1)
+        ]
     except ValueError as exc:
         return _usage(str(exc))
     _emit(records, ["n", "x", "value"], args.format, sys.stdout)
@@ -188,16 +186,13 @@ def cmd_xi(args) -> int:
                 f"--trunc {args.trunc} < {need} = 2*max(nmax, xmax); "
                 "the interior block cannot cover the requested elements"
             )
-        if args.trunc is not None:
-            trunc = args.trunc
-        else:
-            # smallest truncation whose interior block covers the table
-            trunc = max(need, 1)
-            while _sector_keep(trunc, args.beta) < m:
-                trunc += 1
         # the B mode needs beta-1 extra levels to hold the sector offset;
         # sector elements are exact finite sums, so no edge-weight gate here
-        t = FockTruncation(max(trunc, 1), max(trunc, 1) + args.beta - 1)
+        trunc = max(args.trunc if args.trunc is not None else need, 1)
+        t = FockTruncation(trunc, trunc + args.beta - 1)
+        # without --trunc: the smallest truncation whose interior covers the table
+        while args.trunc is None and sector_interior(t, args.beta) < m:
+            t = FockTruncation(t.n_a_max + 1, t.n_b_max + 1)
         try:
             u = build_U(mp, t, edge_tol=math.inf)
         except (TruncationTooSmall, NonConvergent) as exc:
@@ -268,72 +263,49 @@ def cmd_verify(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    bad = _negative_size(args, ("nmax", "xmax"))
+    if bad:
+        return _usage(bad)
     ks = args.k if args.k else ([8, 16, 32] if args.kind == "operator" else [2, 3, 4])
     if any(k < 1 for k in ks):
         return _usage("--k values must be positive integers")
+    cells = [(n, x) for n in range(args.nmax + 1) for x in range(args.xmax + 1)]
     records = []
-    errors = []
     try:
         if args.kind == "poly":
-            classical = [
-                [classical_meixner(n, float(x), args.beta, args.c) for x in range(args.xmax + 1)]
-                for n in range(args.nmax + 1)
-            ]
-            for k in ks:
-                q = 1.0 - 10.0**-k
-                ctx = QContext(q=q)
-                p = MeixnerParams.from_beta(args.beta, args.c / (1.0 - args.c), ctx)
-                err = max(
-                    abs(qmeixner(n, x, p) - classical[n][x])
-                    for n in range(args.nmax + 1)
-                    for x in range(args.xmax + 1)
-                )
-                errors.append(err)
-                records.append({"k": k, "q": q, "max_error": err})
-        elif args.kind == "xi":
-            theta = math.sinh(args.tau)
-            classical = [
-                [classical_xi_limit(n, x, args.beta, args.tau) for x in range(args.xmax + 1)]
-                for n in range(args.nmax + 1)
-            ]
-            for k in ks:
-                q = 1.0 - 10.0**-k
-                mp = MatrixElementParams(theta, args.beta, QContext(q=q))
-                err = max(
-                    abs(xi(n, x, mp) - classical[n][x])
-                    for n in range(args.nmax + 1)
-                    for x in range(args.xmax + 1)
-                )
-                errors.append(err)
-                records.append({"k": k, "q": q, "max_error": err})
-        else:  # operator: k values are truncation sizes
-            classical = [
-                [classical_xi_limit(n, x, args.beta, args.tau) for x in range(args.xmax + 1)]
-                for n in range(args.nmax + 1)
-            ]
-            for k in ks:
+            exact = [classical_meixner(n, float(x), args.beta, args.c) for n, x in cells]
+        else:
+            exact = [classical_xi_limit(n, x, args.beta, args.tau) for n, x in cells]
+        for k in ks:
+            if args.kind == "operator":  # k is the truncation size
                 t = FockTruncation(k, k + args.beta - 1)
                 u = classical_U(args.tau, t)
-                err = max(
-                    abs(classical_element(u, t, args.beta, n, x) - classical[n][x])
-                    for n in range(args.nmax + 1)
-                    for x in range(args.xmax + 1)
-                )
-                errors.append(err)
-                records.append({"k": k, "trunc": k, "max_error": err})
+                rec = {"k": k, "trunc": k}
+                approx = partial(classical_element, u, t, args.beta)
+            else:
+                q = 1.0 - 10.0**-k
+                rec = {"k": k, "q": q}
+                if args.kind == "poly":
+                    c = args.c / (1.0 - args.c)
+                    p = MeixnerParams.from_beta(args.beta, c, QContext(q=q))
+                    approx = partial(qmeixner, p=p)
+                else:
+                    theta = math.sinh(args.tau)
+                    mp = MatrixElementParams(theta, args.beta, QContext(q=q))
+                    approx = partial(xi, mp=mp)
+            rec["max_error"] = max(
+                abs(approx(n, x) - e) for (n, x), e in zip(cells, exact)
+            )
+            records.append(rec)
     except ValueError as exc:
         return _usage(str(exc))
     except (OutOfBlock, OutOfTruncation, TruncationTooSmall, NonConvergent) as exc:
         return _numeric(str(exc))
 
-    if args.kind == "operator":
-        columns = ["k", "trunc", "max_error"]
-    else:
-        columns = ["k", "q", "max_error"]
+    columns = ["k", "trunc" if args.kind == "operator" else "q", "max_error"]
     _emit(records, columns, args.format, sys.stdout)
-    converged = all(e <= _CONVERGED for e in errors)
-    monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    return EXIT_OK if converged or monotone else EXIT_FAIL
+    ok = limit_passes([rec["max_error"] for rec in records])
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ class EmptySector(Exception):
     """No basis states exist for the requested sector label."""
 
 
-class DomainViolation(Exception):
-    """A grid point violates the validity domain of a relation."""
-
-
 class EmptyGrid(Exception):
     """A verification grid contains no admissible points."""
 

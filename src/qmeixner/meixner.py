@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
-from .errors import NonConvergent
 from .qseries import (
-    CompensatedSum,
     QContext,
     QPower,
+    adaptive_sum,
     basic_hypergeometric,
     q_binomial,
     q_pochhammer,
+    ratio_sequence,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "classical_meixner",
     "classical_xi_limit",
     "orthogonality_sum",
+    "dual_degree_factor",
     "dual_orthogonality_sum",
 ]
 
@@ -281,6 +283,19 @@ def classical_xi_limit(n: int, x: int, beta: int, tau: float) -> float:
     )
 
 
+def dual_degree_factor(t2: float, beta: int, q: float) -> Callable[[int], float]:
+    """n -> theta^(2n) q^(-C(n,2)) [n+beta-1, n]_q / (-theta^2 q^-n; q)_n,
+    the degree weight of the dual orthogonality sum, by its stable term
+    ratio (t2 = theta^2)."""
+    return ratio_sequence(
+        lambda f, k: f
+        * t2
+        * q ** (-k)
+        * (1.0 - q ** (k + beta))
+        / ((1.0 - q ** (k + 1)) * (1.0 + t2 * q ** (-k - 1)))
+    )
+
+
 def orthogonality_sum(
     n: int, n2: int, mp: MatrixElementParams
 ) -> tuple[float, int]:
@@ -292,27 +307,12 @@ def orthogonality_sum(
     terms fall below tail_cutoff times the running maximum term.
     Returns (sum, terms_used).
     """
-    ctx = mp.ctx
     pm = mp.meixner_params()
-    acc = CompensatedSum()
-    running_max = 0.0
-    small_streak = 0
-    x = 0
-    while True:
-        t = weight(x, mp) * qmeixner(n, x, pm) * qmeixner(n2, x, pm)
-        acc.add(t)
-        mag = abs(t)
-        if mag > running_max:
-            running_max = mag
-        if mag < ctx.tail_cutoff * running_max:
-            small_streak += 1
-            if small_streak >= 3:
-                return acc.total, x + 1
-        else:
-            small_streak = 0
-        x += 1
-        if x >= ctx.max_terms:
-            raise NonConvergent("orthogonality sum exceeded the term budget")
+    return adaptive_sum(
+        lambda x: weight(x, mp) * qmeixner(n, x, pm) * qmeixner(n2, x, pm),
+        mp.ctx,
+        "orthogonality sum",
+    )
 
 
 def dual_orthogonality_sum(
@@ -329,35 +329,13 @@ def dual_orthogonality_sum(
     so the dual sum carries a finite completeness defect (about 4.4e-4
     relative at x = 0 for q = 0.5, theta = 0.3, beta = 1, growing with x
     and shrinking as q -> 1).  The degree-dependent factor is carried by a
-    stable term-ratio recurrence.  Returns (sum, terms_used).
+    stable term-ratio recurrence (dual_degree_factor).  Returns
+    (sum, terms_used).
     """
-    ctx = mp.ctx
-    q = ctx.q
-    t2 = mp.theta**2
+    factor = dual_degree_factor(mp.theta**2, mp.beta, mp.ctx.q)
     pm = mp.meixner_params()
-    acc = CompensatedSum()
-    factor = 1.0  # theta^(2n) q^(-C(n,2)) [n+beta-1,n]_q / (-t2 q^-n; q)_n at n=0
-    running_max = 0.0
-    small_streak = 0
-    n = 0
-    while True:
-        t = factor * qmeixner(n, x, pm) * qmeixner(n, x2, pm)
-        acc.add(t)
-        mag = abs(t)
-        if mag > running_max:
-            running_max = mag
-        if mag < ctx.tail_cutoff * running_max:
-            small_streak += 1
-            if small_streak >= 3:
-                return acc.total, n + 1
-        else:
-            small_streak = 0
-        factor *= (
-            t2
-            * q ** (-n)
-            * (1.0 - q ** (n + mp.beta))
-            / ((1.0 - q ** (n + 1)) * (1.0 + t2 * q ** (-n - 1)))
-        )
-        n += 1
-        if n >= ctx.max_terms:
-            raise NonConvergent("dual orthogonality sum exceeded the term budget")
+    return adaptive_sum(
+        lambda n: factor(n) * qmeixner(n, x, pm) * qmeixner(n, x2, pm),
+        mp.ctx,
+        "dual orthogonality sum",
+    )

@@ -96,6 +96,7 @@ __all__ = [
     "exp_reorder_mixed",
     "classical_U",
     "classical_element",
+    "sector_interior",
 ]
 
 
@@ -136,14 +137,11 @@ def matrix_qexp(
     """
     if kind not in ("little", "big"):
         raise ValueError(f"kind must be 'little' or 'big', got {kind!r}")
-    shape = _classify(X)
-    q = ctx.q
-    if shape == "diagonal":
-        diag = scale * np.diagonal(X.entries)
-        fn = little_qexp if kind == "little" else big_qexp
-        vals = np.array([fn(float(d), ctx).value for d in diag])
-        return OperatorMatrix(np.diag(vals), X.basis)
+    if _classify(X) == "diagonal":
+        diag = _diag_qexp(kind, scale * np.diagonal(X.entries), ctx)
+        return OperatorMatrix(diag, X.basis)
 
+    q = ctx.q
     m = scale * X.entries
     dim = X.basis.dim
     acc = np.eye(dim)
@@ -249,20 +247,27 @@ class UOperator:
     def oscillators(self) -> Oscillators:
         return build_oscillators(self.truncation, self.ctx)
 
-    # interior = all levels except the top quarter of each oscillator
     @property
     def na_interior(self) -> int:
-        cap = self.truncation.n_a_max
-        return cap - math.ceil(cap / 4)
+        return _interior(self.truncation.n_a_max)
 
     @property
     def nb_interior(self) -> int:
-        cap = self.truncation.n_b_max
-        return cap - math.ceil(cap / 4)
+        return _interior(self.truncation.n_b_max)
 
     def sector_interior(self, beta: int) -> int:
-        """Largest sector index n with both |n> legs inside the interior."""
-        return min(self.na_interior, self.nb_interior - beta + 1)
+        return sector_interior(self.truncation, beta)
+
+
+def _interior(cap: int) -> int:
+    """Top interior level of one oscillator: all but the top quarter."""
+    return cap - math.ceil(cap / 4)
+
+
+def sector_interior(t: FockTruncation, beta: int) -> int:
+    """Largest sector index n with both legs of |n, n+beta-1> inside the
+    interior of the truncation t."""
+    return min(_interior(t.n_a_max), _interior(t.n_b_max) - beta + 1)
 
 
 def build_U(
@@ -399,12 +404,6 @@ def interior_residual(
     that block.
     """
     mask = interior_indices(basis, na_keep, nb_keep)
-    return _interior_residual(lhs, rhs, mask)
-
-
-def _interior_residual(
-    lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray
-) -> float:
     sub = np.ix_(mask, mask)
     l_sub = lhs[sub]
     r_sub = rhs[sub]
@@ -422,6 +421,31 @@ def _check_pair(u_theta: UOperator, u_shift: UOperator) -> None:
         )
     if u_shift.truncation != u_theta.truncation:
         raise ValueError("operators must share one truncation")
+
+
+def _certify(
+    name: str,
+    u: UOperator,
+    lhs: np.ndarray,
+    rhs: np.ndarray,
+    closed: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, float]:
+    """The gate of the conjugation identities: the residual of lhs = rhs on the
+    interior block of u, ResidualFailure unless it is at most tol (a NaN
+    residual fails).  Returns (closed, residual)."""
+    basis = u.oscillators.a0.basis
+    residual = interior_residual(lhs, rhs, basis, u.na_interior, u.nb_interior)
+    if not (residual <= tol):
+        raise ResidualFailure(f"{name} residual {residual:.3g} > {tol:.3g}", residual)
+    return closed, residual
+
+
+def _levels(u: UOperator) -> tuple[Oscillators, float, float, np.ndarray, np.ndarray]:
+    """(ladders, q, theta, n_A, n_B) of the product space u acts on."""
+    osc = u.oscillators
+    basis = osc.a0.basis
+    return osc, u.ctx.q, u.theta, basis.na.astype(float), basis.nb.astype(float)
 
 
 def conjugated_lowering(
@@ -442,26 +466,14 @@ def conjugated_lowering(
     raises ResidualFailure instead of passing silently.
     """
     _check_pair(u_theta, u_shift)
-    osc = u_theta.oscillators
-    basis = osc.a0.basis
-    q = u_theta.ctx.q
-    theta = u_theta.theta
-    na = basis.na.astype(float)
-    nb = basis.nb.astype(float)
-
+    osc, q, theta, na, nb = _levels(u_theta)
     sqrt_b = np.sqrt(1.0 + theta**2 * q**nb)
-    rhs_closed = osc.a_minus.entries * sqrt_b[None, :] + theta * (
+    r = osc.a_minus.entries * sqrt_b[None, :] + theta * (
         (q ** ((na + nb) / 2.0))[:, None] * osc.b_plus.entries
     )
     lhs = osc.a_minus.entries @ u_theta.matrix.entries
-    rhs = u_shift.matrix.entries @ rhs_closed
-    mask = interior_indices(basis, u_theta.na_interior, u_theta.nb_interior)
-    residual = _interior_residual(lhs, rhs, mask)
-    if not (residual <= tol):
-        raise ResidualFailure(
-            f"conjugated lowering residual {residual:.3g} > {tol:.3g}", residual
-        )
-    return rhs_closed, residual
+    rhs = u_shift.matrix.entries @ r
+    return _certify("conjugated lowering", u_theta, lhs, rhs, r, tol)
 
 
 def conjugated_raising(
@@ -475,26 +487,14 @@ def conjugated_raising(
     certified as A+ U(q^(-1/2) theta) = U(theta) R.  Returns (R, residual).
     """
     _check_pair(u_theta, u_shift)
-    osc = u_theta.oscillators
-    basis = osc.a0.basis
-    q = u_theta.ctx.q
-    theta = u_theta.theta
-    na = basis.na.astype(float)
-    nb = basis.nb.astype(float)
-
+    osc, q, theta, na, nb = _levels(u_theta)
     sqrt_b = np.sqrt(1.0 + theta**2 * q**nb)
-    rhs_closed = osc.a_plus.entries * sqrt_b[None, :] + theta * (
+    r = osc.a_plus.entries * sqrt_b[None, :] + theta * (
         osc.b_minus.entries * (q ** ((na + nb) / 2.0))[None, :]
     )
     lhs = osc.a_plus.entries @ u_shift.matrix.entries
-    rhs = u_theta.matrix.entries @ rhs_closed
-    mask = interior_indices(basis, u_theta.na_interior, u_theta.nb_interior)
-    residual = _interior_residual(lhs, rhs, mask)
-    if not (residual <= tol):
-        raise ResidualFailure(
-            f"conjugated raising residual {residual:.3g} > {tol:.3g}", residual
-        )
-    return rhs_closed, residual
+    rhs = u_theta.matrix.entries @ r
+    return _certify("conjugated raising", u_theta, lhs, rhs, r, tol)
 
 
 def conjugated_lowering_dual(
@@ -508,27 +508,14 @@ def conjugated_lowering_dual(
     certified as U(theta) (q^(-A0/2) A-) = R U(theta).  Returns
     (R, residual).
     """
-    osc = u.oscillators
-    basis = osc.a0.basis
-    q = u.ctx.q
-    theta = u.theta
-    na = basis.na.astype(float)
-    nb = basis.nb.astype(float)
-
+    osc, q, theta, na, nb = _levels(u)
     mid = (q ** (-na / 2.0))[:, None] * osc.a_minus.entries
     sqrt_a = np.sqrt(1.0 + theta**2 * q ** (-na))
-    rhs_closed = mid * sqrt_a[None, :] - theta * (
+    r = mid * sqrt_a[None, :] - theta * (
         (q ** (-na) * q ** (nb / 2.0))[:, None] * osc.b_plus.entries
     )
-    lhs = u.matrix.entries @ mid
-    rhs = rhs_closed @ u.matrix.entries
-    mask = interior_indices(basis, u.na_interior, u.nb_interior)
-    residual = _interior_residual(lhs, rhs, mask)
-    if not (residual <= tol):
-        raise ResidualFailure(
-            f"dual conjugated lowering residual {residual:.3g} > {tol:.3g}", residual
-        )
-    return rhs_closed, residual
+    m = u.matrix.entries
+    return _certify("dual conjugated lowering", u, m @ mid, r @ m, r, tol)
 
 
 def conjugated_raising_dual(
@@ -542,27 +529,14 @@ def conjugated_raising_dual(
     certified as U(theta) (A+ q^(-A0/2)) = R U(theta).  Returns
     (R, residual).
     """
-    osc = u.oscillators
-    basis = osc.a0.basis
-    q = u.ctx.q
-    theta = u.theta
-    na = basis.na.astype(float)
-    nb = basis.nb.astype(float)
-
+    osc, q, theta, na, nb = _levels(u)
     mid = osc.a_plus.entries * (q ** (-na / 2.0))[None, :]
     sqrt_a = np.sqrt(1.0 + theta**2 * q ** (-na))
-    rhs_closed = sqrt_a[:, None] * mid - theta * (
+    r = sqrt_a[:, None] * mid - theta * (
         (q ** (-na))[:, None] * osc.b_minus.entries * (q ** (nb / 2.0))[None, :]
     )
-    lhs = u.matrix.entries @ mid
-    rhs = rhs_closed @ u.matrix.entries
-    mask = interior_indices(basis, u.na_interior, u.nb_interior)
-    residual = _interior_residual(lhs, rhs, mask)
-    if not (residual <= tol):
-        raise ResidualFailure(
-            f"dual conjugated raising residual {residual:.3g} > {tol:.3g}", residual
-        )
-    return rhs_closed, residual
+    m = u.matrix.entries
+    return _certify("dual conjugated raising", u, m @ mid, r @ m, r, tol)
 
 
 def qbch_series(
@@ -621,15 +595,9 @@ def qbch_conjugate(
     kind 'big': E_q(lam X) Y e_q(-lam q^alpha X); kind 'little':
     e_q(lam X) Y E_q(-lam q^alpha X).
     """
-    if kind not in ("little", "big"):
-        raise ValueError(f"kind must be 'little' or 'big', got {kind!r}")
-    qa = ctx.q**alpha
-    if kind == "big":
-        left = matrix_qexp_series(lam * x, "big", ctx)
-        right = matrix_qexp_series(-lam * qa * x, "little", ctx)
-    else:
-        left = matrix_qexp_series(lam * x, "little", ctx)
-        right = matrix_qexp_series(-lam * qa * x, "big", ctx)
+    left = matrix_qexp_series(lam * x, kind, ctx)  # rejects an unknown kind
+    other = "little" if kind == "big" else "big"
+    right = matrix_qexp_series(-lam * ctx.q**alpha * x, other, ctx)
     return left @ y @ right
 
 
@@ -654,24 +622,23 @@ def qexp_split(
     if np.abs(xy - ctx.q * yx).max() > comm_tol * scale:
         raise UnsupportedShape("arguments do not satisfy XY = qYX")
     combined = matrix_qexp_series(x + y, kind, ctx)
-    if kind == "little":
-        split = matrix_qexp_series(y, kind, ctx) @ matrix_qexp_series(x, kind, ctx)
-    else:
-        split = matrix_qexp_series(x, kind, ctx) @ matrix_qexp_series(y, kind, ctx)
+    first, second = (y, x) if kind == "little" else (x, y)
+    split = matrix_qexp_series(first, kind, ctx) @ matrix_qexp_series(second, kind, ctx)
     return combined, split
 
 
 def _scaled_ladders(
     osc: Oscillators, ctx: QContext
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boost-scaled pair ladders K± = (1-q) q^((B0-A0+1)/2) A± B±."""
+) -> tuple[OperatorMatrix, OperatorMatrix, np.ndarray, np.ndarray]:
+    """Boost-scaled pair ladders K± = (1-q) q^((B0-A0+1)/2) A± B±, with
+    the level arrays n_A and n_B."""
     basis = osc.a0.basis
     na = basis.na.astype(float)
     nb = basis.nb.astype(float)
     pref = (1.0 - ctx.q) * ctx.q ** ((nb - na + 1.0) / 2.0)
     k_plus = pref[:, None] * (osc.a_plus.entries @ osc.b_plus.entries)
     k_minus = pref[:, None] * (osc.a_minus.entries @ osc.b_minus.entries)
-    return k_plus, k_minus, na, nb
+    return OperatorMatrix(k_plus, basis), OperatorMatrix(k_minus, basis), na, nb
 
 
 def _diag_qexp(kind: str, args: np.ndarray, ctx: QContext) -> np.ndarray:
@@ -693,9 +660,8 @@ def exp_reorder_little(
     block.  Returns (lhs, rhs).
     """
     k_plus, k_minus, na, nb = _scaled_ladders(osc, ctx)
-    basis = osc.a0.basis
-    e_km = matrix_qexp(OperatorMatrix(k_minus, basis), "little", a, ctx).entries
-    e_kp = matrix_qexp(OperatorMatrix(k_plus, basis), "little", b, ctx).entries
+    e_km = matrix_qexp(k_minus, "little", a, ctx).entries
+    e_kp = matrix_qexp(k_plus, "little", b, ctx).entries
     mid_l = _diag_qexp("little", -a * b * ctx.q ** (-na), ctx)
     mid_r = _diag_qexp("little", -a * b * ctx.q ** (nb + 1.0), ctx)
     return e_km @ mid_l @ e_kp, e_kp @ mid_r @ e_km
@@ -712,9 +678,8 @@ def exp_reorder_big(
     Returns (lhs, rhs); same domain and edge caveats.
     """
     k_plus, k_minus, na, nb = _scaled_ladders(osc, ctx)
-    basis = osc.a0.basis
-    e_kp = matrix_qexp(OperatorMatrix(k_plus, basis), "big", a, ctx).entries
-    e_km = matrix_qexp(OperatorMatrix(k_minus, basis), "big", b, ctx).entries
+    e_kp = matrix_qexp(k_plus, "big", a, ctx).entries
+    e_km = matrix_qexp(k_minus, "big", b, ctx).entries
     mid_l = _diag_qexp("big", a * b * ctx.q ** (-na), ctx)
     mid_r = _diag_qexp("big", a * b * ctx.q ** (nb + 1.0), ctx)
     return e_kp @ mid_l @ e_km, e_km @ mid_r @ e_kp
@@ -731,9 +696,8 @@ def exp_reorder_mixed(
     Returns (lhs, rhs); same domain and edge caveats.
     """
     k_plus, k_minus, na, nb = _scaled_ladders(osc, ctx)
-    basis = osc.a0.basis
-    e_km = matrix_qexp(OperatorMatrix(k_minus, basis), "big", a, ctx).entries
-    e_kp = matrix_qexp(OperatorMatrix(k_plus, basis), "little", b, ctx).entries
+    e_km = matrix_qexp(k_minus, "big", a, ctx).entries
+    e_kp = matrix_qexp(k_plus, "little", b, ctx).entries
     mid_1 = _diag_qexp("little", a * b * ctx.q ** (-na), ctx)
     mid_2 = _diag_qexp("big", -a * b * ctx.q ** (nb + 1.0), ctx)
     return e_km @ e_kp, mid_1 @ e_kp @ e_km @ mid_2

@@ -23,7 +23,7 @@ happens to be close to q^-N follows the ordinary convergence policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DenominatorPole, NonConvergent, PoleHit
 
@@ -38,6 +38,8 @@ __all__ = [
     "little_qexp",
     "big_qexp",
     "basic_hypergeometric",
+    "ratio_sequence",
+    "adaptive_sum",
 ]
 
 
@@ -46,9 +48,12 @@ class QContext:
     """Evaluation context: the base q plus numerical policy knobs.
 
     q           base, strictly inside (0, 1)
-    rel_tol     target relative accuracy of returned values
-    tail_cutoff term-magnitude threshold for truncating infinite sums/products
+    rel_tol     target relative accuracy of returned values, inside (0, 1)
+    tail_cutoff term-magnitude threshold for truncating infinite
+                sums/products, inside (0, 1)
     max_terms   hard budget before giving up with NonConvergent
+
+    The interval tests are written so that NaN fails them.
     """
 
     q: float
@@ -59,10 +64,12 @@ class QContext:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must lie strictly inside (0, 1), got {self.q}")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.tail_cutoff <= 0.0:
-            raise ValueError("tail_cutoff must be positive")
+        if not (0.0 < self.rel_tol < 1.0):
+            raise ValueError(f"rel_tol must lie inside (0, 1), got {self.rel_tol}")
+        if not (0.0 < self.tail_cutoff < 1.0):
+            raise ValueError(
+                f"tail_cutoff must lie inside (0, 1), got {self.tail_cutoff}"
+            )
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 
@@ -285,3 +292,47 @@ def basic_hypergeometric(
             raise NonConvergent(
                 f"series did not converge within {ctx.max_terms} terms"
             )
+
+
+def ratio_sequence(step: Callable[[float, int], float]) -> Callable[[int], float]:
+    """Memoised sequence s(0) = 1, s(k + 1) = step(s(k), k).
+
+    Carries a series coefficient by its term ratio instead of by the
+    products it stands for, which stay tame while their factors do not.
+    """
+    values = [1.0]
+
+    def at(n: int) -> float:
+        while n >= len(values):
+            values.append(step(values[-1], len(values) - 1))
+        return values[n]
+
+    return at
+
+
+def adaptive_sum(
+    term_of: Callable[[int], float], ctx: QContext, label: str
+) -> tuple[float, int]:
+    """Sum term_of(k) for k = 0, 1, ... with compensated summation until
+    three consecutive terms drop below tail_cutoff times the running
+    maximum term.  Returns (sum, terms_used); NonConvergent past max_terms.
+    """
+    acc = CompensatedSum()
+    running_max = 0.0
+    streak = 0
+    k = 0
+    while True:
+        t = term_of(k)
+        acc.add(t)
+        mag = abs(t)
+        if mag > running_max:
+            running_max = mag
+        if mag < ctx.tail_cutoff * running_max:
+            streak += 1
+            if streak >= 3:
+                return acc.total, k + 1
+        else:
+            streak = 0
+        k += 1
+        if k >= ctx.max_terms:
+            raise NonConvergent(f"{label} exceeded the term budget")

@@ -18,7 +18,8 @@ cancelled remainder.
 The two LIMIT relations are judged differently: the identity is a limit
 statement, so each grid point is checked for strictly decreasing error
 against the classical value over q = 1 - 10^-k, k = 2, 3, 4 (rows whose
-error is already below 1e-13 everywhere count as converged).
+error is already below 1e-11 everywhere count as converged); limit_passes
+is that judge, shared with the CLI's limit command.
 
 Grid points violating a relation's domain (the complementary relations need
 beta >= 2, the variable generating function converges only for z < q^n) are
@@ -32,13 +33,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import EmptyGrid, NonConvergent
+from .errors import EmptyGrid
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
     classical_meixner,
     classical_xi_limit,
     duality_transform,
+    dual_degree_factor,
     norm_factor,
     qmeixner,
     weight,
@@ -46,13 +48,14 @@ from .meixner import (
     xi_dual,
 )
 from .qseries import (
-    CompensatedSum,
     QContext,
     QPower,
+    adaptive_sum,
     basic_hypergeometric,
     big_qexp,
     little_qexp,
     q_pochhammer,
+    ratio_sequence,
 )
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "default_grid",
     "check",
     "check_all",
+    "limit_passes",
 ]
 
 
@@ -188,203 +192,126 @@ class _Cache:
 # ---------------------------------------------------------------------------
 # pointwise structure relations
 #
-# Terms whose coefficient contains a vanishing factor (1 - q^0) are skipped
-# outright so M is never requested at n = -1 or x = -1.
+# Each structure relation is one row of the term table below: an LHS and an
+# RHS list of terms (coefficient, dn, dx, dbeta, c_shift), a term standing
+# for coefficient(q, t2, b, n, x) * M_{n+dn}(q^-(x+dx); beta+dbeta,
+# theta^2 q^c_shift).  The dual relations drag theta^2 through integer
+# powers of q, carried exactly as c_shift.  A term whose shifted n or x is
+# negative carries a vanishing factor (1 - q^0) and is skipped, so M is
+# never requested at n = -1 or x = -1.
 
-def _eval_backward(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lhs = t2 * (1.0 - q**b) * m(n + 1, x, b, 0)
-    rhs = t2 * (1.0 - q ** (x + b)) * m(n, x, b + 1, -1)
-    if x > 0:
-        rhs += (
-            q
-            * (1.0 - q ** (-x))
-            * (1.0 + t2 * q ** (x + b - 1))
-            * m(n, x - 1, b + 1, -1)
-        )
-    return lhs, rhs, None
+Term = tuple[Callable[[float, float, int, int, int], float], int, int, int, int]
 
 
-def _eval_forward(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lhs = 0.0
-    if n > 0:
-        lhs = (1.0 - q**n) / (t2 * q**x * (1.0 - q**b)) * m(n - 1, x, b + 1, -1)
-    rhs = m(n, x, b, 0) - m(n, x + 1, b, 0)
-    return lhs, rhs, None
+# coefficients that enter one relation twice, alone and in a sum
+def _up(q, t2, b, n, x):  # difference equation
+    return (1.0 - q**x) * (1.0 + t2 * q ** (x + b - 1))
 
 
-def _eval_difference(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    up = (1.0 - q**x) * (1.0 + t2 * q ** (x + b - 1))
-    down = t2 * q**x * (1.0 - q ** (x + b))
-    lhs = (1.0 - q**n) * m(n, x, b, 0)
-    rhs = -down * m(n, x + 1, b, 0) + (up + down) * m(n, x, b, 0)
-    if x > 0:
-        rhs -= up * m(n, x - 1, b, 0)
-    return lhs, rhs, None
+def _down(q, t2, b, n, x):
+    return t2 * q**x * (1.0 - q ** (x + b))
 
 
-def _eval_comp_backward(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lhs = 0.0
-    if x > 0:
-        lhs = (
-            (q ** (n + 1) / t2)
-            * (1.0 - q ** (-x))
-            / (1.0 - q ** (b - 1))
-            * m(n, x - 1, b, 0)
-        )
-    rhs = m(n + 1, x, b - 1, 0) - m(n, x, b - 1, 0)
-    return lhs, rhs, None
+def _lo(q, t2, b, n, x):  # recurrence
+    return q * (1.0 - q**n) * (q**n + t2)
 
 
-def _eval_comp_forward(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lhs = t2 * q**n * (1.0 - q**b) * m(n, x + 1, b, 0)
-    rhs = t2 * (1.0 - q ** (n + b)) * m(n, x, b + 1, 0)
-    if n > 0:
-        rhs -= (q**n + t2) * (1.0 - q**n) * m(n - 1, x, b + 1, 0)
-    return lhs, rhs, None
+def _hi(q, t2, b, n, x):
+    return t2 * (1.0 - q ** (n + b))
 
 
-def _eval_recurrence(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lo = q * (1.0 - q**n) * (q**n + t2)
-    hi = t2 * (1.0 - q ** (n + b))
-    lhs = q ** (2 * n + 1) * (1.0 - q ** (-x)) * m(n, x, b, 0)
-    rhs = -(lo + hi) * m(n, x, b, 0) + hi * m(n + 1, x, b, 0)
-    if n > 0:
-        rhs += lo * m(n - 1, x, b, 0)
-    return lhs, rhs, None
+def _dual_up(q, t2, b, n, x):
+    return (1.0 - q**n) * (1.0 + t2 * q ** (x + b - 1))
 
 
-# dual structure relations: the degree/variable exchange drags theta^2
-# through integer powers of q, carried exactly as c_shift
-
-def _eval_dual_backward(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lhs = t2 * q ** (x + 1) * (1.0 - q**b) * m(n, x + 1, b, 0)
-    rhs = t2 * q ** (x + 1) * (1.0 - q ** (n + b)) * m(n, x, b + 1, 0)
-    if n > 0:
-        rhs -= (
-            q * (1.0 - q**n) * (1.0 + t2 * q ** (x + b)) * m(n - 1, x, b + 1, -1)
-        )
-    return lhs, rhs, None
+def _dual_down(q, t2, b, n, x):
+    return t2 * q**x * (1.0 - q ** (n + b))
 
 
-def _eval_dual_forward(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lhs = 0.0
-    if x > 0:
-        lhs = (1.0 - q ** (-x)) / (t2 * (1.0 - q**b)) * m(n, x - 1, b + 1, 0)
-    rhs = m(n + 1, x, b, 1) - m(n, x, b, 0)
-    return lhs, rhs, None
+def _dual_lo(q, t2, b, n, x):
+    return q * (1.0 - q**x) * (q**n + t2)
 
 
-def _eval_dual_difference(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    up = (1.0 - q**n) * (1.0 + t2 * q ** (x + b - 1))
-    down = t2 * q**x * (1.0 - q ** (n + b))
-    lhs = (1.0 - q**x) * m(n, x, b, 0)
-    rhs = (up + down) * m(n, x, b, 0) - down * m(n + 1, x, b, 1)
-    if n > 0:
-        rhs -= up * m(n - 1, x, b, -1)
-    return lhs, rhs, None
+def _dual_hi(q, t2, b, n, x):
+    return t2 * (1.0 - q ** (x + b))
 
 
-def _eval_dual_comp_backward(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
+# relation: ([LHS terms], [RHS terms]), term = (coefficient, dn, dx, dbeta, c_shift)
+_STRUCTURE: dict[RelationId, tuple[list[Term], list[Term]]] = {
+    RelationId.BACKWARD: (
+        [(lambda q, t2, b, n, x: t2 * (1.0 - q**b), 1, 0, 0, 0)],
+        [(lambda q, t2, b, n, x: t2 * (1.0 - q ** (x + b)), 0, 0, 1, -1),
+         (lambda q, t2, b, n, x: q * (1.0 - q ** (-x)) * (1.0 + t2 * q ** (x + b - 1)),
+          0, -1, 1, -1)]),
+    RelationId.FORWARD: (
+        [(lambda q, t2, b, n, x: (1.0 - q**n) / (t2 * q**x * (1.0 - q**b)), -1, 0, 1, -1)],
+        [(lambda *a: 1.0, 0, 0, 0, 0), (lambda *a: -1.0, 0, 1, 0, 0)]),
+    RelationId.DIFFERENCE: (
+        [(lambda q, t2, b, n, x: 1.0 - q**n, 0, 0, 0, 0)],
+        [(lambda *a: -_down(*a), 0, 1, 0, 0),
+         (lambda *a: _up(*a) + _down(*a), 0, 0, 0, 0),
+         (lambda *a: -_up(*a), 0, -1, 0, 0)]),
+    RelationId.COMP_BACKWARD: (
+        [(lambda q, t2, b, n, x: (q ** (n + 1) / t2)
+          * (1.0 - q ** (-x)) / (1.0 - q ** (b - 1)), 0, -1, 0, 0)],
+        [(lambda *a: 1.0, 1, 0, -1, 0), (lambda *a: -1.0, 0, 0, -1, 0)]),
+    RelationId.COMP_FORWARD: (
+        [(lambda q, t2, b, n, x: t2 * q**n * (1.0 - q**b), 0, 1, 0, 0)],
+        [(lambda q, t2, b, n, x: t2 * (1.0 - q ** (n + b)), 0, 0, 1, 0),
+         (lambda q, t2, b, n, x: -((q**n + t2) * (1.0 - q**n)), -1, 0, 1, 0)]),
+    RelationId.RECURRENCE: (
+        [(lambda q, t2, b, n, x: q ** (2 * n + 1) * (1.0 - q ** (-x)), 0, 0, 0, 0)],
+        [(lambda *a: -(_lo(*a) + _hi(*a)), 0, 0, 0, 0),
+         (_hi, 1, 0, 0, 0),
+         (_lo, -1, 0, 0, 0)]),
+    RelationId.DUAL_BACKWARD: (
+        [(lambda q, t2, b, n, x: t2 * q ** (x + 1) * (1.0 - q**b), 0, 1, 0, 0)],
+        [(lambda q, t2, b, n, x: t2 * q ** (x + 1) * (1.0 - q ** (n + b)), 0, 0, 1, 0),
+         (lambda q, t2, b, n, x: -(q * (1.0 - q**n) * (1.0 + t2 * q ** (x + b))),
+          -1, 0, 1, -1)]),
+    RelationId.DUAL_FORWARD: (
+        [(lambda q, t2, b, n, x: (1.0 - q ** (-x)) / (t2 * (1.0 - q**b)), 0, -1, 1, 0)],
+        [(lambda *a: 1.0, 1, 0, 0, 1), (lambda *a: -1.0, 0, 0, 0, 0)]),
+    RelationId.DUAL_DIFFERENCE: (
+        [(lambda q, t2, b, n, x: 1.0 - q**x, 0, 0, 0, 0)],
+        [(lambda *a: _dual_up(*a) + _dual_down(*a), 0, 0, 0, 0),
+         (lambda *a: -_dual_down(*a), 1, 0, 0, 1),
+         (lambda *a: -_dual_up(*a), -1, 0, 0, -1)]),
+    RelationId.DUAL_COMP_BACKWARD: (
+        [(lambda q, t2, b, n, x: (q / t2) * (1.0 - q**n) / (1.0 - q ** (b - 1)),
+          -1, 0, 0, -1)],
+        [(lambda *a: 1.0, 0, 0, -1, 0), (lambda *a: -1.0, 0, 1, -1, -1)]),
+    RelationId.DUAL_COMP_FORWARD: (
+        [(lambda q, t2, b, n, x: t2 * q**x * (1.0 - q**b), 1, 0, 0, 1)],
+        [(lambda q, t2, b, n, x: t2 * (1.0 - q ** (x + b)), 0, 0, 1, 0),
+         (lambda q, t2, b, n, x: -((q**n + t2) * (1.0 - q**x)), 0, -1, 1, 1)]),
+    RelationId.DUAL_RECURRENCE: (
+        [(lambda q, t2, b, n, x: q ** (x + 1) * (1.0 - q**n), 0, 0, 0, 0)],
+        [(lambda *a: _dual_lo(*a) + _dual_hi(*a), 0, 0, 0, 0),
+         (lambda *a: -_dual_hi(*a), 0, 1, 0, -1),
+         (lambda *a: -_dual_lo(*a), 0, -1, 0, 1)]),
+}
 
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
 
-    lhs = 0.0
-    if n > 0:
-        lhs = (
-            (q / t2)
-            * (1.0 - q**n)
-            / (1.0 - q ** (b - 1))
-            * m(n - 1, x, b, -1)
-        )
-    rhs = m(n, x, b - 1, 0) - m(n, x + 1, b - 1, -1)
-    return lhs, rhs, None
+def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
+    """The evaluate() of a structure relation given by its term table."""
 
+    def side(terms: list[Term], pt: GridPoint, c: _Cache, t2: float) -> float:
+        total = 0.0
+        for coefficient, dn, dx, db, shift in terms:
+            n, x = pt.n + dn, pt.x + dx
+            if n < 0 or x < 0:
+                continue
+            total += coefficient(pt.q, t2, pt.beta, pt.n, pt.x) * c.meixner(
+                pt.q, pt.theta, pt.beta + db, shift, n, x
+            )
+        return total
 
-def _eval_dual_comp_forward(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
+    def evaluate(pt: GridPoint, c: _Cache):
+        t2 = pt.theta**2
+        return side(lhs, pt, c, t2), side(rhs, pt, c, t2), None
 
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lhs = t2 * q**x * (1.0 - q**b) * m(n + 1, x, b, 1)
-    rhs = t2 * (1.0 - q ** (x + b)) * m(n, x, b + 1, 0)
-    if x > 0:
-        rhs -= (q**n + t2) * (1.0 - q**x) * m(n, x - 1, b + 1, 1)
-    return lhs, rhs, None
-
-
-def _eval_dual_recurrence(pt: GridPoint, c: _Cache):
-    q, b, n, x = pt.q, pt.beta, pt.n, pt.x
-    t2 = pt.theta**2
-
-    def m(nn, xx, bb, ss):
-        return c.meixner(q, pt.theta, bb, ss, nn, xx)
-
-    lo = q * (1.0 - q**x) * (q**n + t2)
-    hi = t2 * (1.0 - q ** (x + b))
-    lhs = q ** (x + 1) * (1.0 - q**n) * m(n, x, b, 0)
-    rhs = (lo + hi) * m(n, x, b, 0) - hi * m(n, x + 1, b, -1)
-    if x > 0:
-        rhs -= lo * m(n, x - 1, b, 1)
-    return lhs, rhs, None
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -407,34 +334,9 @@ def _eval_duality_xi(pt: GridPoint, c: _Cache):
     return lhs, rhs, None
 
 
-def _adaptive_sum(term_of, ctx: QContext, label: str):
-    """Sum term_of(k) for k = 0, 1, ... until three consecutive terms drop
-    below tail_cutoff times the running maximum term."""
-    acc = CompensatedSum()
-    running_max = 0.0
-    streak = 0
-    k = 0
-    while True:
-        t = term_of(k)
-        acc.add(t)
-        mag = abs(t)
-        if mag > running_max:
-            running_max = mag
-        if mag < ctx.tail_cutoff * running_max:
-            streak += 1
-            if streak >= 3:
-                return acc.total
-        else:
-            streak = 0
-        k += 1
-        if k >= ctx.max_terms:
-            raise NonConvergent(f"{label} exceeded the term budget")
-
-
 def _eval_ortho_degree(pt: GridPoint, c: _Cache):
     q, b, th = pt.q, pt.beta, pt.theta
     n, n2 = pt.n, pt.x
-    ctx = c.context(q)
 
     def term(x):
         return (
@@ -443,7 +345,7 @@ def _eval_ortho_degree(pt: GridPoint, c: _Cache):
             * c.meixner(q, th, b, 0, n2, x)
         )
 
-    lhs = _adaptive_sum(term, ctx, "orthogonality sum")
+    lhs, _ = adaptive_sum(term, c.context(q), "orthogonality sum")
     nfn = c.norm(q, th, b, n)
     nfn2 = c.norm(q, th, b, n2)
     rhs = nfn if n == n2 else 0.0
@@ -453,31 +355,24 @@ def _eval_ortho_degree(pt: GridPoint, c: _Cache):
 def _eval_ortho_variable(pt: GridPoint, c: _Cache):
     q, b, th = pt.q, pt.beta, pt.theta
     x, x2 = pt.n, pt.x
-    ctx = c.context(q)
-    t2 = th * th
-    factors = [1.0]
+    factor = dual_degree_factor(th * th, b, q)
 
     def term(n):
-        while n >= len(factors):
-            k = len(factors) - 1
-            factors.append(
-                factors[-1]
-                * t2
-                * q ** (-k)
-                * (1.0 - q ** (k + b))
-                / ((1.0 - q ** (k + 1)) * (1.0 + t2 * q ** (-k - 1)))
-            )
-        return (
-            factors[n]
-            * c.meixner(q, th, b, 0, n, x)
-            * c.meixner(q, th, b, 0, n, x2)
-        )
+        return factor(n) * c.meixner(q, th, b, 0, n, x) * c.meixner(q, th, b, 0, n, x2)
 
-    lhs = _adaptive_sum(term, ctx, "dual orthogonality sum")
+    lhs, _ = adaptive_sum(term, c.context(q), "dual orthogonality sum")
     wx = c.weight(q, th, b, x)
     wx2 = c.weight(q, th, b, x2)
     rhs = 1.0 / wx if x == x2 else 0.0
     return lhs, rhs, 1.0 / math.sqrt(wx * wx2)
+
+
+def _genfun_coefficient(q: float, b: int, z: float) -> Callable[[int], float]:
+    """k -> z^k (q^b; q)_k / (q; q)_k, the weight of both generating
+    functions, by its term ratio."""
+    return ratio_sequence(
+        lambda cf, k: cf * z * (1.0 - q ** (b + k)) / (1.0 - q ** (k + 1))
+    )
 
 
 def _eval_genfun_degree(pt: GridPoint, c: _Cache):
@@ -491,15 +386,12 @@ def _eval_genfun_degree(pt: GridPoint, c: _Cache):
             [QPower(-x)], [z * q**b], -z * q / t2, ctx
         ).value
     )
-    coefs = [1.0]
-
-    def term(n):
-        while n >= len(coefs):
-            k = len(coefs) - 1
-            coefs.append(coefs[-1] * z * (1.0 - q ** (b + k)) / (1.0 - q ** (k + 1)))
-        return coefs[n] * c.meixner(q, th, b, 0, n, x)
-
-    rhs = _adaptive_sum(term, ctx, "degree generating function")
+    coef = _genfun_coefficient(q, b, z)
+    rhs, _ = adaptive_sum(
+        lambda n: coef(n) * c.meixner(q, th, b, 0, n, x),
+        ctx,
+        "degree generating function",
+    )
     return lhs, rhs, None
 
 
@@ -519,22 +411,32 @@ def _eval_genfun_variable(pt: GridPoint, c: _Cache):
     lhs = basic_hypergeometric(
         [QPower(-n), 0.0], [q / z], -(q ** (n + 1)) / t2, ctx
     ).value / q_pochhammer(z, b, ctx)
-    coefs = [1.0]
-
-    def term(x):
-        while x >= len(coefs):
-            k = len(coefs) - 1
-            coefs.append(coefs[-1] * z * (1.0 - q ** (b + k)) / (1.0 - q ** (k + 1)))
-        return coefs[x] * c.meixner(q, th, b, 0, n, x)
-
-    rhs = _adaptive_sum(term, ctx, "variable generating function")
+    coef = _genfun_coefficient(q, b, z)
+    rhs, _ = adaptive_sum(
+        lambda x: coef(x) * c.meixner(q, th, b, 0, n, x),
+        ctx,
+        "variable generating function",
+    )
     return lhs, rhs, None
 
 
 # ---------------------------------------------------------------------------
-# q -> 1 limits, judged by monotone error decrease over q = 1 - 10^-k
+# q -> 1 limits, judged by limit_passes over q = 1 - 10^-k
 
 _LIMIT_KS = (2, 3, 4)
+
+# limit rows whose true error vanishes show only rounding noise, and the
+# noise grows like 1/(1-q) toward q = 1; the floor sits above that
+_CONVERGED = 1e-11
+
+
+def limit_passes(errors: list[float]) -> bool:
+    """The judge of a q -> 1 limit: every error below the rounding-noise
+    floor, or the errors strictly decreasing along the sequence.  A NaN
+    error passes neither test."""
+    return all(e < _CONVERGED for e in errors) or all(
+        errors[i + 1] < errors[i] for i in range(len(errors) - 1)
+    )
 
 
 def _limit_poly_errors(pt: GridPoint, c: _Cache) -> tuple[list[float], float]:
@@ -573,64 +475,34 @@ _CLASSICAL_CS = (0.3, 0.6)
 _LIMIT_DEGREES = tuple(range(5))
 
 
-def _grid_pointwise(qs, betas, thetas) -> list[GridPoint]:
-    return [
-        GridPoint(q, b, th, n, x)
-        for q in qs
-        for b in betas
-        for th in thetas
-        for n in _DEGREES
-        for x in _DEGREES
-    ]
+def _grid(cells: list[tuple[int, int, float | None]]) -> Callable[..., list[GridPoint]]:
+    """Grid builder: every (n, x, aux) cell at every (q, beta, theta)."""
 
-
-def _grid_pairs(qs, betas, thetas) -> list[GridPoint]:
-    # symmetric sums: only pairs with x >= n (n carries the first index)
-    return [
-        GridPoint(q, b, th, n, x)
-        for q in qs
-        for b in betas
-        for th in thetas
-        for n in _DEGREES
-        for x in _DEGREES
-        if x >= n
-    ]
-
-
-def _grid_genfun_degree(qs, betas, thetas) -> list[GridPoint]:
-    return [
-        GridPoint(q, b, th, 0, x, z)
-        for q in qs
-        for b in betas
-        for th in thetas
-        for x in _DEGREES
-        for z in _ZS
-    ]
-
-
-def _grid_genfun_variable(qs, betas, thetas) -> list[GridPoint]:
-    return [
-        GridPoint(q, b, th, n, 0, z)
-        for q in qs
-        for b in betas
-        for th in thetas
-        for n in _DEGREES
-        for z in _ZS
-    ]
-
-
-def _grid_limit(aux_values) -> Callable[..., list[GridPoint]]:
     def build(qs, betas, thetas) -> list[GridPoint]:
-        # the q sequence of a limit check is fixed; only beta is overridable
         return [
-            GridPoint(None, b, None, n, x, a)
+            GridPoint(q, b, th, n, x, aux)
+            for q in qs
             for b in betas
-            for a in aux_values
-            for n in _LIMIT_DEGREES
-            for x in _LIMIT_DEGREES
+            for th in thetas
+            for n, x, aux in cells
         ]
 
     return build
+
+
+_grid_pointwise = _grid([(n, x, None) for n in _DEGREES for x in _DEGREES])
+# symmetric sums: only pairs with x >= n (n carries the first index)
+_grid_pairs = _grid([(n, x, None) for n in _DEGREES for x in _DEGREES if x >= n])
+_grid_genfun_degree = _grid([(0, x, z) for x in _DEGREES for z in _ZS])
+_grid_genfun_variable = _grid([(n, 0, z) for n in _DEGREES for z in _ZS])
+
+
+def _grid_limit(aux_values) -> Callable[..., list[GridPoint]]:
+    # the q sequence of a limit check is fixed; only beta is overridable
+    build = _grid(
+        [(n, x, a) for a in aux_values for n in _LIMIT_DEGREES for x in _LIMIT_DEGREES]
+    )
+    return lambda qs, betas, thetas: build((None,), betas, (None,))
 
 
 def _beta_at_least_2(pt: GridPoint) -> bool:
@@ -646,28 +518,19 @@ class _Relation:
 
 
 _REGISTRY: dict[RelationId, _Relation] = {
-    RelationId.BACKWARD: _Relation(_grid_pointwise, _eval_backward),
-    RelationId.FORWARD: _Relation(_grid_pointwise, _eval_forward),
-    RelationId.DIFFERENCE: _Relation(_grid_pointwise, _eval_difference),
-    RelationId.COMP_BACKWARD: _Relation(
-        _grid_pointwise, _eval_comp_backward, domain=_beta_at_least_2
-    ),
-    RelationId.COMP_FORWARD: _Relation(_grid_pointwise, _eval_comp_forward),
-    RelationId.RECURRENCE: _Relation(_grid_pointwise, _eval_recurrence),
+    **{
+        rid: _Relation(
+            _grid_pointwise,
+            _structure_evaluator(lhs, rhs),
+            # the complementary relations lower beta by one
+            domain=_beta_at_least_2 if any(t[3] < 0 for t in lhs + rhs) else None,
+        )
+        for rid, (lhs, rhs) in _STRUCTURE.items()
+    },
     RelationId.ORTHO_DEGREE: _Relation(_grid_pairs, _eval_ortho_degree),
     RelationId.ORTHO_VARIABLE: _Relation(_grid_pairs, _eval_ortho_variable),
     RelationId.DUALITY: _Relation(_grid_pointwise, _eval_duality),
     RelationId.DUALITY_XI: _Relation(_grid_pointwise, _eval_duality_xi),
-    RelationId.DUAL_BACKWARD: _Relation(_grid_pointwise, _eval_dual_backward),
-    RelationId.DUAL_FORWARD: _Relation(_grid_pointwise, _eval_dual_forward),
-    RelationId.DUAL_DIFFERENCE: _Relation(_grid_pointwise, _eval_dual_difference),
-    RelationId.DUAL_COMP_BACKWARD: _Relation(
-        _grid_pointwise, _eval_dual_comp_backward, domain=_beta_at_least_2
-    ),
-    RelationId.DUAL_COMP_FORWARD: _Relation(
-        _grid_pointwise, _eval_dual_comp_forward
-    ),
-    RelationId.DUAL_RECURRENCE: _Relation(_grid_pointwise, _eval_dual_recurrence),
     RelationId.GENFUN_DEGREE: _Relation(_grid_genfun_degree, _eval_genfun_degree),
     RelationId.GENFUN_VARIABLE: _Relation(
         _grid_genfun_variable, _eval_genfun_variable, domain=_genfun_variable_domain
@@ -687,10 +550,6 @@ LIMIT_RELATIONS: tuple[RelationId, ...] = (
     RelationId.LIMIT_POLY,
     RelationId.LIMIT_XI,
 )
-
-# limit rows whose true error vanishes show only rounding noise, and the
-# noise grows like 1/(1-q) toward q = 1; the floor sits above that
-_CONVERGED = 1e-11
 
 
 def default_grid(
@@ -732,23 +591,19 @@ def check(
             continue
         if spec.judge == "monotone":
             errs, classical = spec.evaluate(pt, cache)
-            ok = all(e < _CONVERGED for e in errs) or all(
-                errs[i + 1] < errs[i] for i in range(len(errs) - 1)
-            )
-            report.grid.append(pt)
-            report.residuals.append((errs[-1], errs[-1] / max(abs(classical), 1.0)))
-            if not ok:
-                report.failures.append(pt)
+            residual = (errs[-1], errs[-1] / max(abs(classical), 1.0))
+            ok = limit_passes(errs)
         else:
             lhs, rhs, scale = spec.evaluate(pt, cache)
             absolute = abs(lhs - rhs)
             if scale is None:
                 scale = max(abs(lhs), abs(rhs), 1.0)
-            relative = absolute / scale
-            report.grid.append(pt)
-            report.residuals.append((absolute, relative))
-            if not (relative <= tol):
-                report.failures.append(pt)
+            residual = (absolute, absolute / scale)
+            ok = residual[1] <= tol  # False for a NaN residual
+        report.grid.append(pt)
+        report.residuals.append(residual)
+        if not ok:
+            report.failures.append(pt)
     if not report.grid:
         raise EmptyGrid(f"no evaluable grid points for {rid.value}")
     return report

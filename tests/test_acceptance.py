@@ -5,8 +5,9 @@ stated and fail for measured analytic reasons, not implementation defects.
 The column Gram matrix of the truncated operator converges to a projector
 (not the identity), the dual orthogonality sum inherits the same
 completeness defect, and the little-exponential reordering does not reach a
-truncation-free interior block at this size.  notes/decisions.md records
-the numbers; the module docstrings carry the mechanism.
+truncation-free interior block at this size.  tests/test_obstructions.py
+pins the measured numbers and the README's "Measured numerical findings"
+lists them; the module docstrings carry the mechanism.
 """
 
 import math

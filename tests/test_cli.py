@@ -249,3 +249,12 @@ def test_xi_negative_size_is_usage_error(capsys, flag):
     )
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["poly", "xi", "operator"])
+@pytest.mark.parametrize("flag", ["--nmax", "--xmax"])
+def test_limit_negative_size_is_usage_error(capsys, kind, flag):
+    code, out, err = run(capsys, "limit", "--kind", kind, flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 0, got -1\n"

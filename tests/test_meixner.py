@@ -11,6 +11,7 @@ from qmeixner.meixner import (
     MeixnerParams,
     classical_meixner,
     classical_xi_limit,
+    dual_degree_factor,
     dual_orthogonality_sum,
     duality_transform,
     norm_factor,
@@ -20,7 +21,7 @@ from qmeixner.meixner import (
     xi,
     xi_dual,
 )
-from qmeixner.qseries import QContext, q_pochhammer
+from qmeixner.qseries import QContext, q_binomial, q_pochhammer
 
 CTX = QContext(q=0.5)
 
@@ -126,6 +127,20 @@ def test_orthogonality_small(n, n2):
         assert total == pytest.approx(norm_factor(n, mp), rel=1e-11)
     else:
         assert abs(total) <= 1e-11 * scale
+
+
+def test_dual_degree_factor_matches_closed_form():
+    q, beta, t2 = 0.6, 3, 0.49
+    ctx = QContext(q=q)
+    factor = dual_degree_factor(t2, beta, q)
+    for n in range(12):
+        closed = (
+            t2**n
+            * q ** (-(n * (n - 1) // 2))
+            * q_binomial(n + beta - 1, n, ctx)
+            / q_pochhammer(-t2 * q ** (-n), n, ctx)
+        )
+        assert factor(n) == pytest.approx(closed, rel=1e-12)
 
 
 def test_dual_sum_carries_completeness_defect():

@@ -38,6 +38,7 @@ from qmeixner.pseudorotation import (
     matrix_qexp,
     matrix_qexp_series,
     qbch_conjugate,
+    sector_interior,
     qbch_series,
     qexp_split,
     unitarity_residual,
@@ -418,3 +419,14 @@ def test_classical_element_out_of_block():
     u = classical_U(0.3, t)
     with pytest.raises(OutOfBlock):
         classical_element(u, t, 1, 7, 0)
+
+
+@pytest.mark.parametrize("n_a, beta", [(8, 1), (9, 2), (12, 4), (13, 3)])
+def test_sector_interior_formula(n_a, beta):
+    # interior = every level but the top quarter of each mode
+    t = FockTruncation(n_a, n_a + beta - 1)
+    na_keep = n_a - math.ceil(n_a / 4)
+    nb_keep = t.n_b_max - math.ceil(t.n_b_max / 4)
+    expected = min(na_keep, nb_keep - beta + 1)
+    u = build_U(MatrixElementParams(0.3, beta, QContext(q=0.5)), t, edge_tol=math.inf)
+    assert sector_interior(t, beta) == u.sector_interior(beta) == expected

@@ -11,12 +11,14 @@ from qmeixner.qseries import (
     CompensatedSum,
     QContext,
     QPower,
+    adaptive_sum,
     basic_hypergeometric,
     big_qexp,
     little_qexp,
     q_binomial,
     q_pochhammer,
     q_pochhammer_inf,
+    ratio_sequence,
 )
 
 CTX = QContext(q=0.5)
@@ -97,6 +99,39 @@ def test_context_validation():
         QContext(q=0.5, rel_tol=0.0)
     with pytest.raises(ValueError):
         QContext(q=0.5, max_terms=0)
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "tail_cutoff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0])
+def test_context_tolerances_lie_inside_unit_interval(field, value):
+    # a NaN or infinite cutoff would end every product at once and return 1
+    with pytest.raises(ValueError, match=field):
+        QContext(q=0.5, **{field: value})
+
+
+def test_adaptive_sum_stops_after_three_small_terms():
+    # 0.5^k first drops below 1e-18 times the largest term at k = 60
+    total, used = adaptive_sum(lambda k: 0.5**k, QContext(q=0.5), "geometric")
+    assert total == pytest.approx(2.0, rel=1e-15)
+    assert used == 63
+
+
+def test_adaptive_sum_budget_is_nonconvergent():
+    with pytest.raises(NonConvergent, match="flat sum exceeded the term budget"):
+        adaptive_sum(lambda k: 1.0, QContext(q=0.5, max_terms=50), "flat sum")
+
+
+def test_ratio_sequence_is_a_memoised_running_product():
+    steps = []
+
+    def step(s, k):
+        steps.append(k)
+        return s * (k + 1)
+
+    factorial = ratio_sequence(step)
+    assert factorial(5) == 120.0
+    assert (factorial(0), factorial(3)) == (1.0, 6.0)
+    assert steps == [0, 1, 2, 3, 4]
 
 
 # --- q-exponentials -------------------------------------------------------

@@ -15,6 +15,7 @@ from qmeixner.verify import (
     check,
     check_all,
     default_grid,
+    limit_passes,
 )
 
 
@@ -146,3 +147,29 @@ def test_nan_residual_fails_its_point(monkeypatch):
     report = check(rid, grid=[pt])
     assert report.failures == [pt]
     assert not report.passed
+
+
+def test_structure_relations_are_term_tables():
+    structure = {
+        RelationId(name)
+        for name in (
+            "backward", "forward", "difference", "comp_backward", "comp_forward",
+            "recurrence", "dual_backward", "dual_forward", "dual_difference",
+            "dual_comp_backward", "dual_comp_forward", "dual_recurrence",
+        )
+    }
+    assert set(verify._STRUCTURE) == structure
+    # only the two relations that lower beta need beta >= 2
+    restricted = {rid for rid in RelationId if verify._REGISTRY[rid].domain is not None}
+    assert restricted & structure == {
+        RelationId.COMP_BACKWARD,
+        RelationId.DUAL_COMP_BACKWARD,
+    }
+
+
+def test_limit_judge():
+    assert limit_passes([3e-12, 5e-12, 4e-12])  # rounding noise only
+    assert limit_passes([1e-3, 1e-4, 1e-5])
+    assert not limit_passes([1e-3, 1e-3, 1e-5])
+    assert not limit_passes([1e-3, math.nan, 1e-5])
+    assert not limit_passes([math.nan] * 3)
