@@ -266,6 +266,8 @@ def cmd_limit(args) -> int:
     bad = _negative_size(args, ("nmax", "xmax"))
     if bad:
         return _usage(bad)
+    if args.kind != "poly" and not math.isfinite(args.tau):
+        return _usage(f"--tau must be finite, got {args.tau}")
     ks = args.k if args.k else ([8, 16, 32] if args.kind == "operator" else [2, 3, 4])
     if any(k < 1 for k in ks):
         return _usage("--k values must be positive integers")

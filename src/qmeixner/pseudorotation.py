@@ -19,6 +19,16 @@ sector elements <n|_beta U |x>_beta reproduce the closed-form overlap
 coefficients xi_{n,x} to rounding error at any truncation, because every
 ladder path between interior states stays interior.
 
+The operator functions behind the identities work the same way.  Every
+generator they take leaves small blocks of states invariant (an offset
+sector for the pair ladders, a single state for a diagonal, a column of
+fixed n_B for A+), so matrix_qexp, matrix_qexp_series and qbch_series find
+the connected components of their arguments' nonzero pattern and sum one
+series on the stack of all blocks of each size; qbch_conjugate, qexp_split
+and the exp_reorder_* identities inherit that.  classical_U exponentiates
+J~+ - J~- one offset block at a time.  Dense product-space matrices exist
+only at the API edge: they are what these functions take and return.
+
 Numerical facts that shape the rest of the module:
 
 * The outer factor e_q^(1/2)(-theta^2 q^-n_A) falls superexponentially in
@@ -69,7 +79,6 @@ from .oscillator import (
     OperatorMatrix,
     Oscillators,
     ProductBasis,
-    build_classical,
     build_oscillators,
     interior_indices,
     sector,
@@ -100,60 +109,106 @@ __all__ = [
 ]
 
 
-def _classify(X: OperatorMatrix) -> str:
-    """'diagonal', 'raising', or 'lowering'; UnsupportedShape otherwise.
+def _check_kind(kind: str) -> None:
+    if kind not in ("little", "big"):
+        raise ValueError(f"kind must be 'little' or 'big', got {kind!r}")
 
-    Raising/lowering means every nonzero entry strictly increases/decreases
-    the total occupation n_A + n_B, which guarantees nilpotency on the
-    truncated space.
+
+def _invariant_blocks(*mats: np.ndarray):
+    """The blocks that every one of mats leaves invariant, grouped by size.
+
+    The blocks are the connected components of the joint nonzero pattern.
+    Yields (ix, stacks) per block size s: ix indexes the blocks of that size
+    in a dense matrix (m[ix] has shape (count, s, s), states in ascending
+    order within each block) and stacks holds m[ix] for each m in mats.
+    Every state lies in exactly one block, so a matrix zero between blocks
+    is rebuilt by writing each stack back through its ix.
     """
-    m = X.entries
-    rows, cols = np.nonzero(m)
-    if rows.size == 0:
-        return "diagonal"
-    if np.array_equal(rows, cols):
-        return "diagonal"
-    basis = X.basis
-    total = basis.na + basis.nb
-    delta = total[rows] - total[cols]
-    if np.all(delta > 0):
-        return "raising"
-    if np.all(delta < 0):
-        return "lowering"
-    raise UnsupportedShape(
-        "matrix is neither diagonal nor purely raising/lowering in n_A + n_B"
-    )
+    # imported here: the CLI never needs them, and they take ~28 ms to load
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = np.zeros(mats[0].shape, dtype=bool)
+    for m in mats:
+        pattern |= m != 0
+    rows, cols = np.nonzero(pattern)
+    graph = coo_array((np.ones(rows.size), (rows, cols)), shape=pattern.shape)
+    _, labels = connected_components(graph, directed=False)
+    members = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    for s in np.unique(sizes):
+        idx = members[starts[sizes == s][:, None] + np.arange(s)]
+        ix = (idx[:, :, None], idx[:, None, :])
+        yield ix, [m[ix] for m in mats]
+
+
+def _block_series(
+    start, step, cutoff: float, patience: int, max_terms: int
+) -> np.ndarray:
+    """start + t_1 + t_2 + ... with t_k = step(k, t_(k-1)), summed on a
+    stack of blocks (count, s, s) at once.
+
+    A block has settled after patience consecutive terms whose Frobenius
+    norm is at most cutoff times max(1, norm of its partial sum); the sum
+    returns once every block has settled and raises NonConvergent after
+    max_terms terms.
+    """
+    acc = np.array(start, dtype=float)
+    term = acc
+    streak = np.zeros(len(acc), dtype=int)
+    settled = np.zeros(len(acc), dtype=bool)
+    for k in range(1, max_terms + 1):
+        term = step(k, term)
+        acc = acc + term
+        small = np.linalg.norm(term, axis=(1, 2)) <= cutoff * np.maximum(
+            np.linalg.norm(acc, axis=(1, 2)), 1.0
+        )
+        streak = np.where(small, streak + 1, 0)
+        settled |= streak >= patience
+        if settled.all():
+            return acc
+    raise NonConvergent(f"series did not settle in {max_terms} terms")
+
+
+def _qexp_step(x: np.ndarray, kind: str, q: float):
+    """Term recursion of the q-exponential series of x: t_k = x t_(k-1) /
+    (1 - q^k), times q^(k-1) for the big kind."""
+
+    def step(k, term):
+        term = (x @ term) / (1.0 - q**k)
+        return term * q ** (k - 1) if kind == "big" else term
+
+    return step
 
 
 def matrix_qexp(
     X: OperatorMatrix, kind: str, scale: float, ctx: QContext
 ) -> OperatorMatrix:
-    """q-exponential of scale*X for diagonal or nilpotent X.
+    """q-exponential of scale*X, one invariant block of X at a time.
 
     kind 'little' gives sum_k M^k/(q;q)_k, kind 'big' gives
-    sum_k q^(k(k-1)/2) M^k/(q;q)_k.  Nilpotent arguments yield an exact
-    finite sum; diagonal arguments are evaluated entrywise through the
-    scalar product forms.
+    sum_k q^(k(k-1)/2) M^k/(q;q)_k.  A block of one state is a scalar,
+    evaluated through the product forms; a larger block must be nilpotent
+    and its series is an exact finite sum.  A block whose series does not
+    terminate within its size raises UnsupportedShape.
     """
-    if kind not in ("little", "big"):
-        raise ValueError(f"kind must be 'little' or 'big', got {kind!r}")
-    if _classify(X) == "diagonal":
-        diag = _diag_qexp(kind, scale * np.diagonal(X.entries), ctx)
-        return OperatorMatrix(diag, X.basis)
-
-    q = ctx.q
+    _check_kind(kind)
     m = scale * X.entries
-    dim = X.basis.dim
-    acc = np.eye(dim)
-    term = np.eye(dim)
-    for k in range(1, dim + 1):
-        term = (m @ term) / (1.0 - q**k)
-        if kind == "big":
-            term = term * q ** (k - 1)
-        if not term.any():
-            break
-        acc = acc + term
-    return OperatorMatrix(acc, X.basis)
+    out = np.zeros(m.shape)
+    for ix, (blk,) in _invariant_blocks(m):
+        size = blk.shape[1]
+        if size == 1:
+            out[ix] = _diag_qexp(kind, blk[:, 0, 0], ctx)[:, None, None]
+            continue
+        start = np.broadcast_to(np.eye(size), blk.shape)
+        try:
+            out[ix] = _block_series(start, _qexp_step(blk, kind, ctx.q), 0.0, 1, size)
+        except NonConvergent:
+            raise UnsupportedShape(
+                f"a block of {size} states is neither one state nor nilpotent"
+            ) from None
+    return OperatorMatrix(out, X.basis)
 
 
 def matrix_qexp_series(
@@ -161,33 +216,28 @@ def matrix_qexp_series(
 ) -> np.ndarray:
     """Direct series q-exponential for a general (typically triangular)
     matrix whose powers decay; used for identities that mix diagonal and
-    nilpotent parts.  Stops after three consecutive terms with Frobenius
-    norm below tail_cutoff times the accumulated norm."""
-    if kind not in ("little", "big"):
-        raise ValueError(f"kind must be 'little' or 'big', got {kind!r}")
-    q = ctx.q
-    dim = X.shape[0]
-    acc = np.eye(dim)
-    term = np.eye(dim)
-    small = 0
-    for k in range(1, max_terms + 1):
-        term = (X @ term) / (1.0 - q**k)
-        if kind == "big":
-            term = term * q ** (k - 1)
-        acc = acc + term
-        tnorm = np.linalg.norm(term)
-        if tnorm < ctx.tail_cutoff * max(1.0, np.linalg.norm(acc)):
-            small += 1
-            if small >= 3:
-                return acc
-        else:
-            small = 0
-    raise NonConvergent(f"matrix q-exponential did not settle in {max_terms} terms")
+    nilpotent parts.  Summed on the invariant blocks of X, each of which
+    stops after three consecutive terms with Frobenius norm at most
+    tail_cutoff times its accumulated norm."""
+    _check_kind(kind)
+    out = np.zeros(X.shape)
+    for ix, (blk,) in _invariant_blocks(X):
+        start = np.broadcast_to(np.eye(blk.shape[1]), blk.shape)
+        out[ix] = _block_series(
+            start, _qexp_step(blk, kind, ctx.q), ctx.tail_cutoff, 3, max_terms
+        )
+    return out
 
 
 def _block_levels(t: FockTruncation, d: int) -> np.ndarray:
     """n_A levels of the states |n_A, n_A + d> inside the truncation."""
     return np.arange(max(0, -d), min(t.n_a_max, t.n_b_max - d) + 1)
+
+
+def _block_indices(t: FockTruncation, d: int) -> np.ndarray:
+    """Product-space indices of the states |n_A, n_A + d>, by n_A."""
+    na = _block_levels(t, d)
+    return na * (t.n_b_max + 1) + na + d
 
 
 def _bidiagonal_qexp(sub: np.ndarray, kind: str, q: float) -> np.ndarray:
@@ -238,8 +288,7 @@ class UOperator:
         basis = ProductBasis(t)
         dense = np.zeros((basis.dim, basis.dim))
         for d, block in self.blocks.items():
-            na = _block_levels(t, d)
-            idx = na * (t.n_b_max + 1) + na + d
+            idx = _block_indices(t, d)
             dense[np.ix_(idx, idx)] = block
         return OperatorMatrix(dense, basis)
 
@@ -556,30 +605,25 @@ def qbch_series(
     recursion C_{n+1} = X C_n - q^(n+alpha) C_n X matching
     e_q(lam X) Y E_q(-lam q^alpha X).
 
-    Stops once the term norm drops below tail_cutoff times the accumulated
-    norm (nilpotent X terminates exactly); NonConvergent past max_order.
+    Summed on the joint invariant blocks of X and Y, each of which stops
+    once its term norm is at most tail_cutoff times its accumulated norm
+    (nilpotent X terminates exactly); NonConvergent past max_order.
     """
-    if kind not in ("little", "big"):
-        raise ValueError(f"kind must be 'little' or 'big', got {kind!r}")
+    _check_kind(kind)
     q = ctx.q
     qa = q**alpha
-    acc = y.copy()
-    c = y
-    coef = 1.0
-    for n in range(1, max_order + 1):
-        if kind == "big":
-            c = q ** (n - 1) * (x @ c) - qa * (c @ x)
-        else:
-            c = x @ c - q ** (n - 1) * qa * (c @ x)
-        coef *= lam / (1.0 - q**n)
-        term = coef * c
-        acc = acc + term
-        tnorm = np.linalg.norm(term)
-        if tnorm <= ctx.tail_cutoff * max(np.linalg.norm(acc), 1.0):
-            return acc
-    raise NonConvergent(
-        f"q-commutator series did not settle within {max_order} orders"
-    )
+    out = np.zeros(y.shape)
+    for ix, (x_blk, y_blk) in _invariant_blocks(x, y):
+
+        def step(n, term, x_blk=x_blk):
+            if kind == "big":
+                c = q ** (n - 1) * (x_blk @ term) - qa * (term @ x_blk)
+            else:
+                c = x_blk @ term - q ** (n - 1) * qa * (term @ x_blk)
+            return (lam / (1.0 - q**n)) * c
+
+        out[ix] = _block_series(y_blk, step, ctx.tail_cutoff, 1, max_order)
+    return out
 
 
 def qbch_conjugate(
@@ -614,8 +658,7 @@ def qexp_split(
     big kind E_q(X+Y) = E_q(X) E_q(Y).  The premise is validated first
     (UnsupportedShape when violated); returns (combined, split).
     """
-    if kind not in ("little", "big"):
-        raise ValueError(f"kind must be 'little' or 'big', got {kind!r}")
+    _check_kind(kind)
     xy = x @ y
     yx = y @ x
     scale = max(np.abs(xy).max(), np.abs(yx).max(), 1.0)
@@ -642,8 +685,11 @@ def _scaled_ladders(
 
 
 def _diag_qexp(kind: str, args: np.ndarray, ctx: QContext) -> np.ndarray:
+    """Scalar q-exponentials of args, one product form per distinct value
+    (a diagonal over the product space depends on n_A or n_B alone)."""
     fn = little_qexp if kind == "little" else big_qexp
-    return np.diag(np.array([fn(float(v), ctx).value for v in args]))
+    values, inverse = np.unique(args, return_inverse=True)
+    return np.array([fn(float(v), ctx).value for v in values])[inverse]
 
 
 def exp_reorder_little(
@@ -664,7 +710,7 @@ def exp_reorder_little(
     e_kp = matrix_qexp(k_plus, "little", b, ctx).entries
     mid_l = _diag_qexp("little", -a * b * ctx.q ** (-na), ctx)
     mid_r = _diag_qexp("little", -a * b * ctx.q ** (nb + 1.0), ctx)
-    return e_km @ mid_l @ e_kp, e_kp @ mid_r @ e_km
+    return (e_km * mid_l) @ e_kp, (e_kp * mid_r) @ e_km
 
 
 def exp_reorder_big(
@@ -682,7 +728,7 @@ def exp_reorder_big(
     e_km = matrix_qexp(k_minus, "big", b, ctx).entries
     mid_l = _diag_qexp("big", a * b * ctx.q ** (-na), ctx)
     mid_r = _diag_qexp("big", a * b * ctx.q ** (nb + 1.0), ctx)
-    return e_kp @ mid_l @ e_km, e_km @ mid_r @ e_kp
+    return (e_kp * mid_l) @ e_km, (e_km * mid_r) @ e_kp
 
 
 def exp_reorder_mixed(
@@ -700,19 +746,29 @@ def exp_reorder_mixed(
     e_kp = matrix_qexp(k_plus, "little", b, ctx).entries
     mid_1 = _diag_qexp("little", a * b * ctx.q ** (-na), ctx)
     mid_2 = _diag_qexp("big", -a * b * ctx.q ** (nb + 1.0), ctx)
-    return e_km @ e_kp, mid_1 @ e_kp @ e_km @ mid_2
+    return e_km @ e_kp, ((mid_1[:, None] * e_kp) @ e_km) * mid_2
 
 
 def classical_U(tau: float, t: FockTruncation) -> OperatorMatrix:
-    """exp(tau (J~+ - J~-)) on the truncated classical space.
+    """exp(tau (J~+ - J~-)) on the truncated classical space, one offset
+    block at a time.
 
-    The generator is exactly antisymmetric under truncation, so the result
-    is orthogonal to machine precision; only comparisons against the
-    infinite-space closed form need interior margins.
+    J~+ = A~+B~+ takes |m, m+d> to sqrt((m+1)(m+1+d)) |m+1, m+1+d>, so on
+    the block of offset d the generator is that sub-diagonal minus its
+    transpose; each block is exponentiated on its own and the dense
+    product-space matrix is filled only with the results.  The generator is
+    exactly antisymmetric under truncation, so the result is orthogonal to
+    machine precision; only comparisons against the infinite-space closed
+    form need interior margins.
     """
-    cl = build_classical(t)
-    gen = tau * (cl.j_plus.entries - cl.j_minus.entries)
-    return OperatorMatrix(scipy.linalg.expm(gen), cl.j0.basis)
+    basis = ProductBasis(t)
+    out = np.zeros((basis.dim, basis.dim))
+    for d in range(-t.n_a_max, t.n_b_max + 1):
+        m = _block_levels(t, d)[:-1].astype(float)
+        up = tau * np.sqrt((m + 1.0) * (m + 1.0 + d))
+        idx = _block_indices(t, d)
+        out[np.ix_(idx, idx)] = scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
+    return OperatorMatrix(out, basis)
 
 
 def classical_element(u: OperatorMatrix, t: FockTruncation, beta: int, n: int, x: int) -> float:

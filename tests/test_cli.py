@@ -258,3 +258,22 @@ def test_limit_negative_size_is_usage_error(capsys, kind, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag} must be >= 0, got -1\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    value=st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200"]),
+    kind_flag=st.sampled_from([("xi", "--tau"), ("operator", "--tau"), ("poly", "--c")]),
+)
+def test_limit_non_finite_or_overflowing_parameter_exit_codes(value, kind_flag):
+    # a non-finite or out-of-range parameter is a usage error naming the
+    # option given; a finite tau whose cosh overflows is a numeric error
+    kind, flag = kind_flag
+    code, out, err = main_quiet("limit", "--kind", kind, f"{flag}={value}")
+    overflow = flag == "--tau" and value.endswith("e200")
+    assert code == (3 if overflow else 2)
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    if flag == "--tau" and not overflow:
+        assert err == f"error: --tau must be finite, got {value}\n"
