@@ -124,16 +124,23 @@ def _invariant_blocks(*mats: np.ndarray):
     Every state lies in exactly one block, so a matrix zero between blocks
     is rebuilt by writing each stack back through its ix.
     """
-    # imported here: the CLI never needs them, and they take ~28 ms to load
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
     pattern = np.zeros(mats[0].shape, dtype=bool)
     for m in mats:
         pattern |= m != 0
     rows, cols = np.nonzero(pattern)
-    graph = coo_array((np.ones(rows.size), (rows, cols)), shape=pattern.shape)
-    _, labels = connected_components(graph, directed=False)
+    # every state takes the smallest label among itself and its neighbours,
+    # then its label's label, until nothing moves: each state then carries
+    # the smallest index of its component
+    labels = np.arange(pattern.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    _, labels = np.unique(labels, return_inverse=True)
     members = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
