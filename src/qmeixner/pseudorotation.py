@@ -178,15 +178,18 @@ def _block_series(
     raise NonConvergent(f"series did not settle in {max_terms} terms")
 
 
-def _qexp_step(x: np.ndarray, kind: str, q: float):
-    """Term recursion of the q-exponential series of x: t_k = x t_(k-1) /
-    (1 - q^k), times q^(k-1) for the big kind."""
+def _qexp_blocks(
+    x: np.ndarray, kind: str, q: float, cutoff: float, patience: int, max_terms: int
+) -> np.ndarray:
+    """q-exponential series of a stack of blocks x, by the term recursion
+    t_k = x t_(k-1) / (1 - q^k), times q^(k-1) for the big kind."""
 
     def step(k, term):
         term = (x @ term) / (1.0 - q**k)
         return term * q ** (k - 1) if kind == "big" else term
 
-    return step
+    start = np.broadcast_to(np.eye(x.shape[1]), x.shape)
+    return _block_series(start, step, cutoff, patience, max_terms)
 
 
 def matrix_qexp(
@@ -208,9 +211,8 @@ def matrix_qexp(
         if size == 1:
             out[ix] = _diag_qexp(kind, blk[:, 0, 0], ctx)[:, None, None]
             continue
-        start = np.broadcast_to(np.eye(size), blk.shape)
         try:
-            out[ix] = _block_series(start, _qexp_step(blk, kind, ctx.q), 0.0, 1, size)
+            out[ix] = _qexp_blocks(blk, kind, ctx.q, 0.0, 1, size)
         except NonConvergent:
             raise UnsupportedShape(
                 f"a block of {size} states is neither one state nor nilpotent"
@@ -229,10 +231,7 @@ def matrix_qexp_series(
     _check_kind(kind)
     out = np.zeros(X.shape)
     for ix, (blk,) in _invariant_blocks(X):
-        start = np.broadcast_to(np.eye(blk.shape[1]), blk.shape)
-        out[ix] = _block_series(
-            start, _qexp_step(blk, kind, ctx.q), ctx.tail_cutoff, 3, max_terms
-        )
+        out[ix] = _qexp_blocks(blk, kind, ctx.q, ctx.tail_cutoff, 3, max_terms)
     return out
 
 
