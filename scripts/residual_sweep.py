@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from qmeixner.meixner import MatrixElementParams
-from qmeixner.oscillator import FockTruncation, build_oscillators, interior_indices
+from qmeixner.oscillator import FockTruncation, build_oscillators
 from qmeixner.pseudorotation import (
     build_U,
     conjugated_lowering,

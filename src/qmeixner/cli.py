@@ -24,10 +24,12 @@ import sys
 from functools import partial
 
 from .errors import (
+    DenominatorPole,
     EmptyGrid,
     NonConvergent,
     OutOfBlock,
     OutOfTruncation,
+    PoleHit,
     TruncationTooSmall,
 )
 from .meixner import (
@@ -47,7 +49,14 @@ from .pseudorotation import (
     sector_interior,
 )
 from .qseries import QContext
-from .verify import RelationId, check, default_grid, limit_passes
+from .verify import (
+    RelationId,
+    check,
+    default_grid,
+    limit_passes,
+    limit_poly_errors,
+    limit_xi_errors,
+)
 
 __all__ = ["main"]
 
@@ -55,6 +64,17 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# the exit-code table: commands raise, main maps what they raise to a code
+_USAGE_ERRORS = (ValueError, EmptyGrid)
+_NUMERIC_ERRORS = (
+    NonConvergent,
+    TruncationTooSmall,
+    OutOfBlock,
+    OutOfTruncation,
+    PoleHit,
+    DenominatorPole,
+)
 
 
 def _cell(v) -> str:
@@ -75,20 +95,30 @@ def _emit(records: list[dict], columns: list[str], fmt: str, out) -> None:
             out.write(",".join(_cell(rec[c]) for c in columns) + "\n")
 
 
-def _usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
+def _refuse_non_finite(records: list[dict]) -> None:
+    """A table of values never carries NaN or inf: the first non-finite
+    cell is a numeric error that names its column, n and x."""
+    for rec in records:
+        for column, v in rec.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NonConvergent(
+                    f"{column} at (n={rec['n']}, x={rec['x']}) is {v!r}, "
+                    "not a finite number"
+                )
 
 
-def _numeric(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_NUMERIC
+def _theta_squared(theta: float) -> float:
+    """c = theta^2, refusing a nonzero theta whose square underflows to 0."""
+    c = theta * theta
+    if c == 0.0 and theta != 0.0:
+        raise ValueError(f"--theta {theta} is too small: theta^2 underflows to 0")
+    return c
 
 
 def _resolve_c(args) -> float | None:
     """c and theta are two views of one parameter: c = theta^2."""
     if args.theta is not None:
-        c = args.theta * args.theta
+        c = _theta_squared(args.theta)
         if math.isinf(c) and math.isfinite(args.theta):
             raise OverflowError(f"c = theta^2 at theta = {args.theta}")
         return c
@@ -97,6 +127,7 @@ def _resolve_c(args) -> float | None:
 
 def _resolve_theta(args) -> float | None:
     if args.theta is not None:
+        _theta_squared(args.theta)
         return args.theta
     if args.c is not None:
         if args.c <= 0.0:
@@ -105,84 +136,67 @@ def _resolve_theta(args) -> float | None:
     return None
 
 
-def _negative_size(args, names: tuple[str, ...]) -> str | None:
-    """The first of the named size options that is negative, if any."""
+def _refuse_negative_sizes(args, names: tuple[str, ...]) -> None:
+    """Usage error for the first of the named size options that is negative."""
     for name in names:
         value = getattr(args, name)
         if value is not None and value < 0:
-            return f"--{name} must be >= 0, got {value}"
-    return None
+            raise ValueError(f"--{name} must be >= 0, got {value}")
+
+
+def _required(value, message: str):
+    if value is None:
+        raise ValueError(message)
+    return value
 
 
 # ---------------------------------------------------------------------------
 
 
 def cmd_tabulate(args) -> int:
-    bad = _negative_size(args, ("nmax", "xmax"))
-    if bad:
-        return _usage(bad)
-    try:
-        if args.family == "qmeixner":
-            if args.q is None:
-                return _usage("tabulate --family qmeixner requires --q")
-            c = _resolve_c(args)
-            if c is None:
-                return _usage("tabulate requires --theta or --c")
-            ctx = QContext(q=args.q)
-            if args.beta is not None:
-                params = MeixnerParams.from_beta(args.beta, c, ctx)
-            elif args.b is not None:
-                params = MeixnerParams.from_b(args.b, c, ctx)
-            else:
-                return _usage("tabulate --family qmeixner requires --beta or --b")
-            value = partial(qmeixner, p=params)
-        else:  # classical
-            beta = args.beta if args.beta is not None else args.b
-            if beta is None:
-                return _usage("tabulate --family classical requires --beta or --b")
-            c = _resolve_c(args)
-            if c is None:
-                return _usage("tabulate requires --theta or --c")
+    _refuse_negative_sizes(args, ("nmax", "xmax"))
+    if args.family == "qmeixner":
+        _required(args.q, "tabulate --family qmeixner requires --q")
+        c = _required(_resolve_c(args), "tabulate requires --theta or --c")
+        ctx = QContext(q=args.q)
+        if args.beta is not None:
+            params = MeixnerParams.from_beta(args.beta, c, ctx)
+        else:
+            b = _required(args.b, "tabulate --family qmeixner requires --beta or --b")
+            params = MeixnerParams.from_b(b, c, ctx)
+        value = partial(qmeixner, p=params)
+    else:  # classical
+        beta = args.beta if args.beta is not None else args.b
+        _required(beta, "tabulate --family classical requires --beta or --b")
+        c = _required(_resolve_c(args), "tabulate requires --theta or --c")
 
-            def value(n, x):
-                return classical_meixner(n, float(x), beta, c)
+        def value(n, x):
+            return classical_meixner(n, float(x), beta, c)
 
-        records = [
-            {"n": n, "x": x, "value": value(n, x)}
-            for n in range(args.nmax + 1)
-            for x in range(args.xmax + 1)
-        ]
-    except ValueError as exc:
-        return _usage(str(exc))
+    records = [
+        {"n": n, "x": x, "value": value(n, x)}
+        for n in range(args.nmax + 1)
+        for x in range(args.xmax + 1)
+    ]
+    _refuse_non_finite(records)
     _emit(records, ["n", "x", "value"], args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_xi(args) -> int:
-    bad = _negative_size(args, ("nmax", "xmax", "trunc"))
-    if bad:
-        return _usage(bad)
-    try:
-        if args.q is None:
-            return _usage("xi requires --q")
-        if args.beta is None:
-            return _usage("xi requires an integer --beta")
-        theta = _resolve_theta(args)
-        if theta is None:
-            return _usage("xi requires --theta or --c")
-        ctx = QContext(q=args.q)
-        mp = MatrixElementParams(theta, args.beta, ctx)
-    except ValueError as exc:
-        return _usage(str(exc))
+    _refuse_negative_sizes(args, ("nmax", "xmax", "trunc"))
+    _required(args.q, "xi requires --q")
+    _required(args.beta, "xi requires an integer --beta")
+    theta = _required(_resolve_theta(args), "xi requires --theta or --c")
+    mp = MatrixElementParams(theta, args.beta, QContext(q=args.q))
 
     m = max(args.nmax, args.xmax)
     need = 2 * m
     closed = args.source in ("closed", "both")
     operator = args.source in ("operator", "both")
-    u = None
     if operator:
         if args.trunc is not None and args.trunc < need:
-            return _numeric(
+            raise TruncationTooSmall(
                 f"--trunc {args.trunc} < {need} = 2*max(nmax, xmax); "
                 "the interior block cannot cover the requested elements"
             )
@@ -193,66 +207,47 @@ def cmd_xi(args) -> int:
         # without --trunc: the smallest truncation whose interior covers the table
         while args.trunc is None and sector_interior(t, args.beta) < m:
             t = FockTruncation(t.n_a_max + 1, t.n_b_max + 1)
-        try:
-            u = build_U(mp, t, edge_tol=math.inf)
-        except (TruncationTooSmall, NonConvergent) as exc:
-            return _numeric(str(exc))
-
-    records = []
-    try:
-        for n in range(args.nmax + 1):
-            for x in range(args.xmax + 1):
-                rec: dict = {"n": n, "x": x}
-                if closed:
-                    rec["closed"] = xi(n, x, mp)
-                if operator:
-                    rec["operator"] = element(u, args.beta, n, x)
-                if closed and operator:
-                    rec["discrepancy"] = abs(rec["closed"] - rec["operator"])
-                if args.source == "closed":
-                    rec["value"] = rec.pop("closed")
-                elif args.source == "operator":
-                    rec["value"] = rec.pop("operator")
-                records.append(rec)
-    except (OutOfBlock, OutOfTruncation, NonConvergent) as exc:
-        return _numeric(str(exc))
+        u = build_U(mp, t, edge_tol=math.inf)
 
     if args.source == "both":
         columns = ["n", "x", "closed", "operator", "discrepancy"]
     else:
         columns = ["n", "x", "value"]
+    records = []
+    for n in range(args.nmax + 1):
+        for x in range(args.xmax + 1):
+            values = [n, x]
+            if closed:
+                values.append(xi(n, x, mp))
+            if operator:
+                values.append(element(u, args.beta, n, x))
+            if closed and operator:
+                values.append(abs(values[2] - values[3]))
+            records.append(dict(zip(columns, values)))
+    _refuse_non_finite(records)
     _emit(records, columns, args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
-        return _usage(f"--tol must be finite and positive, got {args.tol}")
-    names = args.relation if args.relation else [r.value for r in RelationId]
-    try:
-        relations = [RelationId(name) for name in names]
-    except ValueError as exc:
-        return _usage(str(exc))
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    relations = [RelationId(r) for r in args.relation] if args.relation else list(RelationId)
     records = []
     all_passed = True
-    try:
-        for rid in relations:
-            grid = default_grid(rid, qs=args.q, betas=args.beta, thetas=args.theta)
-            report = check(rid, grid=grid, tol=args.tol)
-            all_passed = all_passed and report.passed
-            records.append(
-                {
-                    "relation": rid.value,
-                    "points": len(report.grid),
-                    "skipped": len(report.skipped),
-                    "max_residual": report.max_residual,
-                    "passed": report.passed,
-                }
-            )
-    except (EmptyGrid, ValueError) as exc:
-        return _usage(str(exc))
-    except NonConvergent as exc:
-        return _numeric(str(exc))
+    for rid in relations:
+        grid = default_grid(rid, qs=args.q, betas=args.beta, thetas=args.theta)
+        report = check(rid, grid=grid, tol=args.tol)
+        all_passed = all_passed and report.passed
+        records.append(
+            {
+                "relation": rid.value,
+                "points": len(report.grid),
+                "skipped": len(report.skipped),
+                "max_residual": report.max_residual,
+                "passed": report.passed,
+            }
+        )
     _emit(
         records,
         ["relation", "points", "skipped", "max_residual", "passed"],
@@ -263,51 +258,33 @@ def cmd_verify(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    bad = _negative_size(args, ("nmax", "xmax"))
-    if bad:
-        return _usage(bad)
+    _refuse_negative_sizes(args, ("nmax", "xmax"))
     if args.kind != "poly" and not math.isfinite(args.tau):
-        return _usage(f"--tau must be finite, got {args.tau}")
+        raise ValueError(f"--tau must be finite, got {args.tau}")
     ks = args.k if args.k else ([8, 16, 32] if args.kind == "operator" else [2, 3, 4])
     if any(k < 1 for k in ks):
-        return _usage("--k values must be positive integers")
+        raise ValueError("--k values must be positive integers")
     cells = [(n, x) for n in range(args.nmax + 1) for x in range(args.xmax + 1)]
-    records = []
-    try:
-        if args.kind == "poly":
-            exact = [classical_meixner(n, float(x), args.beta, args.c) for n, x in cells]
-        else:
-            exact = [classical_xi_limit(n, x, args.beta, args.tau) for n, x in cells]
+    if args.kind == "operator":  # k is the truncation size
+        exact = [classical_xi_limit(n, x, args.beta, args.tau) for n, x in cells]
+        errors = []
         for k in ks:
-            if args.kind == "operator":  # k is the truncation size
-                t = FockTruncation(k, k + args.beta - 1)
-                u = classical_U(args.tau, t)
-                rec = {"k": k, "trunc": k}
-                approx = partial(classical_element, u, t, args.beta)
-            else:
-                q = 1.0 - 10.0**-k
-                rec = {"k": k, "q": q}
-                if args.kind == "poly":
-                    c = args.c / (1.0 - args.c)
-                    p = MeixnerParams.from_beta(args.beta, c, QContext(q=q))
-                    approx = partial(qmeixner, p=p)
-                else:
-                    theta = math.sinh(args.tau)
-                    mp = MatrixElementParams(theta, args.beta, QContext(q=q))
-                    approx = partial(xi, mp=mp)
-            rec["max_error"] = max(
-                abs(approx(n, x) - e) for (n, x), e in zip(cells, exact)
-            )
-            records.append(rec)
-    except ValueError as exc:
-        return _usage(str(exc))
-    except (OutOfBlock, OutOfTruncation, TruncationTooSmall, NonConvergent) as exc:
-        return _numeric(str(exc))
+            t = FockTruncation(k, k + args.beta - 1)
+            approx = partial(classical_element, classical_U(args.tau, t), t, args.beta)
+            errors.append(max(abs(approx(n, x) - e) for (n, x), e in zip(cells, exact)))
+        column, values = "trunc", ks
+    else:
+        errors_at = limit_poly_errors if args.kind == "poly" else limit_xi_errors
+        param = args.c if args.kind == "poly" else args.tau
+        rows = [errors_at(n, x, args.beta, param, ks)[0] for n, x in cells]
+        errors = [max(row[i] for row in rows) for i in range(len(ks))]
+        column, values = "q", [1.0 - 10.0**-k for k in ks]
 
-    columns = ["k", "trunc" if args.kind == "operator" else "q", "max_error"]
-    _emit(records, columns, args.format, sys.stdout)
-    ok = limit_passes([rec["max_error"] for rec in records])
-    return EXIT_OK if ok else EXIT_FAIL
+    records = [
+        {"k": k, column: v, "max_error": e} for k, v, e in zip(ks, values, errors)
+    ]
+    _emit(records, ["k", column, "max_error"], args.format, sys.stdout)
+    return EXIT_OK if limit_passes(errors) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every command writes its output only after the last value, so an
+    # error leaves stdout empty
     try:
         return args.fn(args)
+    except _USAGE_ERRORS as exc:
+        code, message = EXIT_USAGE, str(exc)
     except OverflowError as exc:
-        # every command writes its output only after the last value, so
-        # an overflow leaves stdout empty
-        return _numeric(f"overflow: {exc}")
+        code, message = EXIT_NUMERIC, f"overflow: {exc}"
+    except _NUMERIC_ERRORS as exc:
+        code, message = EXIT_NUMERIC, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

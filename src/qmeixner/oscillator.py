@@ -39,6 +39,11 @@ __all__ = [
     "ClassicalOperators",
     "build_oscillators",
     "build_J",
+    "ladder_coefficients",
+    "su11_generators",
+    "offset_block",
+    "sector_offset",
+    "from_offset_blocks",
     "sector",
     "ladder_power_action",
     "build_classical",
@@ -110,16 +115,11 @@ class JOperators(NamedTuple):
     j_minus: OperatorMatrix
 
 
-class ClassicalOperators(NamedTuple):
-    a0: OperatorMatrix
-    a_plus: OperatorMatrix
-    a_minus: OperatorMatrix
-    b0: OperatorMatrix
-    b_plus: OperatorMatrix
-    b_minus: OperatorMatrix
-    j0: OperatorMatrix
-    j_plus: OperatorMatrix
-    j_minus: OperatorMatrix
+# the ordinary boson pair followed by its su(1,1) generators
+ClassicalOperators = NamedTuple(
+    "ClassicalOperators",
+    [(f, OperatorMatrix) for f in Oscillators._fields + JOperators._fields],
+)
 
 
 def _ladders(
@@ -149,37 +149,69 @@ def _ladders(
     )
 
 
-def build_oscillators(t: FockTruncation, ctx: QContext) -> Oscillators:
-    """Matrices of A0, A+-, B0, B+- on the product space (numbers as kron)."""
-    q = ctx.q
+def ladder_coefficients(t: FockTruncation, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode lowering coefficients <n-1|A-|n> and <n-1|B-|n>, equal to
+    the raising ones <n|A+|n-1> and <n|B+|n-1>, indexed by n - 1."""
     na_up = np.arange(1, t.n_a_max + 1, dtype=float)
     nb_up = np.arange(1, t.n_b_max + 1, dtype=float)
-    return _ladders(
-        t,
+    return (
         np.sqrt((1.0 - q**na_up) / (1.0 - q)),
         np.sqrt((q ** (-nb_up) - 1.0) / (1.0 - q)),
     )
 
 
+def build_oscillators(t: FockTruncation, ctx: QContext) -> Oscillators:
+    """Matrices of A0, A+-, B0, B+- on the product space (numbers as kron)."""
+    return _ladders(t, *ladder_coefficients(t, ctx.q))
+
+
+def su11_generators(osc: Oscillators, pref=1.0) -> JOperators:
+    """J0 = (A0 + B0 + 1)/2 and the pair ladders J+- = pref * A+-B+-.
+
+    pref is a diagonal over the product basis (or a scalar) evaluated on the
+    output state; it commutes with A+-B+- because both shift n_A and n_B
+    together."""
+    basis = osc.a0.basis
+    pref = np.reshape(pref, (-1, 1))
+    return JOperators(
+        OperatorMatrix((osc.a0.entries + osc.b0.entries + np.eye(basis.dim)) / 2.0, basis),
+        OperatorMatrix(pref * (osc.a_plus.entries @ osc.b_plus.entries), basis),
+        OperatorMatrix(pref * (osc.a_minus.entries @ osc.b_minus.entries), basis),
+    )
+
+
 def build_J(t: FockTruncation, ctx: QContext) -> JOperators:
     """J0 and J+- assembled from freshly built oscillators on t."""
-    q = ctx.q
     osc = build_oscillators(t, ctx)
-    basis = osc.a0.basis
-    na = basis.na.astype(float)
-    nb = basis.nb.astype(float)
+    offset = (osc.a0.basis.nb - osc.a0.basis.na).astype(float)
+    return su11_generators(osc, ctx.q ** ((offset + 2.0) / 2.0))
 
-    j0 = np.diag((na + nb + 1.0) / 2.0)
-    # diagonal prefactor is evaluated on the output state; it commutes with
-    # A+-B+- because both shift n_A and n_B together
-    pref = q ** ((nb - na + 2.0) / 2.0)
-    j_plus = pref[:, None] * (osc.a_plus.entries @ osc.b_plus.entries)
-    j_minus = pref[:, None] * (osc.a_minus.entries @ osc.b_minus.entries)
-    return JOperators(
-        j0=OperatorMatrix(j0, basis),
-        j_plus=OperatorMatrix(j_plus, basis),
-        j_minus=OperatorMatrix(j_minus, basis),
-    )
+
+def offset_block(t: FockTruncation, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states |m, m+d> of offset d = n_B - n_A inside t, by m: their
+    levels m = n_A and their product-space indices (both empty when t holds
+    none).  Every pair ladder keeps the offset fixed."""
+    na = np.arange(max(0, -d), min(t.n_a_max, t.n_b_max - d) + 1)
+    return na, na * (t.n_b_max + 1) + na + d
+
+
+def sector_offset(t: FockTruncation, beta: int) -> int:
+    """Offset d = beta - 1 of the sector |n>_beta = |n, n+beta-1>; raises
+    EmptySector when beta < 1 or t holds none of its states."""
+    if beta < 1 or beta - 1 > t.n_b_max:
+        raise EmptySector(f"beta={beta} has no states under truncation {t}")
+    return beta - 1
+
+
+def from_offset_blocks(t: FockTruncation, blocks: dict[int, np.ndarray]) -> OperatorMatrix:
+    """Dense product-space matrix holding blocks[d] on the states of offset
+    d (ordered as offset_block orders them) and zeros between offsets."""
+    basis = ProductBasis(t)
+    dense = np.zeros((basis.dim, basis.dim))
+    for d, block in blocks.items():
+        _, idx = offset_block(t, d)
+        dense[np.ix_(idx, idx)] = block
+    return OperatorMatrix(dense, basis)
 
 
 @dataclass(frozen=True)
@@ -196,12 +228,8 @@ class SectorBasis:
 
 def sector(t: FockTruncation, beta: int) -> SectorBasis:
     """Enumerate the beta sector inside the truncated product space."""
-    if beta < 1 or beta - 1 > t.n_b_max:
-        raise EmptySector(f"beta={beta} has no states under truncation {t}")
-    basis = ProductBasis(t)
-    n_cap = min(t.n_a_max, t.n_b_max - (beta - 1))
-    idx = tuple(basis.index(n, n + beta - 1) for n in range(n_cap + 1))
-    return SectorBasis(beta=beta, indices=idx)
+    _, idx = offset_block(t, sector_offset(t, beta))
+    return SectorBasis(beta=beta, indices=tuple(idx.tolist()))
 
 
 def ladder_power_action(
@@ -266,14 +294,7 @@ def build_classical(t: FockTruncation) -> ClassicalOperators:
         np.sqrt(np.arange(1, t.n_a_max + 1, dtype=float)),
         np.sqrt(np.arange(1, t.n_b_max + 1, dtype=float)),
     )
-    basis = osc.a0.basis
-    j0 = (osc.a0.entries + osc.b0.entries + np.eye(basis.dim)) / 2.0
-    return ClassicalOperators(
-        *osc,
-        j0=OperatorMatrix(j0, basis),
-        j_plus=OperatorMatrix(osc.a_plus.entries @ osc.b_plus.entries, basis),
-        j_minus=OperatorMatrix(osc.a_minus.entries @ osc.b_minus.entries, basis),
-    )
+    return ClassicalOperators(*osc, *su11_generators(osc))
 
 
 def interior_indices(

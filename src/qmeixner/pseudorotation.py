@@ -66,7 +66,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    EmptySector,
     NonConvergent,
     OutOfBlock,
     ResidualFailure,
@@ -78,10 +77,14 @@ from .oscillator import (
     FockTruncation,
     OperatorMatrix,
     Oscillators,
-    ProductBasis,
     build_oscillators,
+    from_offset_blocks,
     interior_indices,
+    ladder_coefficients,
+    offset_block,
     sector,
+    sector_offset,
+    su11_generators,
 )
 from .qseries import QContext, big_qexp, little_qexp
 
@@ -107,6 +110,13 @@ __all__ = [
     "classical_element",
     "sector_interior",
 ]
+
+
+# term budgets of the matrix q-exponential series and the q-commutator
+# series, and the tolerance of the XY = qYX premise of qexp_split
+_SERIES_MAX_TERMS = 500
+_QBCH_MAX_ORDER = 60
+_COMM_TOL = 1e-12
 
 
 def _check_kind(kind: str) -> None:
@@ -220,9 +230,7 @@ def matrix_qexp(
     return OperatorMatrix(out, X.basis)
 
 
-def matrix_qexp_series(
-    X: np.ndarray, kind: str, ctx: QContext, max_terms: int = 500
-) -> np.ndarray:
+def matrix_qexp_series(X: np.ndarray, kind: str, ctx: QContext) -> np.ndarray:
     """Direct series q-exponential for a general (typically triangular)
     matrix whose powers decay; used for identities that mix diagonal and
     nilpotent parts.  Summed on the invariant blocks of X, each of which
@@ -231,19 +239,8 @@ def matrix_qexp_series(
     _check_kind(kind)
     out = np.zeros(X.shape)
     for ix, (blk,) in _invariant_blocks(X):
-        out[ix] = _qexp_blocks(blk, kind, ctx.q, ctx.tail_cutoff, 3, max_terms)
+        out[ix] = _qexp_blocks(blk, kind, ctx.q, ctx.tail_cutoff, 3, _SERIES_MAX_TERMS)
     return out
-
-
-def _block_levels(t: FockTruncation, d: int) -> np.ndarray:
-    """n_A levels of the states |n_A, n_A + d> inside the truncation."""
-    return np.arange(max(0, -d), min(t.n_a_max, t.n_b_max - d) + 1)
-
-
-def _block_indices(t: FockTruncation, d: int) -> np.ndarray:
-    """Product-space indices of the states |n_A, n_A + d>, by n_A."""
-    na = _block_levels(t, d)
-    return na * (t.n_b_max + 1) + na + d
 
 
 def _bidiagonal_qexp(sub: np.ndarray, kind: str, q: float) -> np.ndarray:
@@ -290,13 +287,7 @@ class UOperator:
 
     @cached_property
     def matrix(self) -> OperatorMatrix:
-        t = self.truncation
-        basis = ProductBasis(t)
-        dense = np.zeros((basis.dim, basis.dim))
-        for d, block in self.blocks.items():
-            idx = _block_indices(t, d)
-            dense[np.ix_(idx, idx)] = block
-        return OperatorMatrix(dense, basis)
+        return from_offset_blocks(self.truncation, self.blocks)
 
     @cached_property
     def oscillators(self) -> Oscillators:
@@ -344,10 +335,10 @@ def build_U(
     ctx = mp.ctx
     q = ctx.q
     theta = mp.theta
-    edge = min(t.n_a_max, t.n_b_max - mp.beta + 1)
-    if edge < 1:
+    levels, _ = offset_block(t, mp.beta - 1)
+    if levels.size < 2:
         raise TruncationTooSmall(f"no room for sector beta={mp.beta} under {t}")
-    w_edge = math.sqrt(weight(edge, mp))
+    w_edge = math.sqrt(weight(int(levels[-1]), mp))
     if w_edge >= edge_tol:
         raise TruncationTooSmall(
             f"edge weight {w_edge:.3g} >= {edge_tol:.3g}; "
@@ -361,16 +352,15 @@ def build_U(
     col_factor = np.sqrt(
         np.array([big_qexp(t2 * q ** (n + 1), ctx).value for n in range(t.n_b_max + 1)])
     )
-    # <n+1|A+|n> and <n+1|B+|n> by the level n+1 they reach
-    a_up = np.sqrt((1.0 - q ** np.arange(1.0, t.n_a_max + 1)) / (1.0 - q))
-    b_up = np.sqrt((q ** -np.arange(1.0, t.n_b_max + 1) - 1.0) / (1.0 - q))
+    # <n+1|A+|n> and <n+1|B+|n> by the level n they leave
+    a_up, b_up = ladder_coefficients(t, q)
 
     blocks = {}
     # rows whose outer factor underflows meet overflowing middle entries;
     # element() refuses them, so the inf and nan they make are left in place
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(-t.n_a_max, t.n_b_max + 1):
-            na = _block_levels(t, d)
+            na, _ = offset_block(t, d)
             pref = q ** ((d + 1.0) / 2.0)
             sub = theta * (1.0 - q) * (pref * (a_up[na[:-1]] * b_up[na[:-1] + d]))
             mid = _bidiagonal_qexp(sub, "little", q) @ _bidiagonal_qexp(-sub, "big", q).T
@@ -396,15 +386,12 @@ def element(u: UOperator, beta: int, n: int, x: int) -> float:
     lost the element and NonConvergent is raised; so it is for a non-finite
     element.
     """
-    t = u.truncation
-    if beta < 1 or beta - 1 > t.n_b_max:
-        raise EmptySector(f"beta={beta} has no states under truncation {t}")
+    d = sector_offset(u.truncation, beta)
     cap = u.sector_interior(beta)
     if n < 0 or x < 0 or n > cap or x > cap:
         raise OutOfBlock(
             f"(n={n}, x={x}) outside interior block 0..{cap} of sector beta={beta}"
         )
-    d = beta - 1
     value = float(u.blocks[d][n, x])
     d1 = float(u.row_factor[n])
     d4 = float(u.col_factor[x + d])
@@ -434,7 +421,7 @@ def unitarity_residual(u: UOperator) -> float:
     t = u.truncation
     worst = []
     for d, block in u.blocks.items():
-        na = _block_levels(t, d)
+        na, _ = offset_block(t, d)
         keep = (na <= u.na_interior) & (na + d <= u.nb_interior)
         if not keep.any():
             continue
@@ -601,7 +588,6 @@ def qbch_series(
     alpha: float,
     kind: str,
     ctx: QContext,
-    max_order: int = 60,
 ) -> np.ndarray:
     """Nested q-commutator series for q-exponential conjugation.
 
@@ -613,7 +599,8 @@ def qbch_series(
 
     Summed on the joint invariant blocks of X and Y, each of which stops
     once its term norm is at most tail_cutoff times its accumulated norm
-    (nilpotent X terminates exactly); NonConvergent past max_order.
+    (nilpotent X terminates exactly); NonConvergent past _QBCH_MAX_ORDER
+    terms.
     """
     _check_kind(kind)
     q = ctx.q
@@ -628,7 +615,7 @@ def qbch_series(
                 c = x_blk @ term - q ** (n - 1) * qa * (term @ x_blk)
             return (lam / (1.0 - q**n)) * c
 
-        out[ix] = _block_series(y_blk, step, ctx.tail_cutoff, 1, max_order)
+        out[ix] = _block_series(y_blk, step, ctx.tail_cutoff, 1, _QBCH_MAX_ORDER)
     return out
 
 
@@ -656,7 +643,6 @@ def qexp_split(
     y: np.ndarray,
     kind: str,
     ctx: QContext,
-    comm_tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factorization of a q-exponential of a q-commuting sum.
 
@@ -668,7 +654,7 @@ def qexp_split(
     xy = x @ y
     yx = y @ x
     scale = max(np.abs(xy).max(), np.abs(yx).max(), 1.0)
-    if np.abs(xy - ctx.q * yx).max() > comm_tol * scale:
+    if np.abs(xy - ctx.q * yx).max() > _COMM_TOL * scale:
         raise UnsupportedShape("arguments do not satisfy XY = qYX")
     combined = matrix_qexp_series(x + y, kind, ctx)
     first, second = (y, x) if kind == "little" else (x, y)
@@ -685,9 +671,8 @@ def _scaled_ladders(
     na = basis.na.astype(float)
     nb = basis.nb.astype(float)
     pref = (1.0 - ctx.q) * ctx.q ** ((nb - na + 1.0) / 2.0)
-    k_plus = pref[:, None] * (osc.a_plus.entries @ osc.b_plus.entries)
-    k_minus = pref[:, None] * (osc.a_minus.entries @ osc.b_minus.entries)
-    return OperatorMatrix(k_plus, basis), OperatorMatrix(k_minus, basis), na, nb
+    _, k_plus, k_minus = su11_generators(osc, pref)
+    return k_plus, k_minus, na, nb
 
 
 def _diag_qexp(kind: str, args: np.ndarray, ctx: QContext) -> np.ndarray:
@@ -696,6 +681,21 @@ def _diag_qexp(kind: str, args: np.ndarray, ctx: QContext) -> np.ndarray:
     fn = little_qexp if kind == "little" else big_qexp
     values, inverse = np.unique(args, return_inverse=True)
     return np.array([fn(float(v), ctx).value for v in values])[inverse]
+
+
+def _exp_reorder(
+    kind: str, a: float, b: float, osc: Oscillators, ctx: QContext
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of F(a X) F(s a b q^-A0) F(b Y) = F(b Y) F(s a b q^(B0+1)) F(a X)
+    with F the q-exponential of the kind: X, Y, s = K-, K+, -1 for little and
+    K+, K-, +1 for big."""
+    k_plus, k_minus, na, nb = _scaled_ladders(osc, ctx)
+    x, y, ab = (k_minus, k_plus, -a * b) if kind == "little" else (k_plus, k_minus, a * b)
+    e_x = matrix_qexp(x, kind, a, ctx).entries
+    e_y = matrix_qexp(y, kind, b, ctx).entries
+    mid_l = _diag_qexp(kind, ab * ctx.q ** (-na), ctx)
+    mid_r = _diag_qexp(kind, ab * ctx.q ** (nb + 1.0), ctx)
+    return (e_x * mid_l) @ e_y, (e_y * mid_r) @ e_x
 
 
 def exp_reorder_little(
@@ -711,12 +711,7 @@ def exp_reorder_little(
     the broken ladder algebra leaks inward, so compare on a deep interior
     block.  Returns (lhs, rhs).
     """
-    k_plus, k_minus, na, nb = _scaled_ladders(osc, ctx)
-    e_km = matrix_qexp(k_minus, "little", a, ctx).entries
-    e_kp = matrix_qexp(k_plus, "little", b, ctx).entries
-    mid_l = _diag_qexp("little", -a * b * ctx.q ** (-na), ctx)
-    mid_r = _diag_qexp("little", -a * b * ctx.q ** (nb + 1.0), ctx)
-    return (e_km * mid_l) @ e_kp, (e_kp * mid_r) @ e_km
+    return _exp_reorder("little", a, b, osc, ctx)
 
 
 def exp_reorder_big(
@@ -729,12 +724,7 @@ def exp_reorder_big(
 
     Returns (lhs, rhs); same domain and edge caveats.
     """
-    k_plus, k_minus, na, nb = _scaled_ladders(osc, ctx)
-    e_kp = matrix_qexp(k_plus, "big", a, ctx).entries
-    e_km = matrix_qexp(k_minus, "big", b, ctx).entries
-    mid_l = _diag_qexp("big", a * b * ctx.q ** (-na), ctx)
-    mid_r = _diag_qexp("big", a * b * ctx.q ** (nb + 1.0), ctx)
-    return (e_kp * mid_l) @ e_km, (e_km * mid_r) @ e_kp
+    return _exp_reorder("big", a, b, osc, ctx)
 
 
 def exp_reorder_mixed(
@@ -767,14 +757,12 @@ def classical_U(tau: float, t: FockTruncation) -> OperatorMatrix:
     machine precision; only comparisons against the infinite-space closed
     form need interior margins.
     """
-    basis = ProductBasis(t)
-    out = np.zeros((basis.dim, basis.dim))
+    blocks = {}
     for d in range(-t.n_a_max, t.n_b_max + 1):
-        m = _block_levels(t, d)[:-1].astype(float)
+        m = offset_block(t, d)[0][:-1].astype(float)
         up = tau * np.sqrt((m + 1.0) * (m + 1.0 + d))
-        idx = _block_indices(t, d)
-        out[np.ix_(idx, idx)] = scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
-    return OperatorMatrix(out, basis)
+        blocks[d] = scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
+    return from_offset_blocks(t, blocks)
 
 
 def classical_element(u: OperatorMatrix, t: FockTruncation, beta: int, n: int, x: int) -> float:

@@ -18,8 +18,9 @@ cancelled remainder.
 The two LIMIT relations are judged differently: the identity is a limit
 statement, so each grid point is checked for strictly decreasing error
 against the classical value over q = 1 - 10^-k, k = 2, 3, 4 (rows whose
-error is already below 1e-11 everywhere count as converged); limit_passes
-is that judge, shared with the CLI's limit command.
+error is already below 1e-11 everywhere count as converged).  limit_passes
+is that judge and limit_poly_errors and limit_xi_errors give the errors it
+judges; the CLI's limit command shares all three.
 
 Grid points violating a relation's domain (the complementary relations need
 beta >= 2, the variable generating function converges only for z < q^n) are
@@ -68,6 +69,8 @@ __all__ = [
     "check",
     "check_all",
     "limit_passes",
+    "limit_poly_errors",
+    "limit_xi_errors",
 ]
 
 
@@ -439,26 +442,30 @@ def limit_passes(errors: list[float]) -> bool:
     )
 
 
-def _limit_poly_errors(pt: GridPoint, c: _Cache) -> tuple[list[float], float]:
-    cc = pt.aux
-    classical = classical_meixner(pt.n, pt.x, pt.beta, cc)
+def limit_poly_errors(
+    n: int, x: int, beta: int, c: float, ks: Iterable[int]
+) -> tuple[list[float], float]:
+    """|M_n(q^-x; q^(beta-1), c/(1-c); q) - M_n(x; beta, c)| at q = 1 - 10^-k
+    for each k in ks, and the classical value M_n(x; beta, c)."""
+    classical = classical_meixner(n, x, beta, c)
     errs = []
-    for k in _LIMIT_KS:
-        ctx = c.context(1.0 - 10.0**-k)
-        p = MeixnerParams.from_beta(pt.beta, cc / (1.0 - cc), ctx)
-        errs.append(abs(qmeixner(pt.n, pt.x, p) - classical))
+    for k in ks:
+        p = MeixnerParams.from_beta(beta, c / (1.0 - c), QContext(q=1.0 - 10.0**-k))
+        errs.append(abs(qmeixner(n, x, p) - classical))
     return errs, classical
 
 
-def _limit_xi_errors(pt: GridPoint, c: _Cache) -> tuple[list[float], float]:
-    tau = pt.aux
-    classical = classical_xi_limit(pt.n, pt.x, pt.beta, tau)
+def limit_xi_errors(
+    n: int, x: int, beta: int, tau: float, ks: Iterable[int]
+) -> tuple[list[float], float]:
+    """|xi_{n,x}(sinh tau; beta) - its q -> 1 limit| at q = 1 - 10^-k for each
+    k in ks, and the limit value."""
+    classical = classical_xi_limit(n, x, beta, tau)
     theta = math.sinh(tau)
     errs = []
-    for k in _LIMIT_KS:
-        ctx = c.context(1.0 - 10.0**-k)
-        mp = MatrixElementParams(theta, pt.beta, ctx)
-        errs.append(abs(xi(pt.n, pt.x, mp) - classical))
+    for k in ks:
+        mp = MatrixElementParams(theta, beta, QContext(q=1.0 - 10.0**-k))
+        errs.append(abs(xi(n, x, mp) - classical))
     return errs, classical
 
 
@@ -512,7 +519,7 @@ def _beta_at_least_2(pt: GridPoint) -> bool:
 @dataclass(frozen=True)
 class _Relation:
     grid: Callable[..., list[GridPoint]]  # (qs, betas, thetas) -> points
-    evaluate: Callable
+    evaluate: Callable  # (pt, cache); a limit's is (n, x, beta, aux, ks)
     domain: Callable[[GridPoint], bool] | None = None
     judge: str = "tol"  # or "monotone"
 
@@ -536,10 +543,10 @@ _REGISTRY: dict[RelationId, _Relation] = {
         _grid_genfun_variable, _eval_genfun_variable, domain=_genfun_variable_domain
     ),
     RelationId.LIMIT_POLY: _Relation(
-        _grid_limit(_CLASSICAL_CS), _limit_poly_errors, judge="monotone"
+        _grid_limit(_CLASSICAL_CS), limit_poly_errors, judge="monotone"
     ),
     RelationId.LIMIT_XI: _Relation(
-        _grid_limit(_TAUS), _limit_xi_errors, judge="monotone"
+        _grid_limit(_TAUS), limit_xi_errors, judge="monotone"
     ),
 }
 
@@ -590,7 +597,7 @@ def check(
             report.skipped.append(pt)
             continue
         if spec.judge == "monotone":
-            errs, classical = spec.evaluate(pt, cache)
+            errs, classical = spec.evaluate(pt.n, pt.x, pt.beta, pt.aux, _LIMIT_KS)
             residual = (errs[-1], errs[-1] / max(abs(classical), 1.0))
             ok = limit_passes(errs)
         else:

@@ -26,7 +26,6 @@ from qmeixner.meixner import (
 )
 from qmeixner.oscillator import (
     FockTruncation,
-    build_classical,
     build_J,
     build_oscillators,
     interior_indices,

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeixner import cli, verify
 from qmeixner.cli import main
+from qmeixner.errors import DenominatorPole, NonConvergent, OutOfTruncation, PoleHit
 
 
 def run(capsys, *argv):
@@ -210,9 +213,9 @@ def main_quiet(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    theta=st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200"]),
+    theta=st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200", "1e-200", "-1e-200"]),
     cmd=st.sampled_from([
         ("xi", "--source", "closed"),
         ("xi", "--source", "operator"),
@@ -220,8 +223,8 @@ def main_quiet(*argv):
     ]),
 )
 def test_non_finite_or_overflowing_theta_exit_codes(theta, cmd):
-    # non-finite theta is a usage error; a finite theta whose square
-    # overflows is a numeric one
+    # non-finite theta, or one whose square underflows to 0, is a usage
+    # error; a finite theta whose square overflows is a numeric one
     code, out, err = main_quiet(
         *cmd, "--q", "0.5", "--beta", "1", f"--theta={theta}",
         "--nmax", "1", "--xmax", "1",
@@ -230,6 +233,41 @@ def test_non_finite_or_overflowing_theta_exit_codes(theta, cmd):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if theta.endswith("e-200"):
+        assert "--theta" in err
+
+
+@pytest.mark.parametrize("cmd", ["tabulate", "xi"])
+def test_theta_underflow_names_theta(capsys, cmd):
+    code, out, err = run(
+        capsys, cmd, "--q", "0.5", "--beta", "1", "--theta", "1e-200",
+        "--nmax", "3", "--xmax", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --theta 1e-200 is too small: theta^2 underflows to 0\n"
+
+
+def test_tabulate_refuses_non_finite_cells(capsys):
+    # c = 1e-320 makes the 2phi1 argument -q^(n+1)/c overflow: NaN cells
+    code, out, err = run(
+        capsys, "tabulate", "--q", "0.5", "--beta", "1", "--c", "1e-320",
+        "--nmax", "3", "--xmax", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: value at (n=1, x=1) is nan, not a finite number\n"
+
+
+def test_xi_refuses_non_finite_cells(capsys):
+    # the closed form loses 45 cells near the corner of this table to NaN
+    code, out, err = run(
+        capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
+        "--nmax", "60", "--xmax", "60",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: value at (n=29, x=60) is nan, not a finite number\n"
 
 
 @pytest.mark.parametrize("flag", ["--nmax", "--xmax"])
@@ -277,3 +315,85 @@ def test_limit_non_finite_or_overflowing_parameter_exit_codes(value, kind_flag):
     assert "Traceback" not in err
     if flag == "--tau" and not overflow:
         assert err == f"error: --tau must be finite, got {value}\n"
+
+
+_TAB = ("tabulate", "--q", "0.5", "--beta", "2", "--theta", "0.3",
+        "--nmax", "40", "--xmax", "40")
+_XI = ("xi", "--q", "0.9", "--beta", "1", "--theta", "2.0",
+       "--nmax", "40", "--xmax", "40", "--source", "closed")
+_RECORDED = [
+    (_TAB, 0, "7e3321ba3f4fba8596d5aab43bbdf6ac431991ee6071640f1dce68e391922535"),
+    (_TAB + ("--format", "json"), 0,
+     "a7403bc2a0fea1bdb0fe157590b86a067b62aef91c18a3c6be03ade698c21fc2"),
+    (_XI, 0, "66732c959f3592b39c50ea17d9d7c008b1f02d55816222018b37f9a01b15e1b0"),
+    (_XI + ("--format", "json"), 0,
+     "23b1f5ebb2650e7ab0ea0887362b6d02e413eb897dfd707a7095f07ce724bc3b"),
+    (("verify", "--relation", "recurrence", "--relation", "duality",
+      "--relation", "backward", "--relation", "genfun_degree"), 0,
+     "0b9bf9f7827f8fa539408e74733af9caabab4b1443d2cf626bea401c57da0a7e"),
+    (("limit", "--kind", "poly"), 0,
+     "cc0fc27d20d31bc1c679d5c964f5f6fc59ff5816201250cb34d01651cb9de29c"),
+    (("limit", "--kind", "xi"), 0,
+     "4a5727a02160523c17f455bb787679587e5b6564f528084a53d382c4e74cf798"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", _RECORDED, ids=[" ".join(a) for a, _, _ in _RECORDED]
+)
+def test_bench_invocations_are_byte_identical(capsys, argv, code, digest):
+    """The sha256 of stdout and the exit code of each deterministic,
+    pure-Python invocation of the benchmark's cli workload match the values
+    recorded before the exit-code table, the two-mode layout and the q -> 1
+    companions each got one home.
+
+    A change that deliberately moves digits re-records a hash with
+
+        PYTHONPATH=src python -c "import contextlib, hashlib, io, sys
+        from qmeixner.cli import main
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out): code = main(sys.argv[1:])
+        print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())" ARGS...
+
+    and lists the moved digits in CHANGES.md.
+    """
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "kind, errors_at, param",
+    [("poly", verify.limit_poly_errors, 0.5), ("xi", verify.limit_xi_errors, 0.5)],
+)
+def test_limit_table_is_the_max_of_the_companion_errors(capsys, kind, errors_at, param):
+    # the table's max_error per k is the largest companion error over the cells
+    code, out, _ = run(capsys, "limit", "--kind", kind, "--k", "5", "--k", "2",
+                       "--nmax", "2", "--xmax", "2", "--format", "json")
+    rows = [errors_at(n, x, 1, param, [5, 2])[0] for n in range(3) for x in range(3)]
+    records = json.loads(out)["records"]
+    assert [r["k"] for r in records] == [5, 2]
+    assert [r["max_error"] for r in records] == [max(r[i] for r in rows) for i in (0, 1)]
+    assert code == (0 if verify.limit_passes([r["max_error"] for r in records]) else 1)
+
+
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (ValueError("bad"), 2, "error: bad\n"),
+        (OverflowError("math range error"), 3, "error: overflow: math range error\n"),
+        (NonConvergent("lost"), 3, "error: lost\n"),
+        (PoleHit("pole"), 3, "error: pole\n"),
+        (DenominatorPole("den"), 3, "error: den\n"),
+        (OutOfTruncation("edge"), 3, "error: edge\n"),
+    ],
+)
+def test_main_owns_the_exit_code_table(capsys, monkeypatch, exc, code, line):
+    def raises(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_xi", raises)
+    assert main(["xi"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line

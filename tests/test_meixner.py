@@ -1,9 +1,10 @@
 """Polynomials, weights, norms, overlaps: oracles and structural properties."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmeixner.meixner import (
@@ -26,14 +27,18 @@ from qmeixner.qseries import QContext, q_binomial, q_pochhammer
 CTX = QContext(q=0.5)
 
 
-def brute_meixner(n: int, x: int, b: float, c: float, q: float) -> float:
-    """Plain double-loop 2phi1 evaluation, independent of the library path."""
-    total = 0.0
+def brute_meixner(n: int, x: int, beta: int, c: float, q: float) -> Fraction:
+    """The terminating 2phi1 summed exactly in rationals, on the exact values
+    of the float arguments: independent of the library path and free of
+    the cancellation a double-precision loop suffers near a zero."""
+    q, c = Fraction(q), Fraction(c)
+    b = q ** (beta - 1)
+    total = Fraction(0)
     for k in range(min(n, x) + 1):
-        num = den = 1.0
+        num = den = Fraction(1)
         for j in range(k):
-            num *= (1.0 - q ** (j - n)) * (1.0 - q ** (j - x))
-            den *= (1.0 - q ** (j + 1)) * (1.0 - b * q ** (j + 1))
+            num *= (1 - q ** (j - n)) * (1 - q ** (j - x))
+            den *= (1 - q ** (j + 1)) * (1 - b * q ** (j + 1))
         total += num / den * (-(q ** (n + 1)) / c) ** k
     return total
 
@@ -63,11 +68,12 @@ def test_hand_value_n1_x1():
     c=st.floats(0.1, 2.0),
     q=st.floats(0.2, 0.9),
 )
+@example(n=7, x=7, beta=1, c=1.0, q=0.25)  # the exact value is 0
 @settings(max_examples=150)
 def test_matches_brute_force(n, x, beta, c, q):
     ctx = QContext(q=q)
     p = MeixnerParams.from_beta(beta, c, ctx)
-    expected = brute_meixner(n, x, q ** (beta - 1), c, q)
+    expected = float(brute_meixner(n, x, beta, c, q))
     assert qmeixner(n, x, p) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 

@@ -10,9 +10,13 @@ from qmeixner.oscillator import (
     build_classical,
     build_J,
     build_oscillators,
+    from_offset_blocks,
     interior_indices,
+    ladder_coefficients,
     ladder_power_action,
+    offset_block,
     sector,
+    sector_offset,
 )
 from qmeixner.qseries import QContext
 
@@ -158,3 +162,46 @@ def test_classical_su11_commutator():
     assert np.abs(
         interior_block(comm + 2.0 * cl.j0.entries, basis, 2)
     ).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", [FockTruncation(3, 5), FockTruncation(5, 2), FockTruncation(1, 1)])
+def test_offset_blocks_partition_the_product_basis(t):
+    basis = ProductBasis(t)
+    seen = []
+    for d in range(-t.n_a_max - 1, t.n_b_max + 2):
+        levels, idx = offset_block(t, d)
+        assert [basis.state(i) for i in idx] == [(m, m + d) for m in levels]
+        seen += idx.tolist()
+    assert sorted(seen) == list(range(basis.dim))
+
+
+def test_sector_offset_is_the_one_empty_sector_rule():
+    t = FockTruncation(4, 2)
+    assert [sector_offset(t, beta) for beta in (1, 2, 3)] == [0, 1, 2]
+    for beta in (0, -1, 4):
+        with pytest.raises(EmptySector):
+            sector_offset(t, beta)
+
+
+def test_from_offset_blocks_scatters_each_block_onto_its_states():
+    t = FockTruncation(3, 4)
+    blocks = {}
+    for d in range(-t.n_a_max, t.n_b_max + 1):
+        size = offset_block(t, d)[0].size
+        blocks[d] = np.arange(size * size, dtype=float).reshape(size, size) + 100 * d
+    dense = from_offset_blocks(t, blocks).entries
+    for d, block in blocks.items():
+        _, idx = offset_block(t, d)
+        assert np.array_equal(dense[np.ix_(idx, idx)], block)
+    assert np.count_nonzero(dense) == sum(np.count_nonzero(b) for b in blocks.values())
+
+
+def test_ladder_coefficients_are_the_oscillator_entries():
+    t = FockTruncation(5, 7)
+    a_up, b_up = ladder_coefficients(t, 0.7)
+    osc = build_oscillators(t, QContext(q=0.7))
+    basis = osc.a0.basis
+    for n in range(1, t.n_a_max + 1):
+        assert osc.a_minus.entries[basis.index(n - 1, 0), basis.index(n, 0)] == a_up[n - 1]
+    for n in range(1, t.n_b_max + 1):
+        assert osc.b_plus.entries[basis.index(0, n), basis.index(0, n - 1)] == b_up[n - 1]

@@ -20,11 +20,9 @@ from qmeixner.oscillator import (
     OperatorMatrix,
     build_classical,
     build_oscillators,
-    interior_indices,
     sector,
 )
 from qmeixner.pseudorotation import (
-    UOperator,
     build_U,
     classical_U,
     classical_element,

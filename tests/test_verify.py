@@ -16,6 +16,8 @@ from qmeixner.verify import (
     check_all,
     default_grid,
     limit_passes,
+    limit_poly_errors,
+    limit_xi_errors,
 )
 
 
@@ -173,3 +175,14 @@ def test_limit_judge():
     assert not limit_passes([1e-3, 1e-3, 1e-5])
     assert not limit_passes([1e-3, math.nan, 1e-5])
     assert not limit_passes([math.nan] * 3)
+
+
+@pytest.mark.parametrize("rid", LIMIT_RELATIONS)
+def test_limit_residuals_are_the_companion_errors_at_k_2_3_4(rid):
+    errors_at = limit_poly_errors if rid == RelationId.LIMIT_POLY else limit_xi_errors
+    grid = [pt for pt in default_grid(rid) if pt.n <= 2 and pt.x <= 2]
+    report = check(rid, grid=grid)
+    for pt, (absolute, relative) in zip(report.grid, report.residuals):
+        errs, classical = errors_at(pt.n, pt.x, pt.beta, pt.aux, (2, 3, 4))
+        assert absolute == errs[-1]
+        assert relative == errs[-1] / max(abs(classical), 1.0)
