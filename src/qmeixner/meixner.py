@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from typing import Callable
 
 from .qseries import (
@@ -138,7 +139,28 @@ def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
     sv = basic_hypergeometric(
         [QPower(-n), QPower(-x)], [p._bq_param()], z, p.ctx
     )
+    if sv.magnitude > 2.0**16 * abs(sv.value):
+        # near a zero of M_n the terms cancel, and a double sum keeps only
+        # ~16 digits of the largest; past 5 of them lost, sum in decimal
+        return _qmeixner_decimal(n, x, p)
     return sv.value
+
+
+def _qmeixner_decimal(n: int, x: int, p: MeixnerParams) -> float:
+    """qmeixner's 2_phi_1 in 50-digit decimals, on the exact values of q, bq
+    and c q^c_shift: room for any cancellation a double sum could show."""
+    with localcontext() as dc:
+        dc.prec = 50
+        q = Decimal(p.ctx.q)
+        bq = q**p.beta if p.beta is not None else Decimal(p.b) * q
+        z = -(q ** (n + 1)) / (Decimal(p.c) * q**p.c_shift)
+        qn, qx, qk = q**-n, q**-x, q  # q^(k-n), q^(k-x), q^(k+1); bq q^k
+        total = term = Decimal(1)
+        for _ in range(min(n, x)):
+            term *= (1 - qn) * (1 - qx) * z / ((1 - qk) * (1 - bq))
+            total += term
+            qn, qx, qk, bq = qn * q, qx * q, qk * q, bq * q
+        return float(total)
 
 
 def weight(x: int, mp: MatrixElementParams) -> float:

@@ -81,6 +81,7 @@ class SeriesValue:
     value: float
     terms_used: int
     tail_estimate: float
+    magnitude: float = 0.0  # a series' sum of |terms|, its rounding-error scale
 
 
 @dataclass(frozen=True)
@@ -248,6 +249,7 @@ def basic_hypergeometric(
 
     acc = CompensatedSum()
     acc.add(1.0)
+    abs_sum = 1.0
     term = 1.0
     prev = 1.0
     n = 0
@@ -256,7 +258,7 @@ def basic_hypergeometric(
 
     while True:
         if terminate_at is not None and n >= terminate_at:
-            return SeriesValue(acc.total, n + 1, 0.0)
+            return SeriesValue(acc.total, n + 1, 0.0, abs_sum)
         num = 1.0
         for a in numerators:
             num *= _factor(a, q, n)
@@ -274,7 +276,7 @@ def basic_hypergeometric(
         n += 1
         if term == 0.0:
             # a numerator factor vanished: every later term vanishes too
-            return SeriesValue(acc.total, n, 0.0)
+            return SeriesValue(acc.total, n, 0.0, abs_sum)
         if terminate_at is None:
             mag = abs(acc.total)
             if mag > scale:
@@ -286,8 +288,9 @@ def basic_hypergeometric(
                         f"series terms stopped decreasing (ratio {ratio:.3g})"
                     )
                 tail = abs(term) / (1.0 - ratio)
-                return SeriesValue(acc.total, n, tail)
+                return SeriesValue(acc.total, n, tail, abs_sum)
         acc.add(term)
+        abs_sum += abs(term)
         if n >= ctx.max_terms:
             raise NonConvergent(
                 f"series did not converge within {ctx.max_terms} terms"

@@ -69,6 +69,7 @@ def test_hand_value_n1_x1():
     q=st.floats(0.2, 0.9),
 )
 @example(n=7, x=7, beta=1, c=1.0, q=0.25)  # the exact value is 0
+@example(n=5, x=5, beta=1, c=1.0, q=0.201171875)  # 0, from terms as large as 2.6e4
 @settings(max_examples=150)
 def test_matches_brute_force(n, x, beta, c, q):
     ctx = QContext(q=q)

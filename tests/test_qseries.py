@@ -211,6 +211,21 @@ def test_phi_termination_is_exact():
     assert math.isfinite(sv.value)
 
 
+@pytest.mark.parametrize(
+    "numerators, denominators",
+    [([0.3], []), ([QPower(-3), QPower(-2)], [0.25])],
+    ids=["converging", "terminating"],
+)
+def test_phi_magnitude_sums_absolute_terms(numerators, denominators):
+    # every Pochhammer ratio here is positive, so the terms at z = -0.4 are
+    # the terms at z = 0.4 with alternating signs
+    alternating = basic_hypergeometric(numerators, denominators, -0.4, CTX)
+    positive = basic_hypergeometric(numerators, denominators, 0.4, CTX)
+    assert abs(alternating.value) < positive.value
+    assert alternating.magnitude == pytest.approx(positive.value, rel=1e-14)
+    assert positive.magnitude == pytest.approx(positive.value, rel=1e-14)
+
+
 def test_phi_float_near_power_is_not_terminating():
     # a float numerically equal to q^-2 must not trigger termination
     with pytest.raises(NonConvergent):
