@@ -136,6 +136,24 @@ def _resolve_theta(args) -> float | None:
     return None
 
 
+def _check_tau(tau: float, kind: str) -> None:
+    """Usage error for a --tau the q -> 1 limits cannot take: non-finite,
+    nonzero with tanh(tau)^2 rounding to 0, tanh(tau)^2 rounding to 1, or,
+    for the xi limit, 0 (theta = sinh 0 is no theta).  A tau whose cosh
+    overflows stays a numeric error."""
+    if not math.isfinite(tau):
+        raise ValueError(f"--tau must be finite, got {tau}")
+    math.cosh(tau)  # an overflowing cosh(tau) stays a numeric error (exit 3)
+    th = math.tanh(tau)
+    c = th * th  # the classical c, as classical_xi_limit forms it
+    if tau == 0.0 and kind == "xi":
+        raise ValueError(f"--tau {tau} gives theta = sinh(tau) = 0, which is no theta")
+    if c == 0.0 and tau != 0.0:
+        raise ValueError(f"--tau {tau} is too small: tanh(tau)^2 underflows to 0")
+    if c == 1.0:
+        raise ValueError(f"--tau {tau} is too large: tanh(tau)^2 rounds to 1")
+
+
 def _refuse_negative_sizes(args, names: tuple[str, ...]) -> None:
     """Usage error for the first of the named size options that is negative."""
     for name in names:
@@ -259,8 +277,8 @@ def cmd_verify(args) -> int:
 
 def cmd_limit(args) -> int:
     _refuse_negative_sizes(args, ("nmax", "xmax"))
-    if args.kind != "poly" and not math.isfinite(args.tau):
-        raise ValueError(f"--tau must be finite, got {args.tau}")
+    if args.kind != "poly":
+        _check_tau(args.tau, args.kind)
     ks = args.k if args.k else ([8, 16, 32] if args.kind == "operator" else [2, 3, 4])
     if any(k < 1 for k in ks):
         raise ValueError("--k values must be positive integers")

@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NonConvergent,
@@ -757,6 +756,10 @@ def classical_U(tau: float, t: FockTruncation) -> OperatorMatrix:
     machine precision; only comparisons against the infinite-space closed
     form need interior margins.
     """
+    # imported here: scipy.linalg costs about 0.2 s of start-up, and only
+    # the classical limit needs it
+    import scipy.linalg
+
     blocks = {}
     for d in range(-t.n_a_max, t.n_b_max + 1):
         m = offset_block(t, d)[0][:-1].astype(float)

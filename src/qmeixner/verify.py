@@ -435,10 +435,11 @@ _CONVERGED = 1e-11
 
 def limit_passes(errors: list[float]) -> bool:
     """The judge of a q -> 1 limit: every error below the rounding-noise
-    floor, or the errors strictly decreasing along the sequence.  A NaN
-    error passes neither test."""
-    return all(e < _CONVERGED for e in errors) or all(
-        errors[i + 1] < errors[i] for i in range(len(errors) - 1)
+    floor, or at least two errors, strictly decreasing along the sequence.
+    A single error shows no decrease, and a NaN error passes neither test."""
+    return all(e < _CONVERGED for e in errors) or (
+        len(errors) >= 2
+        and all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     )
 
 

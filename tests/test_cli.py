@@ -7,7 +7,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmeixner import cli, verify
@@ -298,23 +298,31 @@ def test_limit_negative_size_is_usage_error(capsys, kind, flag):
     assert err == f"error: {flag} must be >= 0, got -1\n"
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    value=st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200"]),
+    value=st.sampled_from(
+        ["nan", "inf", "-inf", "1e200", "-1e200", "1e-300", "-1e-170", "20", "-20", "0"]
+    ),
     kind_flag=st.sampled_from([("xi", "--tau"), ("operator", "--tau"), ("poly", "--c")]),
 )
 def test_limit_non_finite_or_overflowing_parameter_exit_codes(value, kind_flag):
     # a non-finite or out-of-range parameter is a usage error naming the
-    # option given; a finite tau whose cosh overflows is a numeric error
+    # option given; a finite tau whose cosh overflows is a numeric error.
+    # tanh(tau)^2 rounding to 0 or 1, and tau = 0 for the xi limit, are
+    # usage errors naming --tau; tau = 0 is the identity rotation of the
+    # operator limit, and a tiny positive c a valid polynomial limit
     kind, flag = kind_flag
+    assume((kind, value) not in {("operator", "0"), ("poly", "1e-300")})
     code, out, err = main_quiet("limit", "--kind", kind, f"{flag}={value}")
     overflow = flag == "--tau" and value.endswith("e200")
     assert code == (3 if overflow else 2)
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
-    if flag == "--tau" and not overflow:
+    if flag == "--tau" and value in ("nan", "inf", "-inf"):
         assert err == f"error: --tau must be finite, got {value}\n"
+    elif flag == "--tau" and not overflow:
+        assert err.startswith(f"error: --tau {float(value)} ")
 
 
 _TAB = ("tabulate", "--q", "0.5", "--beta", "2", "--theta", "0.3",

@@ -175,6 +175,9 @@ def test_limit_judge():
     assert not limit_passes([1e-3, 1e-3, 1e-5])
     assert not limit_passes([1e-3, math.nan, 1e-5])
     assert not limit_passes([math.nan] * 3)
+    # one error shows no decrease: it passes only under the noise floor
+    assert not limit_passes([1e-3])
+    assert limit_passes([1e-12])
 
 
 @pytest.mark.parametrize("rid", LIMIT_RELATIONS)
