@@ -51,8 +51,7 @@ from .pseudorotation import (
 from .qseries import QContext
 from .verify import (
     RelationId,
-    check,
-    default_grid,
+    check_all,
     limit_passes,
     limit_poly_errors,
     limit_xi_errors,
@@ -250,29 +249,26 @@ def cmd_xi(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-    relations = [RelationId(r) for r in args.relation] if args.relation else list(RelationId)
-    records = []
-    all_passed = True
-    for rid in relations:
-        grid = default_grid(rid, qs=args.q, betas=args.beta, thetas=args.theta)
-        report = check(rid, grid=grid, tol=args.tol)
-        all_passed = all_passed and report.passed
-        records.append(
-            {
-                "relation": rid.value,
-                "points": len(report.grid),
-                "skipped": len(report.skipped),
-                "max_residual": report.max_residual,
-                "passed": report.passed,
-            }
-        )
+    reports = check_all(
+        args.relation, tol=args.tol, qs=args.q, betas=args.beta, thetas=args.theta
+    )
+    records = [
+        {
+            "relation": report.relation.value,
+            "points": len(report.grid),
+            "skipped": len(report.skipped),
+            "max_residual": report.max_residual,
+            "passed": report.passed,
+        }
+        for report in reports
+    ]
     _emit(
         records,
         ["relation", "points", "skipped", "max_residual", "passed"],
         args.format,
         sys.stdout,
     )
-    return EXIT_OK if all_passed else EXIT_FAIL
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_FAIL
 
 
 def cmd_limit(args) -> int:

@@ -30,6 +30,7 @@ reported as skipped, not failed.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
@@ -145,21 +146,25 @@ class RelationReport:
 # shared evaluation cache
 
 class _Cache:
-    """Memoizes polynomial values, weights, and norms across grid points.
+    """Memoizes polynomial values, weights, norms and dual-degree factors
+    for one check() or one check_all() call.
 
-    The structure relations revisit the same (n, x) under shifted parameters
-    and the orthogonality sums revisit the same lattice values for every
-    degree pair, so caching turns the default grid from minutes into
-    seconds.  c_shift is the integer k of an exact c = theta^2 q^k.
+    The relations revisit the same (n, x) under shifted parameters, the
+    orthogonality sums revisit the same lattice values for every degree
+    pair, and the relations of one check_all() share most of their values.
+    M_n(q^-x; beta, c q^shift) is held by lattice row, one array of doubles
+    per (q, c, beta, shift, x) indexed by n; c is theta^2 as the caller
+    squares it, and shift is the integer k of an exact c q^k.
     """
 
-    __slots__ = ("_ctx", "_m", "_w", "_nf")
+    __slots__ = ("_ctx", "_rows", "_w", "_nf", "_dual")
 
     def __init__(self) -> None:
         self._ctx: dict[float, QContext] = {}
-        self._m: dict[tuple, float] = {}
+        self._rows: dict[tuple, array] = {}
         self._w: dict[tuple, float] = {}
         self._nf: dict[tuple, float] = {}
+        self._dual: dict[tuple, Callable[[int], float]] = {}
 
     def context(self, q: float) -> QContext:
         if q not in self._ctx:
@@ -167,15 +172,20 @@ class _Cache:
         return self._ctx[q]
 
     def meixner(
-        self, q: float, theta: float, beta: int, shift: int, n: int, x: int
+        self, q: float, c: float, beta: int, shift: int, n: int, x: int
     ) -> float:
-        key = (q, theta, beta, shift, n, x)
-        if key not in self._m:
-            p = MeixnerParams.from_beta(
-                beta, theta * theta, self.context(q), c_shift=shift
-            )
-            self._m[key] = qmeixner(n, x, p)
-        return self._m[key]
+        key = (q, c, beta, shift, x)
+        try:
+            value = self._rows[key][n]
+            if value == value:  # NaN marks a degree not computed yet
+                return value
+        except (KeyError, IndexError):
+            pass
+        row = self._rows.setdefault(key, array("d"))
+        row.extend([math.nan] * (n + 1 - len(row)))
+        p = MeixnerParams.from_beta(beta, c, self.context(q), c_shift=shift)
+        value = row[n] = qmeixner(n, x, p)
+        return value
 
     def weight(self, q: float, theta: float, beta: int, x: int) -> float:
         key = (q, theta, beta, x)
@@ -190,6 +200,12 @@ class _Cache:
             mp = MatrixElementParams(theta, beta, self.context(q))
             self._nf[key] = norm_factor(n, mp)
         return self._nf[key]
+
+    def dual_factor(self, q: float, t2: float, beta: int) -> Callable[[int], float]:
+        key = (q, t2, beta)
+        if key not in self._dual:
+            self._dual[key] = dual_degree_factor(t2, beta, q)
+        return self._dual[key]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +322,7 @@ def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
             if n < 0 or x < 0:
                 continue
             total += coefficient(pt.q, t2, pt.beta, pt.n, pt.x) * c.meixner(
-                pt.q, pt.theta, pt.beta + db, shift, n, x
+                pt.q, pt.theta * pt.theta, pt.beta + db, shift, n, x
             )
         return total
 
@@ -321,11 +337,10 @@ def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
 # duality, orthogonality, generating functions
 
 def _eval_duality(pt: GridPoint, c: _Cache):
-    ctx = c.context(pt.q)
-    p = MeixnerParams.from_beta(pt.beta, pt.theta**2, ctx)
-    lhs = qmeixner(pt.n, pt.x, p)
+    p = MeixnerParams.from_beta(pt.beta, pt.theta**2, c.context(pt.q))
     xd, nd, pd = duality_transform(pt.n, pt.x, p)
-    rhs = qmeixner(xd, nd, pd)
+    lhs = c.meixner(pt.q, p.c, p.beta, p.c_shift, pt.n, pt.x)
+    rhs = c.meixner(pt.q, pd.c, pd.beta, pd.c_shift, xd, nd)
     return lhs, rhs, None
 
 
@@ -340,12 +355,13 @@ def _eval_duality_xi(pt: GridPoint, c: _Cache):
 def _eval_ortho_degree(pt: GridPoint, c: _Cache):
     q, b, th = pt.q, pt.beta, pt.theta
     n, n2 = pt.n, pt.x
+    t2 = th * th
 
     def term(x):
         return (
             c.weight(q, th, b, x)
-            * c.meixner(q, th, b, 0, n, x)
-            * c.meixner(q, th, b, 0, n2, x)
+            * c.meixner(q, t2, b, 0, n, x)
+            * c.meixner(q, t2, b, 0, n2, x)
         )
 
     lhs, _ = adaptive_sum(term, c.context(q), "orthogonality sum")
@@ -358,10 +374,11 @@ def _eval_ortho_degree(pt: GridPoint, c: _Cache):
 def _eval_ortho_variable(pt: GridPoint, c: _Cache):
     q, b, th = pt.q, pt.beta, pt.theta
     x, x2 = pt.n, pt.x
-    factor = dual_degree_factor(th * th, b, q)
+    t2 = th * th
+    factor = c.dual_factor(q, t2, b)
 
     def term(n):
-        return factor(n) * c.meixner(q, th, b, 0, n, x) * c.meixner(q, th, b, 0, n, x2)
+        return factor(n) * c.meixner(q, t2, b, 0, n, x) * c.meixner(q, t2, b, 0, n, x2)
 
     lhs, _ = adaptive_sum(term, c.context(q), "dual orthogonality sum")
     wx = c.weight(q, th, b, x)
@@ -391,7 +408,7 @@ def _eval_genfun_degree(pt: GridPoint, c: _Cache):
     )
     coef = _genfun_coefficient(q, b, z)
     rhs, _ = adaptive_sum(
-        lambda n: coef(n) * c.meixner(q, th, b, 0, n, x),
+        lambda n: coef(n) * c.meixner(q, t2, b, 0, n, x),
         ctx,
         "degree generating function",
     )
@@ -416,7 +433,7 @@ def _eval_genfun_variable(pt: GridPoint, c: _Cache):
     ).value / q_pochhammer(z, b, ctx)
     coef = _genfun_coefficient(q, b, z)
     rhs, _ = adaptive_sum(
-        lambda x: coef(x) * c.meixner(q, th, b, 0, n, x),
+        lambda x: coef(x) * c.meixner(q, t2, b, 0, n, x),
         ctx,
         "variable generating function",
     )
@@ -589,9 +606,15 @@ def check(
     Raises EmptyGrid when nothing remains to evaluate.
     """
     rid = RelationId(relation)
-    spec = _REGISTRY[rid]
     points = list(grid) if grid is not None else default_grid(rid)
-    cache = _Cache()
+    return _check(rid, points, tol, _Cache())
+
+
+def _check(
+    rid: RelationId, points: list[GridPoint], tol: float, cache: _Cache
+) -> RelationReport:
+    """check() of one relation over the given points, through the given cache."""
+    spec = _REGISTRY[rid]
     report = RelationReport(relation=rid, tol=tol)
     for pt in points:
         if spec.domain is not None and not spec.domain(pt):
@@ -620,13 +643,26 @@ def check(
 def check_all(
     relations: Iterable[RelationId | str] | None = None,
     tol: float = 1e-9,
+    qs: Iterable[float] | None = None,
+    betas: Iterable[int] | None = None,
+    thetas: Iterable[float] | None = None,
 ) -> list[RelationReport]:
-    """check() every relation (or the given subset) over default grids,
-    in registry order."""
+    """check() every relation (or the given subset, in the given order) over
+    its default grid, with the q/beta/theta axes overridable as in
+    default_grid; registry order by default.
+
+    One evaluation cache serves every relation of the call, so a value that
+    several relations read is computed once; it is dropped on return.
+    Raises EmptyGrid when no relation is selected, or for the first
+    relation with nothing left to evaluate.
+    """
     if relations is None:
         selected = list(RelationId)
     else:
         selected = [RelationId(r) for r in relations]
         if not selected:
             raise EmptyGrid("no relations selected")
-    return [check(r, tol=tol) for r in selected]
+    cache = _Cache()
+    return [
+        _check(r, default_grid(r, qs, betas, thetas), tol, cache) for r in selected
+    ]

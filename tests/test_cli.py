@@ -140,6 +140,18 @@ def test_verify_unknown_relation_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_empty_grid_is_usage_error(capsys):
+    # beta = 1 leaves comp_backward nothing to evaluate; the relations before
+    # it print nothing either
+    code, out, err = run(
+        capsys, "verify", "--relation", "backward", "--relation", "comp_backward",
+        "--beta", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: no evaluable grid points for comp_backward\n"
+
+
 def test_limit_poly_corner_exact(capsys):
     code, out, _ = run(
         capsys, "limit", "--kind", "poly", "--nmax", "0", "--xmax", "0",
@@ -156,6 +168,20 @@ def test_limit_xi_errors_decrease(capsys):
     assert code == 0
     errs = [float(r["max_error"]) for r in parse_csv(out)]
     assert errs == sorted(errs, reverse=True)
+
+
+def test_limit_poly_tiny_c_converges_with_huge_absolute_errors(capsys):
+    # max_error is absolute: at c = 1e-300 the worst cell (n = 1, x = 4) has
+    # classical value -4e300, so 6.1e298, 6.0e297, 6.0e296 are relative
+    # errors 1.5e-2, 1.5e-3, 1.5e-4 and the limit converges
+    code, out, _ = run(capsys, "limit", "--kind", "poly", "--c", "1e-300")
+    assert code == 0
+    errs = [float(r["max_error"]) for r in parse_csv(out)]
+    assert len(errs) == 3 and errs[0] > errs[1] > errs[2]
+    _, classical = verify.limit_poly_errors(1, 4, 1, 1e-300, [2])
+    assert [e / abs(classical) for e in errs] == pytest.approx(
+        [1.5e-2, 1.5e-3, 1.5e-4], rel=0.05
+    )
 
 
 def test_limit_operator_tau_zero_exact(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 
@@ -189,3 +190,46 @@ def test_limit_residuals_are_the_companion_errors_at_k_2_3_4(rid):
         errs, classical = errors_at(pt.n, pt.x, pt.beta, pt.aux, (2, 3, 4))
         assert absolute == errs[-1]
         assert relative == errs[-1] / max(abs(classical), 1.0)
+
+
+@pytest.fixture(scope="module")
+def counted_check_all():
+    """Two check_all() calls on the default grids, each with the arguments of
+    every qmeixner call verify makes (xi's own calls are not verify's)."""
+    original = verify.qmeixner
+    calls = []
+
+    def counting(n, x, p):
+        calls[-1].append((n, x, p))
+        return original(n, x, p)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "qmeixner", counting)
+        for _ in range(2):
+            calls.append([])
+            runs.append(check_all())
+    return runs, calls
+
+
+def test_check_all_shares_its_cache_without_moving_a_residual(counted_check_all):
+    shared = counted_check_all[0][0]
+    alone = [check(rid) for rid in RelationId]
+    assert len(shared) == len(alone) == 20
+    for got, want in zip(shared, alone):
+        assert got.relation is want.relation
+        assert got.grid == want.grid
+        assert got.residuals == want.residuals  # float for float
+        assert got.skipped == want.skipped
+        assert got.failures == want.failures
+
+
+def test_check_all_computes_each_polynomial_value_once(counted_check_all):
+    first = counted_check_all[1][0]
+    repeated = [args for args, k in Counter(first).items() if k > 1]
+    assert first and not repeated
+
+
+def test_check_all_cache_ends_with_the_call(counted_check_all):
+    first, second = counted_check_all[1]
+    assert len(second) == len(first)
