@@ -107,20 +107,20 @@ def _refuse_non_finite(records: list[dict]) -> None:
 
 
 def _theta_squared(theta: float) -> float:
-    """c = theta^2, refusing a nonzero theta whose square underflows to 0."""
+    """c = theta^2, refusing a nonzero theta whose square underflows to 0
+    and a finite one whose square overflows."""
     c = theta * theta
     if c == 0.0 and theta != 0.0:
         raise ValueError(f"--theta {theta} is too small: theta^2 underflows to 0")
+    if math.isinf(c) and math.isfinite(theta):
+        raise OverflowError(f"c = theta^2 at theta = {theta}")
     return c
 
 
 def _resolve_c(args) -> float | None:
     """c and theta are two views of one parameter: c = theta^2."""
     if args.theta is not None:
-        c = _theta_squared(args.theta)
-        if math.isinf(c) and math.isfinite(args.theta):
-            raise OverflowError(f"c = theta^2 at theta = {args.theta}")
-        return c
+        return _theta_squared(args.theta)
     return args.c
 
 
@@ -249,6 +249,8 @@ def cmd_xi(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    for theta in args.theta or ():
+        _theta_squared(theta)
     reports = check_all(
         args.relation, tol=args.tol, qs=args.q, betas=args.beta, thetas=args.theta
     )

@@ -110,7 +110,10 @@ class MeixnerParams:
 
 @dataclass(frozen=True)
 class MatrixElementParams:
-    """Parameters (theta, beta) of the overlap coefficients xi_{n,x}."""
+    """Parameters (theta, beta) of the overlap coefficients xi_{n,x}.
+
+    A finite theta whose square overflows raises OverflowError.
+    """
 
     theta: float
     beta: int
@@ -119,11 +122,13 @@ class MatrixElementParams:
     def __post_init__(self):
         if self.theta == 0.0 or not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite and nonzero, got {self.theta}")
+        if math.isinf(self.theta * self.theta):
+            raise OverflowError(f"theta^2 at theta = {self.theta}")
         if not isinstance(self.beta, int) or self.beta < 1:
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
 
     def meixner_params(self) -> MeixnerParams:
-        return MeixnerParams.from_beta(self.beta, self.theta**2, self.ctx)
+        return MeixnerParams.from_beta(self.beta, self.theta * self.theta, self.ctx)
 
 
 def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
@@ -168,7 +173,7 @@ def weight(x: int, mp: MatrixElementParams) -> float:
     if x < 0:
         raise ValueError("x must be >= 0")
     q = mp.ctx.q
-    t2 = mp.theta**2
+    t2 = mp.theta * mp.theta
     num = t2**x * q_binomial(x + mp.beta - 1, x, mp.ctx) * q ** (x * (x - 1) // 2)
     return num / q_pochhammer(-t2, x + mp.beta, mp.ctx)
 
@@ -185,7 +190,7 @@ def norm_factor(n: int, mp: MatrixElementParams) -> float:
         raise ValueError("n must be >= 0")
     ctx = mp.ctx
     q = ctx.q
-    t2 = mp.theta**2
+    t2 = mp.theta * mp.theta
     num = (
         q ** (n * (n - 1) // 2)
         * t2 ** (-n)
@@ -212,7 +217,7 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
     ctx = mp.ctx
     q = ctx.q
     theta = mp.theta
-    t2 = theta**2
+    t2 = theta * theta
     prod = 1.0
     for m in range(1, n + 1):
         prod *= 1.0 + q**m / t2
@@ -326,13 +331,12 @@ def orthogonality_sum(
     sum_x omega_x M_n(q^-x) M_n2(q^-x).
 
     Terms decay super-geometrically; summation stops once three consecutive
-    terms fall below tail_cutoff times the running maximum term.
+    terms fall below TAIL_CUTOFF times the running maximum term.
     Returns (sum, terms_used).
     """
     pm = mp.meixner_params()
     return adaptive_sum(
         lambda x: weight(x, mp) * qmeixner(n, x, pm) * qmeixner(n2, x, pm),
-        mp.ctx,
         "orthogonality sum",
     )
 
@@ -354,10 +358,9 @@ def dual_orthogonality_sum(
     stable term-ratio recurrence (dual_degree_factor).  Returns
     (sum, terms_used).
     """
-    factor = dual_degree_factor(mp.theta**2, mp.beta, mp.ctx.q)
+    factor = dual_degree_factor(mp.theta * mp.theta, mp.beta, mp.ctx.q)
     pm = mp.meixner_params()
     return adaptive_sum(
         lambda n: factor(n) * qmeixner(n, x, pm) * qmeixner(n, x2, pm),
-        mp.ctx,
         "dual orthogonality sum",
     )

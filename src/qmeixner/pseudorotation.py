@@ -85,7 +85,7 @@ from .oscillator import (
     sector_offset,
     su11_generators,
 )
-from .qseries import QContext, big_qexp, little_qexp
+from .qseries import TAIL_CUTOFF, QContext, big_qexp, little_qexp
 
 __all__ = [
     "matrix_qexp",
@@ -234,11 +234,11 @@ def matrix_qexp_series(X: np.ndarray, kind: str, ctx: QContext) -> np.ndarray:
     matrix whose powers decay; used for identities that mix diagonal and
     nilpotent parts.  Summed on the invariant blocks of X, each of which
     stops after three consecutive terms with Frobenius norm at most
-    tail_cutoff times its accumulated norm."""
+    TAIL_CUTOFF times its accumulated norm."""
     _check_kind(kind)
     out = np.zeros(X.shape)
     for ix, (blk,) in _invariant_blocks(X):
-        out[ix] = _qexp_blocks(blk, kind, ctx.q, ctx.tail_cutoff, 3, _SERIES_MAX_TERMS)
+        out[ix] = _qexp_blocks(blk, kind, ctx.q, TAIL_CUTOFF, 3, _SERIES_MAX_TERMS)
     return out
 
 
@@ -280,7 +280,6 @@ class UOperator:
     row_factor: np.ndarray
     col_factor: np.ndarray
     theta: float
-    beta: int
     truncation: FockTruncation
     ctx: QContext
 
@@ -369,7 +368,6 @@ def build_U(
         row_factor=row_factor,
         col_factor=col_factor,
         theta=theta,
-        beta=mp.beta,
         truncation=t,
         ctx=ctx,
     )
@@ -508,7 +506,7 @@ def conjugated_lowering(
     """
     _check_pair(u_theta, u_shift)
     osc, q, theta, na, nb = _levels(u_theta)
-    sqrt_b = np.sqrt(1.0 + theta**2 * q**nb)
+    sqrt_b = np.sqrt(1.0 + theta * theta * q**nb)
     r = osc.a_minus.entries * sqrt_b[None, :] + theta * (
         (q ** ((na + nb) / 2.0))[:, None] * osc.b_plus.entries
     )
@@ -529,7 +527,7 @@ def conjugated_raising(
     """
     _check_pair(u_theta, u_shift)
     osc, q, theta, na, nb = _levels(u_theta)
-    sqrt_b = np.sqrt(1.0 + theta**2 * q**nb)
+    sqrt_b = np.sqrt(1.0 + theta * theta * q**nb)
     r = osc.a_plus.entries * sqrt_b[None, :] + theta * (
         osc.b_minus.entries * (q ** ((na + nb) / 2.0))[None, :]
     )
@@ -551,7 +549,7 @@ def conjugated_lowering_dual(
     """
     osc, q, theta, na, nb = _levels(u)
     mid = (q ** (-na / 2.0))[:, None] * osc.a_minus.entries
-    sqrt_a = np.sqrt(1.0 + theta**2 * q ** (-na))
+    sqrt_a = np.sqrt(1.0 + theta * theta * q ** (-na))
     r = mid * sqrt_a[None, :] - theta * (
         (q ** (-na) * q ** (nb / 2.0))[:, None] * osc.b_plus.entries
     )
@@ -572,7 +570,7 @@ def conjugated_raising_dual(
     """
     osc, q, theta, na, nb = _levels(u)
     mid = osc.a_plus.entries * (q ** (-na / 2.0))[None, :]
-    sqrt_a = np.sqrt(1.0 + theta**2 * q ** (-na))
+    sqrt_a = np.sqrt(1.0 + theta * theta * q ** (-na))
     r = sqrt_a[:, None] * mid - theta * (
         (q ** (-na))[:, None] * osc.b_minus.entries * (q ** (nb / 2.0))[None, :]
     )
@@ -597,7 +595,7 @@ def qbch_series(
     e_q(lam X) Y E_q(-lam q^alpha X).
 
     Summed on the joint invariant blocks of X and Y, each of which stops
-    once its term norm is at most tail_cutoff times its accumulated norm
+    once its term norm is at most TAIL_CUTOFF times its accumulated norm
     (nilpotent X terminates exactly); NonConvergent past _QBCH_MAX_ORDER
     terms.
     """
@@ -614,7 +612,7 @@ def qbch_series(
                 c = x_blk @ term - q ** (n - 1) * qa * (term @ x_blk)
             return (lam / (1.0 - q**n)) * c
 
-        out[ix] = _block_series(y_blk, step, ctx.tail_cutoff, 1, _QBCH_MAX_ORDER)
+        out[ix] = _block_series(y_blk, step, TAIL_CUTOFF, 1, _QBCH_MAX_ORDER)
     return out
 
 

@@ -18,6 +18,17 @@ Exact termination is only recognised when a numerator parameter is passed
 as a `QPower`, i.e. as an integer exponent of the base.  Float parameters
 are never pattern-matched against powers of q, so a float that merely
 happens to be close to q^-N follows the ordinary convergence policy.
+
+Truncation policy, one fixed choice for the infinite products and sums of
+this module (the matrix series of pseudorotation share TAIL_CUTOFF):
+
+    TAIL_CUTOFF  ends an infinite product once its next factor differs
+                 from 1 by less than this, and a series or sum once its
+                 terms fall below this times their running scale
+    POLE_TOL     refuses, with PoleHit, a product about to be inverted
+                 whose factor lies this close to zero
+    MAX_TERMS    refuses, with NonConvergent, a product or sum still
+                 running after this many factors or terms
 """
 
 from __future__ import annotations
@@ -40,38 +51,28 @@ __all__ = [
     "basic_hypergeometric",
     "ratio_sequence",
     "adaptive_sum",
+    "TAIL_CUTOFF",
+    "POLE_TOL",
+    "MAX_TERMS",
 ]
+
+TAIL_CUTOFF = 1e-18
+POLE_TOL = 1e-12
+MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
 class QContext:
-    """Evaluation context: the base q plus numerical policy knobs.
+    """Evaluation context: the base q, strictly inside (0, 1).
 
-    q           base, strictly inside (0, 1)
-    rel_tol     target relative accuracy of returned values, inside (0, 1)
-    tail_cutoff term-magnitude threshold for truncating infinite
-                sums/products, inside (0, 1)
-    max_terms   hard budget before giving up with NonConvergent
-
-    The interval tests are written so that NaN fails them.
+    The interval test is written so that NaN fails it.
     """
 
     q: float
-    rel_tol: float = 1e-12
-    tail_cutoff: float = 1e-18
-    max_terms: int = 10_000
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must lie strictly inside (0, 1), got {self.q}")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie inside (0, 1), got {self.rel_tol}")
-        if not (0.0 < self.tail_cutoff < 1.0):
-            raise ValueError(
-                f"tail_cutoff must lie inside (0, 1), got {self.tail_cutoff}"
-            )
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,6 @@ class QPower:
     def __post_init__(self):
         if not isinstance(self.exponent, int):
             raise TypeError("QPower exponent must be an integer")
-
-    def value(self, q: float) -> float:
-        return q ** self.exponent
 
 
 Param = Union[float, QPower]
@@ -148,28 +146,28 @@ def q_pochhammer(a: float, n: int, ctx: QContext) -> float:
 
 
 def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> SeriesValue:
-    """Infinite product (a; q)_oo, truncated when |a q^k| < tail_cutoff.
+    """Infinite product (a; q)_oo, truncated when |a q^k| < TAIL_CUTOFF.
 
     The tail estimate bounds the error from dropped factors:
     |log prod_{k>=K} (1 - a q^k)| <= |a q^K| / (1 - q) to first order.
 
-    With reciprocal=True a factor vanishing within rel_tol raises PoleHit
+    With reciprocal=True a factor vanishing within POLE_TOL raises PoleHit
     (the caller intends to divide by the result).
     """
     q = ctx.q
     prod = 1.0
     term = a
     k = 0
-    while abs(term) >= ctx.tail_cutoff:
+    while abs(term) >= TAIL_CUTOFF:
         f = 1.0 - term
-        if reciprocal and abs(f) < ctx.rel_tol:
+        if reciprocal and abs(f) < POLE_TOL:
             raise PoleHit(f"(a; q)_oo factor vanished at k={k} for a={a}")
         prod *= f
         term *= q
         k += 1
-        if k >= ctx.max_terms:
+        if k >= MAX_TERMS:
             raise NonConvergent(
-                f"(a; q)_oo did not reach tail cutoff within {ctx.max_terms} factors"
+                f"(a; q)_oo did not reach tail cutoff within {MAX_TERMS} factors"
             )
     tail = abs(prod) * abs(term) / (1.0 - q)
     return SeriesValue(prod, k, tail)
@@ -196,8 +194,8 @@ def little_qexp(z: float, ctx: QContext) -> SeriesValue:
     """e_q(z) = 1 / (z; q)_oo, evaluated from the product form.
 
     Defined for any z off the pole set {q^-m : m >= 0}; arguments of any
-    magnitude with z < 1 are safe.  For |z| < 1 the value agrees with the
-    series sum_n z^n / (q; q)_n within rel_tol.
+    magnitude with z < 1 are safe.  For |z| < 1 the product equals the
+    series sum_n z^n / (q; q)_n.
     """
     pinf = q_pochhammer_inf(z, ctx, reciprocal=True)
     value = 1.0 / pinf.value
@@ -281,7 +279,7 @@ def basic_hypergeometric(
             mag = abs(acc.total)
             if mag > scale:
                 scale = mag
-            if abs(term) < ctx.tail_cutoff * scale:
+            if abs(term) < TAIL_CUTOFF * scale:
                 ratio = abs(term) / abs(prev) if prev != 0.0 else 0.0
                 if ratio >= 1.0:
                     raise NonConvergent(
@@ -291,10 +289,8 @@ def basic_hypergeometric(
                 return SeriesValue(acc.total, n, tail, abs_sum)
         acc.add(term)
         abs_sum += abs(term)
-        if n >= ctx.max_terms:
-            raise NonConvergent(
-                f"series did not converge within {ctx.max_terms} terms"
-            )
+        if n >= MAX_TERMS:
+            raise NonConvergent(f"series did not converge within {MAX_TERMS} terms")
 
 
 def ratio_sequence(step: Callable[[float, int], float]) -> Callable[[int], float]:
@@ -313,12 +309,10 @@ def ratio_sequence(step: Callable[[float, int], float]) -> Callable[[int], float
     return at
 
 
-def adaptive_sum(
-    term_of: Callable[[int], float], ctx: QContext, label: str
-) -> tuple[float, int]:
+def adaptive_sum(term_of: Callable[[int], float], label: str) -> tuple[float, int]:
     """Sum term_of(k) for k = 0, 1, ... with compensated summation until
-    three consecutive terms drop below tail_cutoff times the running
-    maximum term.  Returns (sum, terms_used); NonConvergent past max_terms.
+    three consecutive terms drop below TAIL_CUTOFF times the running
+    maximum term.  Returns (sum, terms_used); NonConvergent past MAX_TERMS.
     """
     acc = CompensatedSum()
     running_max = 0.0
@@ -330,12 +324,12 @@ def adaptive_sum(
         mag = abs(t)
         if mag > running_max:
             running_max = mag
-        if mag < ctx.tail_cutoff * running_max:
+        if mag < TAIL_CUTOFF * running_max:
             streak += 1
             if streak >= 3:
                 return acc.total, k + 1
         else:
             streak = 0
         k += 1
-        if k >= ctx.max_terms:
+        if k >= MAX_TERMS:
             raise NonConvergent(f"{label} exceeded the term budget")

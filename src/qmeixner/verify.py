@@ -153,8 +153,8 @@ class _Cache:
     orthogonality sums revisit the same lattice values for every degree
     pair, and the relations of one check_all() share most of their values.
     M_n(q^-x; beta, c q^shift) is held by lattice row, one array of doubles
-    per (q, c, beta, shift, x) indexed by n; c is theta^2 as the caller
-    squares it, and shift is the integer k of an exact c q^k.
+    per (q, c, beta, shift, x) indexed by n; c is theta * theta, and shift
+    is the integer k of an exact c q^k.
     """
 
     __slots__ = ("_ctx", "_rows", "_w", "_nf", "_dual")
@@ -322,12 +322,12 @@ def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
             if n < 0 or x < 0:
                 continue
             total += coefficient(pt.q, t2, pt.beta, pt.n, pt.x) * c.meixner(
-                pt.q, pt.theta * pt.theta, pt.beta + db, shift, n, x
+                pt.q, t2, pt.beta + db, shift, n, x
             )
         return total
 
     def evaluate(pt: GridPoint, c: _Cache):
-        t2 = pt.theta**2
+        t2 = pt.theta * pt.theta
         return side(lhs, pt, c, t2), side(rhs, pt, c, t2), None
 
     return evaluate
@@ -337,7 +337,7 @@ def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
 # duality, orthogonality, generating functions
 
 def _eval_duality(pt: GridPoint, c: _Cache):
-    p = MeixnerParams.from_beta(pt.beta, pt.theta**2, c.context(pt.q))
+    p = MeixnerParams.from_beta(pt.beta, pt.theta * pt.theta, c.context(pt.q))
     xd, nd, pd = duality_transform(pt.n, pt.x, p)
     lhs = c.meixner(pt.q, p.c, p.beta, p.c_shift, pt.n, pt.x)
     rhs = c.meixner(pt.q, pd.c, pd.beta, pd.c_shift, xd, nd)
@@ -364,7 +364,7 @@ def _eval_ortho_degree(pt: GridPoint, c: _Cache):
             * c.meixner(q, t2, b, 0, n2, x)
         )
 
-    lhs, _ = adaptive_sum(term, c.context(q), "orthogonality sum")
+    lhs, _ = adaptive_sum(term, "orthogonality sum")
     nfn = c.norm(q, th, b, n)
     nfn2 = c.norm(q, th, b, n2)
     rhs = nfn if n == n2 else 0.0
@@ -380,7 +380,7 @@ def _eval_ortho_variable(pt: GridPoint, c: _Cache):
     def term(n):
         return factor(n) * c.meixner(q, t2, b, 0, n, x) * c.meixner(q, t2, b, 0, n, x2)
 
-    lhs, _ = adaptive_sum(term, c.context(q), "dual orthogonality sum")
+    lhs, _ = adaptive_sum(term, "dual orthogonality sum")
     wx = c.weight(q, th, b, x)
     wx2 = c.weight(q, th, b, x2)
     rhs = 1.0 / wx if x == x2 else 0.0
@@ -408,9 +408,7 @@ def _eval_genfun_degree(pt: GridPoint, c: _Cache):
     )
     coef = _genfun_coefficient(q, b, z)
     rhs, _ = adaptive_sum(
-        lambda n: coef(n) * c.meixner(q, t2, b, 0, n, x),
-        ctx,
-        "degree generating function",
+        lambda n: coef(n) * c.meixner(q, t2, b, 0, n, x), "degree generating function"
     )
     return lhs, rhs, None
 
@@ -433,9 +431,7 @@ def _eval_genfun_variable(pt: GridPoint, c: _Cache):
     ).value / q_pochhammer(z, b, ctx)
     coef = _genfun_coefficient(q, b, z)
     rhs, _ = adaptive_sum(
-        lambda x: coef(x) * c.meixner(q, t2, b, 0, n, x),
-        ctx,
-        "variable generating function",
+        lambda x: coef(x) * c.meixner(q, t2, b, 0, n, x), "variable generating function"
     )
     return lhs, rhs, None
 

@@ -231,6 +231,14 @@ def test_verify_nan_tol_is_usage_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("relation", ["backward", "duality", "genfun_degree"])
+def test_verify_overflowing_theta_is_numeric_error(capsys, relation):
+    code, out, err = run(capsys, "verify", "--relation", relation, "--theta", "1e200")
+    assert code == 3
+    assert out == ""
+    assert err == "error: overflow: c = theta^2 at theta = 1e+200\n"
+
+
 def main_quiet(*argv):
     """main() with stdout and stderr captured; usable inside @given."""
     out, err = io.StringIO(), io.StringIO()

@@ -1,13 +1,15 @@
 """The import graph: scipy stays off the start-up path of every command but
 the classical operator limit, while `import qmeixner` still loads every
-qmeixner module (the benchmark's layer tracer finds them in sys.modules)."""
+qmeixner module (the benchmark's layer tracer finds them in sys.modules),
+and every function that tracer wraps still exists under its name."""
 
 import json
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -34,15 +36,58 @@ print(json.dumps(report))
 """
 
 
-def _probe(*commands):
+_TRACER_PROBE = """
+import importlib.util, json, sys
+
+import qmeixner
+
+spec = importlib.util.spec_from_file_location("layers", sys.argv[1])
+layers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layers)
+
+targets = [(m, f) for m, f, _ in layers._TRACED]
+targets += [("pseudorotation", "build_U"), ("verify", "check")]
+mods = [m for name, m in sys.modules.items() if name.startswith("qmeixner.")]
+originals = {t: getattr(sys.modules["qmeixner." + t[0]], t[1]) for t in targets}
+
+def still_original():
+    return sorted(
+        f"{mod.__name__}.{f}"
+        for (_, f), fn in originals.items()
+        for mod in mods
+        if getattr(mod, f, None) is fn
+    )
+
+tracer = layers.Tracer()
+tracer.install()
+report = {
+    "traced": len(layers._TRACED),
+    "targets": sorted(f"{m}.{f}" for m, f in targets),
+    "unwrapped": still_original(),
+}
+tracer.uninstall()
+report["restored"] = sorted(
+    f"{m}.{f}"
+    for (m, f), fn in originals.items()
+    if getattr(sys.modules["qmeixner." + m], f) is fn
+)
+print(json.dumps(report))
+"""
+
+
+def _run(script, arg):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)],
+        [sys.executable, "-c", script, arg],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _probe(*commands):
+    return _run(_PROBE, json.dumps(commands))
 
 
 def test_commands_other_than_the_operator_limit_never_load_scipy():
@@ -71,3 +116,12 @@ def test_operator_limit_still_runs():
         ["8", "8"], ["16", "16"], ["32", "32"]
     ]
     assert "scipy.linalg" in command["scipy"]
+
+
+def test_benchmark_tracer_wraps_every_traced_function():
+    # a traced function renamed or removed in the package would otherwise
+    # surface only when the benchmark runs with tracing on
+    report = _run(_TRACER_PROBE, os.path.join(ROOT, "bench", "layers.py"))
+    assert report["traced"] == 25
+    assert report["unwrapped"] == []
+    assert report["restored"] == report["targets"]

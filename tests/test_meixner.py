@@ -91,6 +91,8 @@ def test_params_validation():
         MeixnerParams.from_beta(2, -1.0, CTX)
     with pytest.raises(ValueError):
         MatrixElementParams(0.0, 1, CTX)
+    with pytest.raises(OverflowError):
+        MatrixElementParams(-1e200, 1, CTX)  # theta^2 overflows
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

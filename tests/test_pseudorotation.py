@@ -43,7 +43,7 @@ from qmeixner.pseudorotation import (
     qexp_split,
     unitarity_residual,
 )
-from qmeixner.qseries import QContext, big_qexp, little_qexp, q_pochhammer
+from qmeixner.qseries import TAIL_CUTOFF, QContext, big_qexp, little_qexp, q_pochhammer
 
 CTX = QContext(q=0.5)
 
@@ -88,7 +88,7 @@ def dense_qbch(x, y, lam, alpha, kind, ctx):
             c = x @ c - q ** (n - 1 + alpha) * (c @ x)
         coef *= lam / (1.0 - q**n)
         acc = acc + coef * c
-        if np.linalg.norm(coef * c) <= ctx.tail_cutoff * max(np.linalg.norm(acc), 1.0):
+        if np.linalg.norm(coef * c) <= TAIL_CUTOFF * max(np.linalg.norm(acc), 1.0):
             return acc
     raise NonConvergent("dense q-commutator series did not settle")
 
@@ -175,7 +175,7 @@ def test_blockwise_series_match_dense_reference(kind, q, cap):
     for cx, cy in ((0.3, 0.3), (-0.3, 0.3)):
         for x in (cx * diag + cy * osc.a_plus.entries, cx * diag, 0.3 * k_plus):
             got = matrix_qexp_series(x, kind, ctx)
-            worst = max(worst, deviation(got, dense_qexp(x, kind, ctx, ctx.tail_cutoff)))
+            worst = max(worst, deviation(got, dense_qexp(x, kind, ctx, TAIL_CUTOFF)))
     y = np.diag(na)
     for lam in (0.3, -0.3):
         got = qbch_series(k_plus, y, lam, 0.3, kind, ctx)

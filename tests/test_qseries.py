@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmeixner.errors import DenominatorPole, NonConvergent, PoleHit
 from qmeixner.qseries import (
+    MAX_TERMS,
     CompensatedSum,
     QContext,
     QPower,
@@ -95,30 +96,25 @@ def test_qpower_requires_integer_exponent():
 def test_context_validation():
     with pytest.raises(ValueError):
         QContext(q=1.0)
-    with pytest.raises(ValueError):
-        QContext(q=0.5, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QContext(q=0.5, max_terms=0)
-
-
-@pytest.mark.parametrize("field", ["rel_tol", "tail_cutoff"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0])
-def test_context_tolerances_lie_inside_unit_interval(field, value):
-    # a NaN or infinite cutoff would end every product at once and return 1
-    with pytest.raises(ValueError, match=field):
-        QContext(q=0.5, **{field: value})
 
 
 def test_adaptive_sum_stops_after_three_small_terms():
     # 0.5^k first drops below 1e-18 times the largest term at k = 60
-    total, used = adaptive_sum(lambda k: 0.5**k, QContext(q=0.5), "geometric")
+    total, used = adaptive_sum(lambda k: 0.5**k, "geometric")
     assert total == pytest.approx(2.0, rel=1e-15)
     assert used == 63
 
 
 def test_adaptive_sum_budget_is_nonconvergent():
+    calls = []
+
+    def flat(k):
+        calls.append(k)
+        return 1.0
+
     with pytest.raises(NonConvergent, match="flat sum exceeded the term budget"):
-        adaptive_sum(lambda k: 1.0, QContext(q=0.5, max_terms=50), "flat sum")
+        adaptive_sum(flat, "flat sum")
+    assert len(calls) == MAX_TERMS
 
 
 def test_ratio_sequence_is_a_memoised_running_product():
@@ -171,7 +167,7 @@ def test_qexp_inverse_identity(z, q):
     """e_q(z) E_q(-z) = 1."""
     ctx = QContext(q=q)
     prod = little_qexp(z, ctx).value * big_qexp(-z, ctx).value
-    assert prod == pytest.approx(1.0, rel=10 * ctx.rel_tol)
+    assert prod == pytest.approx(1.0, rel=1e-11)
 
 
 @given(z=safe_z, q=qs)
@@ -181,7 +177,7 @@ def test_qexp_shift_identities(z, q):
     and their difference forms e_q(z) - e_q(qz) = z e_q(z),
     E_q(z) - E_q(qz) = z E_q(qz)."""
     ctx = QContext(q=q)
-    tol = 10 * ctx.rel_tol
+    tol = 1e-11
     ez = little_qexp(z, ctx).value
     eqz = little_qexp(q * z, ctx).value
     bz = big_qexp(z, ctx).value
