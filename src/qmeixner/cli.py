@@ -107,12 +107,15 @@ def _refuse_non_finite(records: list[dict]) -> None:
 
 
 def _theta_squared(theta: float) -> float:
-    """c = theta^2, refusing a nonzero theta whose square underflows to 0
-    and a finite one whose square overflows."""
+    """c = theta^2 for a --theta value: a usage error names --theta when
+    theta is 0 or not finite, or when its square underflows to 0; a finite
+    theta whose square overflows is a numeric error."""
+    if theta == 0.0 or not math.isfinite(theta):
+        raise ValueError(f"--theta must be finite and nonzero, got {theta}")
     c = theta * theta
-    if c == 0.0 and theta != 0.0:
+    if c == 0.0:
         raise ValueError(f"--theta {theta} is too small: theta^2 underflows to 0")
-    if math.isinf(c) and math.isfinite(theta):
+    if math.isinf(c):
         raise OverflowError(f"c = theta^2 at theta = {theta}")
     return c
 

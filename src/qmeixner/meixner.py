@@ -27,15 +27,14 @@ Classical (q -> 1) companions live at the bottom of the module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from typing import Callable
 
 from .qseries import (
     QContext,
-    QPower,
     adaptive_sum,
-    basic_hypergeometric,
     q_binomial,
     q_pochhammer,
     ratio_sequence,
@@ -101,12 +100,6 @@ class MeixnerParams:
             return self.c
         return self.c * self.ctx.q ** self.c_shift
 
-    def _bq_param(self):
-        # denominator parameter bq of the defining 2_phi_1
-        if self.beta is not None:
-            return QPower(self.beta)
-        return self.b * self.ctx.q
-
 
 @dataclass(frozen=True)
 class MatrixElementParams:
@@ -134,21 +127,47 @@ class MatrixElementParams:
 def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
     """M_n(q^-x; b, c; q), exact terminating evaluation.
 
-    Both q^-n and q^-x enter the 2_phi_1 as QPower markers, so the sum stops
-    after min(n, x) + 1 terms with the final factor computed exactly.
+    The numerator parameters q^-n and q^-x are exact integer powers of q,
+    so the sum stops after min(n, x) + 1 terms (_terminating_2phi1).
     """
     if n < 0 or x < 0:
         raise ValueError("degree n and lattice point x must be >= 0")
     q = p.ctx.q
     z = -(q ** (n + 1)) / p.c_effective
-    sv = basic_hypergeometric(
-        [QPower(-n), QPower(-x)], [p._bq_param()], z, p.ctx
-    )
-    if sv.magnitude > 2.0**16 * abs(sv.value):
+    value, magnitude = _terminating_2phi1(q, n, x, p.beta, p.b, z)
+    if magnitude > 2.0**16 * abs(value):
         # near a zero of M_n the terms cancel, and a double sum keeps only
         # ~16 digits of the largest; past 5 of them lost, sum in decimal
         return _qmeixner_decimal(n, x, p)
-    return sv.value
+    return value
+
+
+def _terminating_2phi1(
+    q: float, n: int, x: int, beta: int | None, b: float | None, z: float
+) -> tuple[float, float]:
+    """2_phi_1(q^-n, q^-x; bq; q, z) with bq = q^beta (integer beta) or b q,
+    in doubles with Neumaier compensation.  Returns (sum, sum of |terms|).
+
+    The numerator parameters are exact powers of q, so the sum has
+    min(n, x) + 1 terms; it stops early at a term of 0.0, after which every
+    term is 0.0.
+    """
+    bq = None if b is None else b * q
+    total, comp, magnitude, term = 1.0, 0.0, 1.0, 1.0
+    for k in range(min(n, x)):
+        num = (1.0 - q ** (k - n)) * (1.0 - q ** (k - x))
+        den_b = 1.0 - q ** (beta + k) if bq is None else 1.0 - bq * q**k
+        term = term * (num / ((1.0 - q ** (k + 1)) * den_b)) * z
+        if term == 0.0:
+            break
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        magnitude += abs(term)
+    return total + comp, magnitude
 
 
 def _qmeixner_decimal(n: int, x: int, p: MeixnerParams) -> float:
@@ -211,6 +230,11 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
         q^(-C(n,2)) / (-t2 q^-n; q)_n = q^n t2^-n / prod_{m=1}^{n} (1 + q^m/t2)
 
     whose theta^-n cancels against the theta^(n+x) prefactor.
+
+    Where the radicand q^(C(x,2)+n) / (...) underflows to a subnormal or 0
+    while M_n is huge (at q = 0.5 from about x = 45 on), the product rounds
+    to 0; there the prefactor and M_n are multiplied as a sum of logs.
+    Where M_n itself overflows the value stays NaN.
     """
     if n < 0 or x < 0:
         raise ValueError("n and x must be >= 0")
@@ -224,17 +248,30 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
     radicand = q ** (x * (x - 1) // 2 + n) / (
         q_pochhammer(-t2, x + mp.beta, ctx) * prod
     )
-    sign = -1.0 if (theta < 0.0 and (n + x) % 2) else 1.0
-    value = (
-        (-1.0) ** x
-        * sign
+    sign = (-1.0) ** x * (-1.0 if (theta < 0.0 and (n + x) % 2) else 1.0)
+    binom_n = q_binomial(n + mp.beta - 1, n, ctx)
+    binom_x = q_binomial(x + mp.beta - 1, x, ctx)
+    m_n = qmeixner(n, x, mp.meixner_params())
+    if radicand < sys.float_info.min and m_n != 0.0 and math.isfinite(m_n):
+        # the logs reach hundreds and cancel: fsum rounds their sum once
+        logs = [
+            x * math.log(abs(theta)),
+            0.5 * math.log(binom_n),
+            0.5 * math.log(binom_x),
+            0.5 * (x * (x - 1) // 2 + n) * math.log(q),
+            math.log(abs(m_n)),
+        ]
+        logs += [-0.5 * math.log1p(t2 * q**k) for k in range(x + mp.beta)]
+        logs += [-0.5 * math.log1p(q**m / t2) for m in range(1, n + 1)]
+        return sign * math.copysign(math.exp(math.fsum(logs)), m_n)
+    return (
+        sign
         * abs(theta) ** x
-        * math.sqrt(q_binomial(n + mp.beta - 1, n, ctx))
-        * math.sqrt(q_binomial(x + mp.beta - 1, x, ctx))
+        * math.sqrt(binom_n)
+        * math.sqrt(binom_x)
         * math.sqrt(radicand)
-        * qmeixner(n, x, mp.meixner_params())
+        * m_n
     )
-    return value
 
 
 def duality_transform(

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from qmeixner import cli, verify
 from qmeixner.cli import main
 from qmeixner.errors import DenominatorPole, NonConvergent, OutOfTruncation, PoleHit
+
+import mp_reference
 
 
 def run(capsys, *argv):
@@ -302,6 +305,40 @@ def test_xi_refuses_non_finite_cells(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: value at (n=29, x=60) is nan, not a finite number\n"
+
+
+def test_xi_prints_no_false_zero(capsys):
+    # 114 cells of this table printed 0.0 or -0.0 with exit 0, xi_{25,48}
+    # (-0.6017) among them: the radicand q^(C(x,2)+n) / (...) underflowed
+    code, out, _ = run(
+        capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
+        "--nmax", "48", "--xmax", "48",
+    )
+    assert code == 0
+    oracle = mp_reference.xi_table(0.5, 1, 0.3, 48, 48)
+    false_zeros = [
+        (int(r["n"]), int(r["x"]))
+        for r in parse_csv(out)
+        if float(r["value"]) == 0.0
+        and abs(oracle[int(r["n"])][int(r["x"])]) >= sys.float_info.min
+    ]
+    assert false_zeros == []
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ("verify", "--relation", "backward"),
+        ("tabulate", "--q", "0.5", "--beta", "1"),
+        ("xi", "--q", "0.5", "--beta", "1"),
+    ],
+)
+def test_non_finite_or_zero_theta_names_theta(capsys, cmd, theta):
+    code, out, err = run(capsys, *cmd, f"--theta={theta}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --theta must be finite and nonzero, got {float(theta)}\n"
 
 
 @pytest.mark.parametrize("flag", ["--nmax", "--xmax"])
