@@ -35,9 +35,12 @@ from .errors import (
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
+    admissible_c,
+    classical_c,
     classical_meixner,
     classical_xi_limit,
     qmeixner,
+    theta_squared,
     xi,
 )
 from .oscillator import FockTruncation
@@ -55,6 +58,7 @@ from .verify import (
     limit_passes,
     limit_poly_errors,
     limit_xi_errors,
+    limit_xi_theta,
 )
 
 __all__ = ["main"]
@@ -106,54 +110,19 @@ def _refuse_non_finite(records: list[dict]) -> None:
                 )
 
 
-def _theta_squared(theta: float) -> float:
-    """c = theta^2 for a --theta value: a usage error names --theta when
-    theta is 0 or not finite, or when its square underflows to 0; a finite
-    theta whose square overflows is a numeric error."""
-    if theta == 0.0 or not math.isfinite(theta):
-        raise ValueError(f"--theta must be finite and nonzero, got {theta}")
-    c = theta * theta
-    if c == 0.0:
-        raise ValueError(f"--theta {theta} is too small: theta^2 underflows to 0")
-    if math.isinf(c):
-        raise OverflowError(f"c = theta^2 at theta = {theta}")
-    return c
+def _as_option(rule, value):
+    """rule(value), its ValueError naming the option --theta or --tau."""
+    try:
+        return rule(value)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
 
 
 def _resolve_c(args) -> float | None:
     """c and theta are two views of one parameter: c = theta^2."""
     if args.theta is not None:
-        return _theta_squared(args.theta)
+        return _as_option(theta_squared, args.theta)
     return args.c
-
-
-def _resolve_theta(args) -> float | None:
-    if args.theta is not None:
-        _theta_squared(args.theta)
-        return args.theta
-    if args.c is not None:
-        if args.c <= 0.0:
-            raise ValueError(f"c must be positive, got {args.c}")
-        return math.sqrt(args.c)
-    return None
-
-
-def _check_tau(tau: float, kind: str) -> None:
-    """Usage error for a --tau the q -> 1 limits cannot take: non-finite,
-    nonzero with tanh(tau)^2 rounding to 0, tanh(tau)^2 rounding to 1, or,
-    for the xi limit, 0 (theta = sinh 0 is no theta).  A tau whose cosh
-    overflows stays a numeric error."""
-    if not math.isfinite(tau):
-        raise ValueError(f"--tau must be finite, got {tau}")
-    math.cosh(tau)  # an overflowing cosh(tau) stays a numeric error (exit 3)
-    th = math.tanh(tau)
-    c = th * th  # the classical c, as classical_xi_limit forms it
-    if tau == 0.0 and kind == "xi":
-        raise ValueError(f"--tau {tau} gives theta = sinh(tau) = 0, which is no theta")
-    if c == 0.0 and tau != 0.0:
-        raise ValueError(f"--tau {tau} is too small: tanh(tau)^2 underflows to 0")
-    if c == 1.0:
-        raise ValueError(f"--tau {tau} is too large: tanh(tau)^2 rounds to 1")
 
 
 def _refuse_negative_sizes(args, names: tuple[str, ...]) -> None:
@@ -207,7 +176,8 @@ def cmd_xi(args) -> int:
     _refuse_negative_sizes(args, ("nmax", "xmax", "trunc"))
     _required(args.q, "xi requires --q")
     _required(args.beta, "xi requires an integer --beta")
-    theta = _required(_resolve_theta(args), "xi requires --theta or --c")
+    c = _required(_resolve_c(args), "xi requires --theta or --c")
+    theta = args.theta if args.theta is not None else math.sqrt(admissible_c(c))
     mp = MatrixElementParams(theta, args.beta, QContext(q=args.q))
 
     m = max(args.nmax, args.xmax)
@@ -253,7 +223,7 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     for theta in args.theta or ():
-        _theta_squared(theta)
+        _as_option(theta_squared, theta)
     reports = check_all(
         args.relation, tol=args.tol, qs=args.q, betas=args.beta, thetas=args.theta
     )
@@ -279,7 +249,7 @@ def cmd_verify(args) -> int:
 def cmd_limit(args) -> int:
     _refuse_negative_sizes(args, ("nmax", "xmax"))
     if args.kind != "poly":
-        _check_tau(args.tau, args.kind)
+        _as_option(limit_xi_theta if args.kind == "xi" else classical_c, args.tau)
     ks = args.k if args.k else ([8, 16, 32] if args.kind == "operator" else [2, 3, 4])
     if any(k < 1 for k in ks):
         raise ValueError("--k values must be positive integers")

@@ -41,6 +41,9 @@ from .qseries import (
 )
 
 __all__ = [
+    "theta_squared",
+    "admissible_c",
+    "classical_c",
     "MeixnerParams",
     "MatrixElementParams",
     "qmeixner",
@@ -55,6 +58,26 @@ __all__ = [
     "dual_degree_factor",
     "dual_orthogonality_sum",
 ]
+
+
+def theta_squared(theta: float) -> float:
+    """c = theta^2; ValueError for a theta that is 0, not finite or too small
+    to square, OverflowError for one whose square overflows."""
+    if theta == 0.0 or not math.isfinite(theta):
+        raise ValueError(f"theta must be finite and nonzero, got {theta}")
+    c = theta * theta
+    if c == 0.0:
+        raise ValueError(f"theta {theta} is too small: theta^2 underflows to 0")
+    if math.isinf(c):
+        raise OverflowError(f"c = theta^2 at theta = {theta}")
+    return c
+
+
+def admissible_c(c: float) -> float:
+    """c itself; ValueError unless it is finite and positive."""
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -81,8 +104,7 @@ class MeixnerParams:
             raise ValueError(f"b must lie in (0, 1), got {self.b}")
         if self.beta is not None and (not isinstance(self.beta, int) or self.beta < 1):
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"c must be finite and positive, got {self.c}")
+        admissible_c(self.c)
 
     @classmethod
     def from_b(cls, b: float, c: float, ctx: QContext) -> "MeixnerParams":
@@ -103,20 +125,14 @@ class MeixnerParams:
 
 @dataclass(frozen=True)
 class MatrixElementParams:
-    """Parameters (theta, beta) of the overlap coefficients xi_{n,x}.
-
-    A finite theta whose square overflows raises OverflowError.
-    """
+    """Parameters (theta, beta) of the overlap coefficients xi_{n,x}."""
 
     theta: float
     beta: int
     ctx: QContext
 
     def __post_init__(self):
-        if self.theta == 0.0 or not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite and nonzero, got {self.theta}")
-        if math.isinf(self.theta * self.theta):
-            raise OverflowError(f"theta^2 at theta = {self.theta}")
+        theta_squared(self.theta)
         if not isinstance(self.beta, int) or self.beta < 1:
             raise ValueError(f"beta must be a positive integer, got {self.beta}")
 
@@ -324,26 +340,41 @@ def classical_meixner(n: int, x: float, beta: float, c: float) -> float:
     return total
 
 
+def classical_c(tau: float) -> float:
+    """c = tanh^2(tau) of the q -> 1 limit at theta = sinh(tau); ValueError for
+    a tau not finite or with c rounding to 1 (or to 0 at tau != 0), OverflowError
+    for one whose cosh overflows."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    math.cosh(tau)  # the limit's cosh(tau)^-beta
+    th = math.tanh(tau)
+    c = th * th
+    if (c == 0.0 and tau != 0.0) or c == 1.0:
+        size, rounding = ("large", "rounds to 1") if c else ("small", "underflows to 0")
+        raise ValueError(f"tau {tau} is too {size}: tanh(tau)^2 {rounding}")
+    return c
+
+
 def classical_xi_limit(n: int, x: int, beta: int, tau: float) -> float:
-    """q -> 1 limit of xi_{n,x} at theta = sinh(tau):
+    """q -> 1 limit of xi_{n,x} at theta = sinh(tau), with c = classical_c(tau):
 
     (-1)^x C(n+beta-1, n)^(1/2) C(x+beta-1, x)^(1/2)
-        * tanh(tau)^(x+n) * cosh(tau)^-beta * M_n(x; beta, tanh(tau)^2).
+        * tanh(tau)^(x+n) * cosh(tau)^-beta * M_n(x; beta, c).
     """
     if n < 0 or x < 0:
         raise ValueError("n and x must be >= 0")
     if beta < 1:
         raise ValueError("beta must be a positive integer")
-    th = math.tanh(tau)
+    c = classical_c(tau)
     if tau == 0.0:
         # the rotation degenerates to the identity
         return 1.0 if n == x else 0.0
     return (
         (-1.0) ** x
         * math.sqrt(math.comb(n + beta - 1, n) * math.comb(x + beta - 1, x))
-        * th ** (x + n)
+        * math.tanh(tau) ** (x + n)
         * math.cosh(tau) ** (-beta)
-        * classical_meixner(n, x, beta, th * th)
+        * classical_meixner(n, x, beta, c)
     )
 
 

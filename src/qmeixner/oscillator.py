@@ -95,10 +95,6 @@ class OperatorMatrix:
     entries: np.ndarray
     basis: ProductBasis
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
 
 class Oscillators(NamedTuple):
     a0: OperatorMatrix

@@ -39,12 +39,14 @@ from .errors import EmptyGrid
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
+    classical_c,
     classical_meixner,
     classical_xi_limit,
     duality_transform,
     dual_degree_factor,
     norm_factor,
     qmeixner,
+    theta_squared,
     weight,
     xi,
     xi_dual,
@@ -72,6 +74,7 @@ __all__ = [
     "limit_passes",
     "limit_poly_errors",
     "limit_xi_errors",
+    "limit_xi_theta",
 ]
 
 
@@ -157,13 +160,12 @@ class _Cache:
     is the integer k of an exact c q^k.
     """
 
-    __slots__ = ("_ctx", "_rows", "_w", "_nf", "_dual")
+    __slots__ = ("_ctx", "_rows", "_mp", "_dual")
 
     def __init__(self) -> None:
         self._ctx: dict[float, QContext] = {}
         self._rows: dict[tuple, array] = {}
-        self._w: dict[tuple, float] = {}
-        self._nf: dict[tuple, float] = {}
+        self._mp: dict[tuple, float] = {}
         self._dual: dict[tuple, Callable[[int], float]] = {}
 
     def context(self, q: float) -> QContext:
@@ -187,19 +189,12 @@ class _Cache:
         value = row[n] = qmeixner(n, x, p)
         return value
 
-    def weight(self, q: float, theta: float, beta: int, x: int) -> float:
-        key = (q, theta, beta, x)
-        if key not in self._w:
-            mp = MatrixElementParams(theta, beta, self.context(q))
-            self._w[key] = weight(x, mp)
-        return self._w[key]
-
-    def norm(self, q: float, theta: float, beta: int, n: int) -> float:
-        key = (q, theta, beta, n)
-        if key not in self._nf:
-            mp = MatrixElementParams(theta, beta, self.context(q))
-            self._nf[key] = norm_factor(n, mp)
-        return self._nf[key]
+    def by_theta(self, fn: Callable, q: float, theta: float, beta: int, k: int) -> float:
+        """fn(k, MatrixElementParams(theta, beta)), fn weight or norm_factor."""
+        key = (fn, q, theta, beta, k)
+        if key not in self._mp:
+            self._mp[key] = fn(k, MatrixElementParams(theta, beta, self.context(q)))
+        return self._mp[key]
 
     def dual_factor(self, q: float, t2: float, beta: int) -> Callable[[int], float]:
         key = (q, t2, beta)
@@ -359,14 +354,14 @@ def _eval_ortho_degree(pt: GridPoint, c: _Cache):
 
     def term(x):
         return (
-            c.weight(q, th, b, x)
+            c.by_theta(weight, q, th, b, x)
             * c.meixner(q, t2, b, 0, n, x)
             * c.meixner(q, t2, b, 0, n2, x)
         )
 
     lhs, _ = adaptive_sum(term, "orthogonality sum")
-    nfn = c.norm(q, th, b, n)
-    nfn2 = c.norm(q, th, b, n2)
+    nfn = c.by_theta(norm_factor, q, th, b, n)
+    nfn2 = c.by_theta(norm_factor, q, th, b, n2)
     rhs = nfn if n == n2 else 0.0
     return lhs, rhs, math.sqrt(nfn * nfn2)
 
@@ -381,8 +376,8 @@ def _eval_ortho_variable(pt: GridPoint, c: _Cache):
         return factor(n) * c.meixner(q, t2, b, 0, n, x) * c.meixner(q, t2, b, 0, n, x2)
 
     lhs, _ = adaptive_sum(term, "dual orthogonality sum")
-    wx = c.weight(q, th, b, x)
-    wx2 = c.weight(q, th, b, x2)
+    wx = c.by_theta(weight, q, th, b, x)
+    wx2 = c.by_theta(weight, q, th, b, x2)
     rhs = 1.0 / wx if x == x2 else 0.0
     return lhs, rhs, 1.0 / math.sqrt(wx * wx2)
 
@@ -469,13 +464,21 @@ def limit_poly_errors(
     return errs, classical
 
 
+def limit_xi_theta(tau: float) -> float:
+    """theta = sinh(tau) of the xi limit: classical_c's rule, and tau != 0."""
+    classical_c(tau)
+    if tau == 0.0:
+        raise ValueError(f"tau {tau} gives theta = sinh(tau) = 0, which is no theta")
+    return math.sinh(tau)
+
+
 def limit_xi_errors(
     n: int, x: int, beta: int, tau: float, ks: Iterable[int]
 ) -> tuple[list[float], float]:
     """|xi_{n,x}(sinh tau; beta) - its q -> 1 limit| at q = 1 - 10^-k for each
     k in ks, and the limit value."""
+    theta = limit_xi_theta(tau)
     classical = classical_xi_limit(n, x, beta, tau)
-    theta = math.sinh(tau)
     errs = []
     for k in ks:
         mp = MatrixElementParams(theta, beta, QContext(q=1.0 - 10.0**-k))
@@ -526,10 +529,6 @@ def _grid_limit(aux_values) -> Callable[..., list[GridPoint]]:
     return lambda qs, betas, thetas: build((None,), betas, (None,))
 
 
-def _beta_at_least_2(pt: GridPoint) -> bool:
-    return pt.beta >= 2
-
-
 @dataclass(frozen=True)
 class _Relation:
     grid: Callable[..., list[GridPoint]]  # (qs, betas, thetas) -> points
@@ -544,7 +543,7 @@ _REGISTRY: dict[RelationId, _Relation] = {
             _grid_pointwise,
             _structure_evaluator(lhs, rhs),
             # the complementary relations lower beta by one
-            domain=_beta_at_least_2 if any(t[3] < 0 for t in lhs + rhs) else None,
+            domain=(lambda pt: pt.beta >= 2) if any(t[3] < 0 for t in lhs + rhs) else None,
         )
         for rid, (lhs, rhs) in _STRUCTURE.items()
     },
@@ -610,6 +609,9 @@ def _check(
     rid: RelationId, points: list[GridPoint], tol: float, cache: _Cache
 ) -> RelationReport:
     """check() of one relation over the given points, through the given cache."""
+    # a theta is refused, as theta_squared refuses it, before any evaluation
+    for theta in dict.fromkeys(pt.theta for pt in points if pt.theta is not None):
+        theta_squared(theta)
     spec = _REGISTRY[rid]
     report = RelationReport(relation=rid, tol=tol)
     for pt in points:

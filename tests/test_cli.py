@@ -478,3 +478,14 @@ def test_main_owns_the_exit_code_table(capsys, monkeypatch, exc, code, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf", "1e320", "-1", "0"])
+@pytest.mark.parametrize("cmd", ["xi", "tabulate"])
+def test_c_refusal_names_c(capsys, cmd, c):
+    # xi took the square root of --c first and named theta, or said only
+    # "c must be positive"; both commands now give the one c rule
+    code, out, err = run(capsys, cmd, "--q", "0.5", "--beta", "1", f"--c={c}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: c must be finite and positive, got {float(c)}\n"

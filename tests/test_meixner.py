@@ -376,3 +376,44 @@ def test_xi_approaches_classical():
             )
         )
     assert errs[2] < errs[1] < errs[0]
+
+
+# theta -> (error type, message) of the one theta rule, meixner.theta_squared
+THETA_REFUSALS = {
+    0.0: (ValueError, "theta must be finite and nonzero, got 0.0"),
+    math.nan: (ValueError, "theta must be finite and nonzero, got nan"),
+    math.inf: (ValueError, "theta must be finite and nonzero, got inf"),
+    -math.inf: (ValueError, "theta must be finite and nonzero, got -inf"),
+    1e-200: (ValueError, "theta 1e-200 is too small: theta^2 underflows to 0"),
+    -1e-200: (ValueError, "theta -1e-200 is too small: theta^2 underflows to 0"),
+    1e200: (OverflowError, "c = theta^2 at theta = 1e+200"),
+    -1e200: (OverflowError, "c = theta^2 at theta = -1e+200"),
+}
+
+
+def test_matrix_element_params_refuse_theta_by_the_theta_rule():
+    # 1e-200 squares to 0, where xi divided by zero and weight returned 0.0
+    for theta, (error, message) in THETA_REFUSALS.items():
+        with pytest.raises(error) as exc:
+            MatrixElementParams(theta, 1, CTX)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+# tau -> message of the tau rule, meixner.classical_c
+TAU_REFUSALS = {
+    math.nan: "tau must be finite, got nan",
+    math.inf: "tau must be finite, got inf",
+    -math.inf: "tau must be finite, got -inf",
+    1e-300: "tau 1e-300 is too small: tanh(tau)^2 underflows to 0",
+    20.0: "tau 20.0 is too large: tanh(tau)^2 rounds to 1",
+}
+
+
+def test_classical_xi_limit_names_tau():
+    for tau, message in TAU_REFUSALS.items():
+        with pytest.raises(ValueError) as exc:
+            classical_xi_limit(1, 1, 1, tau)
+        assert str(exc.value) == message
+    with pytest.raises(OverflowError):
+        classical_xi_limit(1, 1, 1, 1e200)  # cosh(tau) overflows
+    assert classical_xi_limit(1, 1, 1, 0.0) == 1.0  # the identity rotation

@@ -21,6 +21,8 @@ from qmeixner.verify import (
     limit_xi_errors,
 )
 
+from test_meixner import TAU_REFUSALS, THETA_REFUSALS
+
 
 def test_registry_split():
     assert len(IDENTITY_RELATIONS) == 18
@@ -233,3 +235,33 @@ def test_check_all_computes_each_polynomial_value_once(counted_check_all):
 def test_check_all_cache_ends_with_the_call(counted_check_all):
     first, second = counted_check_all[1]
     assert len(second) == len(first)
+
+
+# one relation of each evaluator family
+_FAMILIES = [
+    "backward", "duality", "duality_xi", "ortho_degree", "ortho_variable", "genfun_degree",
+]
+
+
+@pytest.mark.parametrize("rid", _FAMILIES)
+def test_check_all_refuses_theta_before_any_point(monkeypatch, rid):
+    spec = verify._REGISTRY[RelationId(rid)]
+    evaluated = []
+    spy = dataclasses.replace(spec, evaluate=lambda *a: evaluated.append(a))
+    monkeypatch.setitem(verify._REGISTRY, RelationId(rid), spy)
+    for theta, (error, message) in THETA_REFUSALS.items():
+        # the good theta comes first in the grid and is still not evaluated
+        with pytest.raises(error) as exc:
+            check_all([rid], thetas=[0.3, theta])
+        assert type(exc.value) is error and str(exc.value) == message
+    assert evaluated == []
+
+
+def test_limit_xi_errors_name_tau():
+    refusals = {**TAU_REFUSALS, 0.0: "tau 0.0 gives theta = sinh(tau) = 0, which is no theta"}
+    for tau, message in refusals.items():
+        with pytest.raises(ValueError) as exc:
+            limit_xi_errors(1, 1, 1, tau, [2])
+        assert str(exc.value) == message
+    with pytest.raises(OverflowError):
+        limit_xi_errors(1, 1, 1, 1e200, [2])  # cosh(tau) overflows
