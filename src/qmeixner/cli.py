@@ -57,6 +57,7 @@ from .verify import (
     check_all,
     limit_passes,
     limit_poly_errors,
+    limit_q,
     limit_xi_errors,
     limit_xi_theta,
 )
@@ -111,7 +112,7 @@ def _refuse_non_finite(records: list[dict]) -> None:
 
 
 def _as_option(rule, value):
-    """rule(value), its ValueError naming the option --theta or --tau."""
+    """rule(value), its ValueError naming the option --theta, --tau or --k."""
     try:
         return rule(value)
     except ValueError as exc:
@@ -263,11 +264,11 @@ def cmd_limit(args) -> int:
             errors.append(max(abs(approx(n, x) - e) for (n, x), e in zip(cells, exact)))
         column, values = "trunc", ks
     else:
+        column, values = "q", [_as_option(limit_q, k) for k in ks]
         errors_at = limit_poly_errors if args.kind == "poly" else limit_xi_errors
         param = args.c if args.kind == "poly" else args.tau
         rows = [errors_at(n, x, args.beta, param, ks)[0] for n, x in cells]
         errors = [max(row[i] for row in rows) for i in range(len(ks))]
-        column, values = "q", [1.0 - 10.0**-k for k in ks]
 
     records = [
         {"k": k, column: v, "max_error": e} for k, v, e in zip(ks, values, errors)

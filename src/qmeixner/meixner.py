@@ -43,6 +43,7 @@ from .qseries import (
 __all__ = [
     "theta_squared",
     "admissible_c",
+    "admissible_beta",
     "classical_c",
     "MeixnerParams",
     "MatrixElementParams",
@@ -80,6 +81,13 @@ def admissible_c(c: float) -> float:
     return c
 
 
+def admissible_beta(beta: int) -> int:
+    """beta itself; ValueError unless it is a positive integer."""
+    if not isinstance(beta, int) or beta < 1:
+        raise ValueError(f"beta must be a positive integer, got {beta}")
+    return beta
+
+
 @dataclass(frozen=True)
 class MeixnerParams:
     """Parameters (b, c) of M_n(q^-x; b, c; q).
@@ -102,8 +110,8 @@ class MeixnerParams:
             raise ValueError("exactly one of b and beta must be given")
         if self.b is not None and not (0.0 < self.b < 1.0):
             raise ValueError(f"b must lie in (0, 1), got {self.b}")
-        if self.beta is not None and (not isinstance(self.beta, int) or self.beta < 1):
-            raise ValueError(f"beta must be a positive integer, got {self.beta}")
+        if self.beta is not None:
+            admissible_beta(self.beta)
         admissible_c(self.c)
 
     @classmethod
@@ -133,8 +141,7 @@ class MatrixElementParams:
 
     def __post_init__(self):
         theta_squared(self.theta)
-        if not isinstance(self.beta, int) or self.beta < 1:
-            raise ValueError(f"beta must be a positive integer, got {self.beta}")
+        admissible_beta(self.beta)
 
     def meixner_params(self) -> MeixnerParams:
         return MeixnerParams.from_beta(self.beta, self.theta * self.theta, self.ctx)
@@ -363,8 +370,7 @@ def classical_xi_limit(n: int, x: int, beta: int, tau: float) -> float:
     """
     if n < 0 or x < 0:
         raise ValueError("n and x must be >= 0")
-    if beta < 1:
-        raise ValueError("beta must be a positive integer")
+    admissible_beta(beta)
     c = classical_c(tau)
     if tau == 0.0:
         # the rotation degenerates to the identity
@@ -398,8 +404,7 @@ def orthogonality_sum(
 
     sum_x omega_x M_n(q^-x) M_n2(q^-x).
 
-    Terms decay super-geometrically; summation stops once three consecutive
-    terms fall below TAIL_CUTOFF times the running maximum term.
+    Terms decay super-geometrically; the sum ends by the qseries tail rule.
     Returns (sum, terms_used).
     """
     pm = mp.meixner_params()

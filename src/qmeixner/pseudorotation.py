@@ -71,7 +71,7 @@ from .errors import (
     TruncationTooSmall,
     UnsupportedShape,
 )
-from .meixner import MatrixElementParams, weight
+from .meixner import MatrixElementParams, classical_c, weight
 from .oscillator import (
     FockTruncation,
     OperatorMatrix,
@@ -85,7 +85,7 @@ from .oscillator import (
     sector_offset,
     su11_generators,
 )
-from .qseries import TAIL_CUTOFF, QContext, big_qexp, little_qexp
+from .qseries import MAX_TERMS, TAIL_CUTOFF, TAIL_STREAK, QContext, big_qexp, little_qexp
 
 __all__ = [
     "matrix_qexp",
@@ -111,10 +111,7 @@ __all__ = [
 ]
 
 
-# term budgets of the matrix q-exponential series and the q-commutator
-# series, and the tolerance of the XY = qYX premise of qexp_split
-_SERIES_MAX_TERMS = 500
-_QBCH_MAX_ORDER = 60
+# the tolerance of the XY = qYX premise of qexp_split
 _COMM_TOL = 1e-12
 
 
@@ -159,37 +156,34 @@ def _invariant_blocks(*mats: np.ndarray):
         yield ix, [m[ix] for m in mats]
 
 
-def _block_series(
-    start, step, cutoff: float, patience: int, max_terms: int
-) -> np.ndarray:
+def _block_series(start, step, max_terms: int = MAX_TERMS) -> np.ndarray:
     """start + t_1 + t_2 + ... with t_k = step(k, t_(k-1)), summed on a
     stack of blocks (count, s, s) at once.
 
-    A block has settled after patience consecutive terms whose Frobenius
-    norm is at most cutoff times max(1, norm of its partial sum); the sum
-    returns once every block has settled and raises NonConvergent after
-    max_terms terms.
+    Each block ends by the tail rule of qseries, start being its first term;
+    the sum returns once every block has ended and raises NonConvergent
+    when one has not within max_terms terms.
     """
-    acc = np.array(start, dtype=float)
-    term = acc
+    term = np.array(start, dtype=float)
+    acc = term
+    largest = np.zeros(len(acc))
     streak = np.zeros(len(acc), dtype=int)
-    settled = np.zeros(len(acc), dtype=bool)
-    for k in range(1, max_terms + 1):
-        term = step(k, term)
-        acc = acc + term
-        small = np.linalg.norm(term, axis=(1, 2)) <= cutoff * np.maximum(
-            np.linalg.norm(acc, axis=(1, 2)), 1.0
-        )
-        streak = np.where(small, streak + 1, 0)
-        settled |= streak >= patience
-        if settled.all():
+    ended = np.zeros(len(acc), dtype=bool)
+    for k in range(max_terms):
+        if k:
+            term = step(k, term)
+            acc = acc + term
+        size = np.linalg.norm(term, axis=(1, 2))
+        largest = np.maximum(largest, size)
+        bound = TAIL_CUTOFF * largest
+        streak = np.where((size <= bound) & (bound < np.inf), streak + 1, 0)
+        ended |= streak >= TAIL_STREAK
+        if ended.all():
             return acc
     raise NonConvergent(f"series did not settle in {max_terms} terms")
 
 
-def _qexp_blocks(
-    x: np.ndarray, kind: str, q: float, cutoff: float, patience: int, max_terms: int
-) -> np.ndarray:
+def _qexp_blocks(x: np.ndarray, kind: str, q: float, max_terms: int) -> np.ndarray:
     """q-exponential series of a stack of blocks x, by the term recursion
     t_k = x t_(k-1) / (1 - q^k), times q^(k-1) for the big kind."""
 
@@ -198,7 +192,7 @@ def _qexp_blocks(
         return term * q ** (k - 1) if kind == "big" else term
 
     start = np.broadcast_to(np.eye(x.shape[1]), x.shape)
-    return _block_series(start, step, cutoff, patience, max_terms)
+    return _block_series(start, step, max_terms)
 
 
 def matrix_qexp(
@@ -208,9 +202,9 @@ def matrix_qexp(
 
     kind 'little' gives sum_k M^k/(q;q)_k, kind 'big' gives
     sum_k q^(k(k-1)/2) M^k/(q;q)_k.  A block of one state is a scalar,
-    evaluated through the product forms; a larger block must be nilpotent
-    and its series is an exact finite sum.  A block whose series does not
-    terminate within its size raises UnsupportedShape.
+    evaluated through the product forms; a larger block must be nilpotent,
+    its terms 0 from term `size` on and its series ended by term size + 2,
+    or UnsupportedShape is raised.
     """
     _check_kind(kind)
     m = scale * X.entries
@@ -221,7 +215,7 @@ def matrix_qexp(
             out[ix] = _diag_qexp(kind, blk[:, 0, 0], ctx)[:, None, None]
             continue
         try:
-            out[ix] = _qexp_blocks(blk, kind, ctx.q, 0.0, 1, size)
+            out[ix] = _qexp_blocks(blk, kind, ctx.q, size + 3)
         except NonConvergent:
             raise UnsupportedShape(
                 f"a block of {size} states is neither one state nor nilpotent"
@@ -233,12 +227,11 @@ def matrix_qexp_series(X: np.ndarray, kind: str, ctx: QContext) -> np.ndarray:
     """Direct series q-exponential for a general (typically triangular)
     matrix whose powers decay; used for identities that mix diagonal and
     nilpotent parts.  Summed on the invariant blocks of X, each of which
-    stops after three consecutive terms with Frobenius norm at most
-    TAIL_CUTOFF times its accumulated norm."""
+    ends by the tail rule of qseries."""
     _check_kind(kind)
     out = np.zeros(X.shape)
     for ix, (blk,) in _invariant_blocks(X):
-        out[ix] = _qexp_blocks(blk, kind, ctx.q, TAIL_CUTOFF, 3, _SERIES_MAX_TERMS)
+        out[ix] = _qexp_blocks(blk, kind, ctx.q, MAX_TERMS)
     return out
 
 
@@ -594,10 +587,8 @@ def qbch_series(
     recursion C_{n+1} = X C_n - q^(n+alpha) C_n X matching
     e_q(lam X) Y E_q(-lam q^alpha X).
 
-    Summed on the joint invariant blocks of X and Y, each of which stops
-    once its term norm is at most TAIL_CUTOFF times its accumulated norm
-    (nilpotent X terminates exactly); NonConvergent past _QBCH_MAX_ORDER
-    terms.
+    Summed on the joint invariant blocks of X and Y, each of which ends by
+    the tail rule of qseries; NonConvergent past MAX_TERMS terms.
     """
     _check_kind(kind)
     q = ctx.q
@@ -612,7 +603,7 @@ def qbch_series(
                 c = x_blk @ term - q ** (n - 1) * qa * (term @ x_blk)
             return (lam / (1.0 - q**n)) * c
 
-        out[ix] = _block_series(y_blk, step, TAIL_CUTOFF, 1, _QBCH_MAX_ORDER)
+        out[ix] = _block_series(y_blk, step)
     return out
 
 
@@ -752,8 +743,9 @@ def classical_U(tau: float, t: FockTruncation) -> OperatorMatrix:
     product-space matrix is filled only with the results.  The generator is
     exactly antisymmetric under truncation, so the result is orthogonal to
     machine precision; only comparisons against the infinite-space closed
-    form need interior margins.
+    form need interior margins.  tau is refused by classical_c's rule.
     """
+    classical_c(tau)
     # imported here: scipy.linalg costs about 0.2 s of start-up, and only
     # the classical limit needs it
     import scipy.linalg

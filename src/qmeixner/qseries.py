@@ -19,12 +19,15 @@ as a `QPower`, i.e. as an integer exponent of the base.  Float parameters
 are never pattern-matched against powers of q, so a float that merely
 happens to be close to q^-N follows the ordinary convergence policy.
 
-Truncation policy, one fixed choice for the infinite products and sums of
-this module (the matrix series of pseudorotation share TAIL_CUTOFF):
+Truncation policy, one fixed choice for every infinite product and sum of
+the package (the matrix series of pseudorotation included):
 
     TAIL_CUTOFF  ends an infinite product once its next factor differs
-                 from 1 by less than this, and a series or sum once its
-                 terms fall below this times their running scale
+                 from 1 by less than this
+    TAIL_STREAK  ends an infinite sum after this many (3) consecutive
+                 terms, each at most TAIL_CUTOFF times the largest term so
+                 far; a matrix term is measured by its Frobenius norm, and
+                 a sum with a non-finite term never ends
     POLE_TOL     refuses, with PoleHit, a product about to be inverted
                  whose factor lies this close to zero
     MAX_TERMS    refuses, with NonConvergent, a product or sum still
@@ -33,6 +36,7 @@ this module (the matrix series of pseudorotation share TAIL_CUTOFF):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -52,11 +56,13 @@ __all__ = [
     "ratio_sequence",
     "adaptive_sum",
     "TAIL_CUTOFF",
+    "TAIL_STREAK",
     "POLE_TOL",
     "MAX_TERMS",
 ]
 
 TAIL_CUTOFF = 1e-18
+TAIL_STREAK = 3
 POLE_TOL = 1e-12
 MAX_TERMS = 10_000
 
@@ -220,20 +226,16 @@ def basic_hypergeometric(
     Termination: the smallest N with QPower(-N) among the numerators caps
     the sum at N + 1 exactly computed terms (tail_estimate 0).  Without such
     a marker the series must converge: any z when r <= s, |z| < 1 when
-    r == s + 1, otherwise NonConvergent.  Terms are accumulated in
-    increasing order with compensated summation.
+    r == s + 1, otherwise NonConvergent, and it ends by the tail rule, its
+    tail_estimate the geometric bound of the last term ratio.  Terms are
+    accumulated in increasing order with compensated summation.
     """
     q = ctx.q
     r = len(numerators)
     s = len(denominators)
     p = 1 + s - r
-
-    terminate_at = None
-    for a in numerators:
-        if isinstance(a, QPower) and a.exponent <= 0:
-            n_stop = -a.exponent
-            if terminate_at is None or n_stop < terminate_at:
-                terminate_at = n_stop
+    ends = [-a.exponent for a in numerators if isinstance(a, QPower) and a.exponent <= 0]
+    terminate_at = min(ends, default=None)
 
     if terminate_at is None:
         if r > s + 1:
@@ -245,18 +247,9 @@ def basic_hypergeometric(
                 f"{r}_phi_{s} requires |z| < 1 without termination, got {z}"
             )
 
-    acc = CompensatedSum()
-    acc.add(1.0)
-    abs_sum = 1.0
-    term = 1.0
-    prev = 1.0
-    n = 0
     sign_p = -1.0 if p % 2 else 1.0
-    scale = 1.0
 
-    while True:
-        if terminate_at is not None and n >= terminate_at:
-            return SeriesValue(acc.total, n + 1, 0.0, abs_sum)
+    def step(term: float, n: int) -> float:
         num = 1.0
         for a in numerators:
             num *= _factor(a, q, n)
@@ -269,28 +262,28 @@ def basic_hypergeometric(
                 )
             den *= f
         extra = sign_p * q ** (n * p) if p != 0 else 1.0
-        prev = term
-        term = term * (num / den) * z * extra
-        n += 1
-        if term == 0.0:
-            # a numerator factor vanished: every later term vanishes too
-            return SeriesValue(acc.total, n, 0.0, abs_sum)
-        if terminate_at is None:
-            mag = abs(acc.total)
-            if mag > scale:
-                scale = mag
-            if abs(term) < TAIL_CUTOFF * scale:
-                ratio = abs(term) / abs(prev) if prev != 0.0 else 0.0
-                if ratio >= 1.0:
-                    raise NonConvergent(
-                        f"series terms stopped decreasing (ratio {ratio:.3g})"
-                    )
-                tail = abs(term) / (1.0 - ratio)
-                return SeriesValue(acc.total, n, tail, abs_sum)
-        acc.add(term)
-        abs_sum += abs(term)
-        if n >= MAX_TERMS:
-            raise NonConvergent(f"series did not converge within {MAX_TERMS} terms")
+        return term * (num / den) * z * extra
+
+    term = ratio_sequence(step)
+    label = f"{r}_phi_{s} series"
+    if terminate_at is None:
+        total, used = adaptive_sum(term, label)
+        prev, last = abs(term(used - 2)), abs(term(used - 1))
+        ratio = last / prev if prev else 0.0
+        if ratio >= 1.0:
+            raise NonConvergent(f"series terms stopped decreasing (ratio {ratio:.3g})")
+        tail = last * ratio / (1.0 - ratio)
+    else:
+        # a term of 0 ends the sum early: a numerator factor vanished
+        acc = CompensatedSum()
+        used = 0
+        while used <= terminate_at and term(used) != 0.0:
+            if used == MAX_TERMS:
+                raise NonConvergent(f"{label} exceeded the term budget")
+            acc.add(term(used))
+            used += 1
+        total, tail = acc.total, 0.0
+    return SeriesValue(total, used, tail, sum(abs(term(k)) for k in range(used)))
 
 
 def ratio_sequence(step: Callable[[float, int], float]) -> Callable[[int], float]:
@@ -310,26 +303,20 @@ def ratio_sequence(step: Callable[[float, int], float]) -> Callable[[int], float
 
 
 def adaptive_sum(term_of: Callable[[int], float], label: str) -> tuple[float, int]:
-    """Sum term_of(k) for k = 0, 1, ... with compensated summation until
-    three consecutive terms drop below TAIL_CUTOFF times the running
-    maximum term.  Returns (sum, terms_used); NonConvergent past MAX_TERMS.
+    """Sum term_of(k) for k = 0, 1, ... with compensated summation until the
+    tail rule ends it.  Returns (sum, terms_used); NonConvergent past
+    MAX_TERMS.
     """
     acc = CompensatedSum()
-    running_max = 0.0
+    largest = 0.0
     streak = 0
-    k = 0
-    while True:
+    for k in range(MAX_TERMS):
         t = term_of(k)
         acc.add(t)
-        mag = abs(t)
-        if mag > running_max:
-            running_max = mag
-        if mag < TAIL_CUTOFF * running_max:
-            streak += 1
-            if streak >= 3:
-                return acc.total, k + 1
-        else:
-            streak = 0
-        k += 1
-        if k >= MAX_TERMS:
-            raise NonConvergent(f"{label} exceeded the term budget")
+        size = abs(t)
+        if size > largest or math.isnan(size):  # NaN sticks, as inf does
+            largest = size
+        streak = streak + 1 if size <= TAIL_CUTOFF * largest < math.inf else 0
+        if streak >= TAIL_STREAK:
+            return acc.total, k + 1
+    raise NonConvergent(f"{label} exceeded the term budget")

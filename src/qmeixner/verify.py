@@ -39,6 +39,7 @@ from .errors import EmptyGrid
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
+    admissible_beta,
     classical_c,
     classical_meixner,
     classical_xi_limit,
@@ -72,6 +73,7 @@ __all__ = [
     "check",
     "check_all",
     "limit_passes",
+    "limit_q",
     "limit_poly_errors",
     "limit_xi_errors",
     "limit_xi_theta",
@@ -451,15 +453,23 @@ def limit_passes(errors: list[float]) -> bool:
     )
 
 
+def limit_q(k: int) -> float:
+    """q = 1 - 10^-k of a limit sequence; ValueError for a k whose q rounds to 1."""
+    q = 1.0 - 10.0**-k
+    if q == 1.0:
+        raise ValueError(f"k {k} is too large: q = 1 - 10^-k rounds to 1")
+    return q
+
+
 def limit_poly_errors(
     n: int, x: int, beta: int, c: float, ks: Iterable[int]
 ) -> tuple[list[float], float]:
     """|M_n(q^-x; q^(beta-1), c/(1-c); q) - M_n(x; beta, c)| at q = 1 - 10^-k
     for each k in ks, and the classical value M_n(x; beta, c)."""
-    classical = classical_meixner(n, x, beta, c)
+    classical = classical_meixner(n, x, admissible_beta(beta), c)
     errs = []
     for k in ks:
-        p = MeixnerParams.from_beta(beta, c / (1.0 - c), QContext(q=1.0 - 10.0**-k))
+        p = MeixnerParams.from_beta(beta, c / (1.0 - c), QContext(q=limit_q(k)))
         errs.append(abs(qmeixner(n, x, p) - classical))
     return errs, classical
 
@@ -481,7 +491,7 @@ def limit_xi_errors(
     classical = classical_xi_limit(n, x, beta, tau)
     errs = []
     for k in ks:
-        mp = MatrixElementParams(theta, beta, QContext(q=1.0 - 10.0**-k))
+        mp = MatrixElementParams(theta, beta, QContext(q=limit_q(k)))
         errs.append(abs(xi(n, x, mp) - classical))
     return errs, classical
 
@@ -609,9 +619,11 @@ def _check(
     rid: RelationId, points: list[GridPoint], tol: float, cache: _Cache
 ) -> RelationReport:
     """check() of one relation over the given points, through the given cache."""
-    # a theta is refused, as theta_squared refuses it, before any evaluation
+    # a theta or beta is refused, by its rule, before any evaluation
     for theta in dict.fromkeys(pt.theta for pt in points if pt.theta is not None):
         theta_squared(theta)
+    for beta in dict.fromkeys(pt.beta for pt in points):
+        admissible_beta(beta)
     spec = _REGISTRY[rid]
     report = RelationReport(relation=rid, tol=tol)
     for pt in points:

@@ -489,3 +489,30 @@ def test_c_refusal_names_c(capsys, cmd, c):
     assert code == 2
     assert out == ""
     assert err == f"error: c must be finite and positive, got {float(c)}\n"
+
+
+def test_limit_k_refusal_names_k(capsys):
+    # the error named q, which the user never gave; k = 16 still gives a q
+    for kind in ("poly", "xi"):
+        for k in ("17", "400"):
+            code, out, err = run(capsys, "limit", "--kind", kind, "--k", k)
+            assert (code, out) == (2, "")
+            assert err == f"error: --k {k} is too large: q = 1 - 10^-k rounds to 1\n"
+        code, out, _ = run(capsys, "limit", "--kind", kind, "--k", "16", "--nmax", "1")
+        assert code in (0, 1)
+        assert parse_csv(out)[0]["q"] == repr(1.0 - 1e-16)
+
+
+def test_beta_refusal_has_one_wording(capsys):
+    # limit_poly said "beta must be positive", limit_xi gave no value
+    for argv in (
+        ("verify", "--relation", "backward"),
+        ("verify", "--relation", "limit_xi"),
+        ("verify", "--relation", "limit_poly"),
+        ("limit", "--kind", "poly"),
+        ("limit", "--kind", "xi"),
+        ("limit", "--kind", "operator"),
+    ):
+        code, out, err = run(capsys, *argv, "--beta", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: beta must be a positive integer, got 0\n"

@@ -45,6 +45,8 @@ from qmeixner.pseudorotation import (
 )
 from qmeixner.qseries import TAIL_CUTOFF, QContext, big_qexp, little_qexp, q_pochhammer
 
+from test_meixner import TAU_REFUSALS
+
 CTX = QContext(q=0.5)
 
 
@@ -528,3 +530,14 @@ def test_sector_interior_formula(n_a, beta):
     expected = min(na_keep, nb_keep - beta + 1)
     u = build_U(MatrixElementParams(0.3, beta, QContext(q=0.5)), t, edge_tol=math.inf)
     assert sector_interior(t, beta) == u.sector_interior(beta) == expected
+
+
+def test_classical_U_refuses_tau_by_the_tau_rule():
+    # it returned NaN-filled matrices for these taus, with no error
+    t = FockTruncation(4, 4)
+    for tau, message in TAU_REFUSALS.items():
+        with pytest.raises(ValueError) as exc:
+            classical_U(tau, t)
+        assert str(exc.value) == message
+    with pytest.raises(OverflowError):
+        classical_U(1e200, t)  # cosh(tau) overflows

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmeixner.errors import DenominatorPole, NonConvergent, PoleHit
+from qmeixner.pseudorotation import _block_series
 from qmeixner.qseries import (
     MAX_TERMS,
     CompensatedSum,
@@ -115,6 +117,32 @@ def test_adaptive_sum_budget_is_nonconvergent():
     with pytest.raises(NonConvergent, match="flat sum exceeded the term budget"):
         adaptive_sum(flat, "flat sum")
     assert len(calls) == MAX_TERMS
+
+
+@pytest.mark.parametrize("z, used", [(0.5, 63), (0.9, 397)])
+def test_every_sum_ends_by_the_one_tail_rule(z, used):
+    # sum z^k: z^k first drops to 1e-18 times the largest term, 1, at
+    # k = 60 (z = 0.5) or k = 394 (z = 0.9); the sum ends two terms later
+    _, scalar = adaptive_sum(lambda k: z**k, "geometric")
+    series = basic_hypergeometric([CTX.q], [], z, CTX)  # 1phi0(q; -; q, z)
+    steps = []
+
+    def step(k, term):
+        steps.append(k)
+        return z * term
+
+    blocks = _block_series(np.ones((2, 1, 1)), step)
+    assert (scalar, series.terms_used, len(steps) + 1) == (used, used, used)
+    assert series.value == pytest.approx(1.0 / (1.0 - z), rel=1e-14)
+    assert blocks == pytest.approx(1.0 / (1.0 - z), rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_sum_with_a_non_finite_term_never_ends(bad):
+    with pytest.raises(NonConvergent):
+        _block_series(np.full((1, 1, 1), bad), lambda k, term: term, 10)
+    with pytest.raises(NonConvergent):
+        adaptive_sum(lambda k: bad if k == 1 else 0.0, "non-finite sum")
 
 
 def test_ratio_sequence_is_a_memoised_running_product():

@@ -265,3 +265,25 @@ def test_limit_xi_errors_name_tau():
         assert str(exc.value) == message
     with pytest.raises(OverflowError):
         limit_xi_errors(1, 1, 1, 1e200, [2])  # cosh(tau) overflows
+
+
+@pytest.mark.parametrize("rid", _FAMILIES + ["comp_backward", "limit_poly", "limit_xi"])
+def test_check_all_refuses_beta_before_any_point(monkeypatch, rid):
+    spec = verify._REGISTRY[RelationId(rid)]
+    evaluated = []
+    spy = dataclasses.replace(spec, evaluate=lambda *a: evaluated.append(a))
+    monkeypatch.setitem(verify._REGISTRY, RelationId(rid), spy)
+    for beta in (0, -1, 1.5):
+        with pytest.raises(ValueError) as exc:
+            check_all([rid], betas=[2, beta])
+        assert str(exc.value) == f"beta must be a positive integer, got {beta}"
+    assert evaluated == []
+
+
+def test_limit_companions_word_beta_and_k_once():
+    for errors_at, param in ((limit_poly_errors, 0.5), (limit_xi_errors, 0.5)):
+        with pytest.raises(ValueError, match=r"^beta must be a positive integer, got 0$"):
+            errors_at(1, 1, 0, param, [2])
+        with pytest.raises(ValueError, match=r"^k 17 is too large: q = 1 - 10\^-k rounds to 1$"):
+            errors_at(1, 1, 1, param, [2, 17])
+    assert verify.limit_q(16) == 1.0 - 1e-16 < 1.0
