@@ -380,6 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_USAGE, str(exc)
     except OverflowError as exc:
         code, message = EXIT_NUMERIC, f"overflow: {exc}"
+    except MemoryError as exc:  # an operator too large to hold, e.g. a large --k
+        code, message = EXIT_NUMERIC, f"out of memory: {str(exc) or 'allocation failed'}"
     except _NUMERIC_ERRORS as exc:
         code, message = EXIT_NUMERIC, str(exc)
     print(f"error: {message}", file=sys.stderr)

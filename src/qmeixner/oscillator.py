@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import NumpyOnFirstUse
 from .errors import EmptySector, OutOfTruncation
 from .qseries import QContext
+
+np = NumpyOnFirstUse(globals())
 
 __all__ = [
     "FockTruncation",

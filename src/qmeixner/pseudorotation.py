@@ -62,8 +62,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._lazy import NumpyOnFirstUse
 from .errors import (
     NonConvergent,
     OutOfBlock,
@@ -86,6 +85,8 @@ from .oscillator import (
     su11_generators,
 )
 from .qseries import MAX_TERMS, TAIL_CUTOFF, TAIL_STREAK, QContext, big_qexp, little_qexp
+
+np = NumpyOnFirstUse(globals())
 
 __all__ = [
     "matrix_qexp",

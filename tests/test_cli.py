@@ -467,6 +467,7 @@ def test_limit_table_is_the_max_of_the_companion_errors(capsys, kind, errors_at,
         (PoleHit("pole"), 3, "error: pole\n"),
         (DenominatorPole("den"), 3, "error: den\n"),
         (OutOfTruncation("edge"), 3, "error: edge\n"),
+        (MemoryError(), 3, "error: out of memory: allocation failed\n"),
     ],
 )
 def test_main_owns_the_exit_code_table(capsys, monkeypatch, exc, code, line):
@@ -516,3 +517,18 @@ def test_beta_refusal_has_one_wording(capsys):
         code, out, err = run(capsys, *argv, "--beta", "0")
         assert (code, out) == (2, "")
         assert err == "error: beta must be a positive integer, got 0\n"
+
+
+def test_out_of_memory_operator_is_numeric_error(capsys, monkeypatch):
+    # `limit --kind operator --k 400` asks for a dense 160801 x 160801 operator;
+    # it ended in a MemoryError traceback
+    def too_large(tau, t):
+        raise MemoryError("Unable to allocate 193. GiB for an array with shape (160801, 160801)")
+
+    monkeypatch.setattr(cli, "classical_U", too_large)
+    code, out, err = run(capsys, "limit", "--kind", "operator", "--k", "400")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: out of memory: "
+        "Unable to allocate 193. GiB for an array with shape (160801, 160801)\n"
+    )

@@ -1,7 +1,9 @@
-"""The import graph: scipy stays off the start-up path of every command but
-the classical operator limit, while `import qmeixner` still loads every
+"""The import graph: `import qmeixner` and the closed-form commands load
+neither numpy nor scipy; numpy loads on the first operator call and scipy
+only in the classical operator limit.  `import qmeixner` still loads every
 qmeixner module (the benchmark's layer tracer finds them in sys.modules),
-and every function that tracer wraps still exists under its name."""
+whose global `np` becomes numpy itself on that first operator call, and
+every function the tracer wraps still exists under its name."""
 
 import json
 import os
@@ -17,20 +19,31 @@ import contextlib, io, json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def np_is_numpy():
+    return {
+        name: getattr(qmeixner, name).np is sys.modules.get("numpy")
+        for name in ("oscillator", "pseudorotation")
+    }
+
 import qmeixner
 from qmeixner.cli import main
 
 report = {
     "after_import": scipy_modules(),
+    "numpy_after_import": "numpy" in sys.modules,
     "qmeixner_modules": sorted(m for m in sys.modules if m.startswith("qmeixner.")),
     "commands": [],
 }
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
     report["commands"].append(
-        {"argv": argv, "code": code, "out": out.getvalue(), "scipy": scipy_modules()}
+        {"argv": argv, "code": code, "out": out.getvalue(), "scipy": scipy_modules(),
+         "numpy": "numpy" in sys.modules, "np_is_numpy": np_is_numpy()}
     )
 print(json.dumps(report))
 """
@@ -116,6 +129,37 @@ def test_operator_limit_still_runs():
         ["8", "8"], ["16", "16"], ["32", "32"]
     ]
     assert "scipy.linalg" in command["scipy"]
+
+
+def test_import_and_closed_form_commands_never_load_numpy():
+    report = _probe(
+        ["--help"],
+        ["tabulate", "--q", "0.5", "--beta", "2", "--theta", "0.3",
+         "--nmax", "4", "--xmax", "4"],
+        ["xi", "--q", "0.9", "--beta", "1", "--theta", "2.0",
+         "--nmax", "4", "--xmax", "4", "--source", "closed"],
+        ["verify"],
+        ["limit", "--kind", "poly"],
+        ["limit", "--kind", "xi"],
+    )
+    assert report["numpy_after_import"] is False
+    for command in report["commands"]:
+        # the whole registry exits 1 on the documented ortho_variable defect
+        assert command["code"] == (1 if command["argv"] == ["verify"] else 0)
+        assert command["numpy"] is False, command["argv"]
+
+
+def test_first_operator_call_binds_numpy_itself():
+    # after the first use both operator modules hold numpy itself, so their
+    # code runs with no stand-in in between
+    (command,) = _probe(
+        ["xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
+         "--nmax", "4", "--xmax", "4", "--source", "both"],
+    )["commands"]
+    assert command["code"] == 0
+    assert command["numpy"] is True
+    assert command["scipy"] == []
+    assert command["np_is_numpy"] == {"oscillator": True, "pseudorotation": True}
 
 
 def test_benchmark_tracer_wraps_every_traced_function():
