@@ -41,6 +41,7 @@ from .oscillator import (
     sector,
 )
 from .pseudorotation import (
+    ClassicalU,
     UOperator,
     build_U,
     classical_U,

@@ -26,8 +26,9 @@ fixed n_B for A+), so matrix_qexp, matrix_qexp_series and qbch_series find
 the connected components of their arguments' nonzero pattern and sum one
 series on the stack of all blocks of each size; qbch_conjugate, qexp_split
 and the exp_reorder_* identities inherit that.  classical_U exponentiates
-J~+ - J~- one offset block at a time.  Dense product-space matrices exist
-only at the API edge: they are what these functions take and return.
+J~+ - J~- one offset block at a time, each on its first read.  Dense
+product-space matrices exist only at the API edge: they are what these
+functions take and return.
 
 Numerical facts that shape the rest of the module:
 
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._lazy import NumpyOnFirstUse
@@ -80,7 +81,6 @@ from .oscillator import (
     interior_indices,
     ladder_coefficients,
     offset_block,
-    sector,
     sector_offset,
     su11_generators,
 )
@@ -92,6 +92,7 @@ __all__ = [
     "matrix_qexp",
     "matrix_qexp_series",
     "UOperator",
+    "ClassicalU",
     "build_U",
     "element",
     "unitarity_residual",
@@ -734,34 +735,53 @@ def exp_reorder_mixed(
     return e_km @ e_kp, ((mid_1[:, None] * e_kp) @ e_km) * mid_2
 
 
-def classical_U(tau: float, t: FockTruncation) -> OperatorMatrix:
-    """exp(tau (J~+ - J~-)) on the truncated classical space, one offset
-    block at a time.
+@dataclass
+class ClassicalU:
+    """exp(tau (J~+ - J~-)) on the truncated classical space, stored one
+    offset block at a time like UOperator.
 
     J~+ = A~+B~+ takes |m, m+d> to sqrt((m+1)(m+1+d)) |m+1, m+1+d>, so on
     the block of offset d the generator is that sub-diagonal minus its
-    transpose; each block is exponentiated on its own and the dense
-    product-space matrix is filled only with the results.  The generator is
-    exactly antisymmetric under truncation, so the result is orthogonal to
-    machine precision; only comparisons against the infinite-space closed
-    form need interior margins.  tau is refused by classical_c's rule.
+    transpose.  block(d) exponentiates that block alone on its first read;
+    entries is the dense product-space matrix, built from every block on
+    first read.  The generator is exactly antisymmetric under truncation, so
+    the result is orthogonal to machine precision; only comparisons against
+    the infinite-space closed form need interior margins.
     """
+
+    tau: float
+    truncation: FockTruncation
+    blocks: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def block(self, d: int) -> np.ndarray:
+        if d not in self.blocks:
+            # imported here: scipy.linalg costs about 0.2 s of start-up, and
+            # only the classical limit needs it
+            import scipy.linalg
+
+            m = offset_block(self.truncation, d)[0][:-1].astype(float)
+            up = self.tau * np.sqrt((m + 1.0) * (m + 1.0 + d))
+            self.blocks[d] = scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
+        return self.blocks[d]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        t = self.truncation
+        blocks = {d: self.block(d) for d in range(-t.n_a_max, t.n_b_max + 1)}
+        return from_offset_blocks(t, blocks).entries
+
+
+def classical_U(tau: float, t: FockTruncation) -> ClassicalU:
+    """exp(tau (J~+ - J~-)) on the truncation t, its blocks exponentiated
+    as they are read; tau is refused by classical_c's rule."""
     classical_c(tau)
-    # imported here: scipy.linalg costs about 0.2 s of start-up, and only
-    # the classical limit needs it
-    import scipy.linalg
-
-    blocks = {}
-    for d in range(-t.n_a_max, t.n_b_max + 1):
-        m = offset_block(t, d)[0][:-1].astype(float)
-        up = tau * np.sqrt((m + 1.0) * (m + 1.0 + d))
-        blocks[d] = scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
-    return from_offset_blocks(t, blocks)
+    return ClassicalU(tau, t)
 
 
-def classical_element(u: OperatorMatrix, t: FockTruncation, beta: int, n: int, x: int) -> float:
-    """Sector element <n|_beta exp(tau(J~+ - J~-)) |x>_beta."""
-    sec = sector(t, beta)
-    if n >= sec.size or x >= sec.size:
-        raise OutOfBlock(f"(n={n}, x={x}) outside sector of size {sec.size}")
-    return float(u.entries[sec.indices[n], sec.indices[x]])
+def classical_element(u: ClassicalU, t: FockTruncation, beta: int, n: int, x: int) -> float:
+    """Sector element <n|_beta exp(tau(J~+ - J~-)) |x>_beta, read from block
+    beta - 1."""
+    block = u.block(sector_offset(t, beta))
+    if n >= len(block) or x >= len(block):
+        raise OutOfBlock(f"(n={n}, x={x}) outside sector of size {len(block)}")
+    return float(block[n, x])

@@ -150,24 +150,51 @@ class RelationReport:
 # ---------------------------------------------------------------------------
 # shared evaluation cache
 
+class _Row:
+    """M_n(q^-x; p) of one lattice point x for n = 0, 1, ...: the values
+    computed so far, NaN for a degree not computed yet, and the parameters
+    p of the row's block."""
+
+    __slots__ = ("values", "x", "p")
+
+    def __init__(self, x: int, p: MeixnerParams) -> None:
+        self.values = array("d")
+        self.x = x
+        self.p = p
+
+    def at(self, n: int) -> float:
+        values = self.values
+        if n < len(values):
+            value = values[n]
+            if value == value:
+                return value
+        else:
+            values.extend([math.nan] * (n + 1 - len(values)))
+        value = values[n] = qmeixner(n, self.x, self.p)
+        return value
+
+
 class _Cache:
-    """Memoizes polynomial values, weights, norms and dual-degree factors
-    for one check() or one check_all() call.
+    """Memoizes polynomial values, weights, norms, dual-degree factors and
+    q-exponentials for one check() or one check_all() call.
 
     The relations revisit the same (n, x) under shifted parameters, the
     orthogonality sums revisit the same lattice values for every degree
     pair, and the relations of one check_all() share most of their values.
-    M_n(q^-x; beta, c q^shift) is held by lattice row, one array of doubles
-    per (q, c, beta, shift, x) indexed by n; c is theta * theta, and shift
-    is the integer k of an exact c q^k.
+    M_n(q^-x; beta, c q^shift) is held by lattice row: one _Row per
+    (q, c, beta, shift, x) holds an array of doubles indexed by n and the
+    one MeixnerParams of its (q, c, beta, shift) block, built with the row;
+    c is theta * theta, and shift is the integer k of an exact c q^k.  A sum
+    over n at fixed x takes its row's reader from row() once and calls it
+    per term; meixner() reads one value through the same reader.
     """
 
     __slots__ = ("_ctx", "_rows", "_mp", "_dual")
 
     def __init__(self) -> None:
         self._ctx: dict[float, QContext] = {}
-        self._rows: dict[tuple, array] = {}
-        self._mp: dict[tuple, float] = {}
+        self._rows: dict[tuple, _Row] = {}
+        self._mp: dict[tuple, object] = {}
         self._dual: dict[tuple, Callable[[int], float]] = {}
 
     def context(self, q: float) -> QContext:
@@ -175,27 +202,42 @@ class _Cache:
             self._ctx[q] = QContext(q=q)
         return self._ctx[q]
 
+    def params(self, q: float, c: float, beta: int, shift: int) -> MeixnerParams:
+        """The MeixnerParams of one (q, c, beta, shift) block."""
+        key = (MeixnerParams, q, c, beta, shift)
+        if key not in self._mp:
+            self._mp[key] = MeixnerParams.from_beta(
+                beta, c, self.context(q), c_shift=shift
+            )
+        return self._mp[key]
+
+    def row(
+        self, q: float, c: float, beta: int, shift: int, x: int
+    ) -> Callable[[int], float]:
+        """n -> M_n(q^-x; beta, c q^shift), computing each degree once."""
+        key = (q, c, beta, shift, x)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = _Row(x, self.params(q, c, beta, shift))
+        return row.at
+
     def meixner(
         self, q: float, c: float, beta: int, shift: int, n: int, x: int
     ) -> float:
-        key = (q, c, beta, shift, x)
-        try:
-            value = self._rows[key][n]
-            if value == value:  # NaN marks a degree not computed yet
-                return value
-        except (KeyError, IndexError):
-            pass
-        row = self._rows.setdefault(key, array("d"))
-        row.extend([math.nan] * (n + 1 - len(row)))
-        p = MeixnerParams.from_beta(beta, c, self.context(q), c_shift=shift)
-        value = row[n] = qmeixner(n, x, p)
-        return value
+        return self.row(q, c, beta, shift, x)(n)
 
     def by_theta(self, fn: Callable, q: float, theta: float, beta: int, k: int) -> float:
         """fn(k, MatrixElementParams(theta, beta)), fn weight or norm_factor."""
         key = (fn, q, theta, beta, k)
         if key not in self._mp:
             self._mp[key] = fn(k, MatrixElementParams(theta, beta, self.context(q)))
+        return self._mp[key]
+
+    def qexp(self, fn: Callable, q: float, z: float) -> float:
+        """fn(z).value at q, fn little_qexp or big_qexp."""
+        key = (fn, q, z)
+        if key not in self._mp:
+            self._mp[key] = fn(z, self.context(q)).value
         return self._mp[key]
 
     def dual_factor(self, q: float, t2: float, beta: int) -> Callable[[int], float]:
@@ -334,7 +376,7 @@ def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
 # duality, orthogonality, generating functions
 
 def _eval_duality(pt: GridPoint, c: _Cache):
-    p = MeixnerParams.from_beta(pt.beta, pt.theta * pt.theta, c.context(pt.q))
+    p = c.params(pt.q, pt.theta * pt.theta, pt.beta, 0)
     xd, nd, pd = duality_transform(pt.n, pt.x, p)
     lhs = c.meixner(pt.q, p.c, p.beta, p.c_shift, pt.n, pt.x)
     rhs = c.meixner(pt.q, pd.c, pd.beta, pd.c_shift, xd, nd)
@@ -355,11 +397,8 @@ def _eval_ortho_degree(pt: GridPoint, c: _Cache):
     t2 = th * th
 
     def term(x):
-        return (
-            c.by_theta(weight, q, th, b, x)
-            * c.meixner(q, t2, b, 0, n, x)
-            * c.meixner(q, t2, b, 0, n2, x)
-        )
+        row = c.row(q, t2, b, 0, x)
+        return c.by_theta(weight, q, th, b, x) * row(n) * row(n2)
 
     lhs, _ = adaptive_sum(term, "orthogonality sum")
     nfn = c.by_theta(norm_factor, q, th, b, n)
@@ -373,9 +412,10 @@ def _eval_ortho_variable(pt: GridPoint, c: _Cache):
     x, x2 = pt.n, pt.x
     t2 = th * th
     factor = c.dual_factor(q, t2, b)
+    row, row2 = c.row(q, t2, b, 0, x), c.row(q, t2, b, 0, x2)
 
     def term(n):
-        return factor(n) * c.meixner(q, t2, b, 0, n, x) * c.meixner(q, t2, b, 0, n, x2)
+        return factor(n) * row(n) * row2(n)
 
     lhs, _ = adaptive_sum(term, "dual orthogonality sum")
     wx = c.by_theta(weight, q, th, b, x)
@@ -394,19 +434,17 @@ def _genfun_coefficient(q: float, b: int, z: float) -> Callable[[int], float]:
 
 def _eval_genfun_degree(pt: GridPoint, c: _Cache):
     q, b, th, x, z = pt.q, pt.beta, pt.theta, pt.x, pt.aux
-    ctx = c.context(q)
     t2 = th * th
     lhs = (
-        little_qexp(z, ctx).value
-        * big_qexp(-z * q**b, ctx).value
+        c.qexp(little_qexp, q, z)
+        * c.qexp(big_qexp, q, -z * q**b)
         * basic_hypergeometric(
-            [QPower(-x)], [z * q**b], -z * q / t2, ctx
+            [QPower(-x)], [z * q**b], -z * q / t2, c.context(q)
         ).value
     )
     coef = _genfun_coefficient(q, b, z)
-    rhs, _ = adaptive_sum(
-        lambda n: coef(n) * c.meixner(q, t2, b, 0, n, x), "degree generating function"
-    )
+    row = c.row(q, t2, b, 0, x)
+    rhs, _ = adaptive_sum(lambda n: coef(n) * row(n), "degree generating function")
     return lhs, rhs, None
 
 

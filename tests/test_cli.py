@@ -519,6 +519,28 @@ def test_beta_refusal_has_one_wording(capsys):
         assert err == "error: beta must be a positive integer, got 0\n"
 
 
+def test_operator_limit_exponentiates_only_the_blocks_it_reads(capsys, monkeypatch):
+    # classical_element reads offset block beta - 1; classical_U exponentiated
+    # all 2k + 1 blocks of each truncation, 115 expm calls for k = 8, 16, 32
+    import scipy.linalg
+
+    original = scipy.linalg.expm
+    shapes = []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    code, out, _ = run(capsys, "limit", "--kind", "operator")
+    assert code == 0
+    assert shapes == [(9, 9), (17, 17), (33, 33)]
+    # the stdout of the dense-operator implementation
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7e31d4db5f18be6db8f295a1b2b8377a0b1a2918817c9364fc3e74ace2a752c9"
+    )
+
+
 def test_out_of_memory_operator_is_numeric_error(capsys, monkeypatch):
     # `limit --kind operator --k 400` asks for a dense 160801 x 160801 operator;
     # it ended in a MemoryError traceback

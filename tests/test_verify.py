@@ -1,6 +1,7 @@
 """Relation registry behavior: grids, domains, judgments, known defects."""
 
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 
 from qmeixner import verify
 from qmeixner.errors import EmptyGrid
+from qmeixner.meixner import MeixnerParams
 from qmeixner.verify import (
     IDENTITY_RELATIONS,
     LIMIT_RELATIONS,
@@ -287,3 +289,49 @@ def test_limit_companions_word_beta_and_k_once():
         with pytest.raises(ValueError, match=r"^k 17 is too large: q = 1 - 10\^-k rounds to 1$"):
             errors_at(1, 1, 1, param, [2, 17])
     assert verify.limit_q(16) == 1.0 - 1e-16 < 1.0
+
+
+# sha256 of repr(check_all()) on the default grids: relation, tol, grid,
+# residuals, skipped and failures of all 20 reports.  A change that moves a
+# digit re-records it and says in CHANGES.md which reports moved.
+_DEFAULT_REPORTS_SHA256 = "bf5106de516f42d28989971a85195caf63eb1622ae0006ebf9c7d38807507a11"
+
+
+def test_default_reports_are_pinned():
+    reports = check_all()
+    assert len(reports) == 20
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == _DEFAULT_REPORTS_SHA256
+
+
+def test_check_all_builds_each_block_and_qexp_once(monkeypatch):
+    # the cache built a MeixnerParams on every row miss (56,614 in one
+    # check_all() for 342 blocks) and genfun_degree formed e_q and E_q at
+    # every grid point (648 calls for 24 distinct arguments)
+    blocks = Counter()
+    qexps = Counter()
+
+    class Counted(MeixnerParams):
+        @classmethod
+        def from_beta(cls, beta, c, ctx, c_shift=0):
+            blocks[ctx.q, c, beta, c_shift] += 1
+            return MeixnerParams.from_beta(beta, c, ctx, c_shift)
+
+    def counting(name):
+        original = getattr(verify, name)
+
+        def wrapper(z, ctx):
+            qexps[name] += 1
+            return original(z, ctx)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "MeixnerParams", Counted)
+    for name in ("little_qexp", "big_qexp"):
+        monkeypatch.setattr(verify, name, counting(name))
+    check_all()
+    # the limit relations build their parameters at q = 1 - 10^-k, outside
+    # the cache, since the CLI's limit command shares them
+    cached = {block: k for block, k in blocks.items() if block[0] in verify._QS}
+    assert 0 < len(cached) <= 342
+    assert max(cached.values()) == 1
+    assert qexps == {"little_qexp": 6, "big_qexp": 18}
