@@ -260,7 +260,7 @@ def cmd_limit(args) -> int:
         errors = []
         for k in ks:
             t = FockTruncation(k, k + args.beta - 1)
-            approx = partial(classical_element, classical_U(args.tau, t), t, args.beta)
+            approx = partial(classical_element, classical_U(args.tau, t), args.beta)
             errors.append(max(abs(approx(n, x) - e) for (n, x), e in zip(cells, exact)))
         column, values = "trunc", ks
     else:

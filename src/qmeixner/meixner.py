@@ -21,6 +21,13 @@ Equivalently, with the weight
 
 the polynomials satisfy sum_x omega_x M_n M_n' = delta * norm_factor(n).
 
+Precision rule, for qmeixner and xi: a value is computed in doubles and
+returned only where the doubles it rests on are finite and normal and its
+sum has lost at most 16 bits to cancellation (sum of |terms| at most
+2^16 |sum|).  Otherwise it is computed in 50-digit decimals on the exact
+values of the double arguments, and a value beyond the double range is
+refused with OverflowError.
+
 Classical (q -> 1) companions live at the bottom of the module.
 """
 
@@ -29,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import Callable
 
 from .qseries import (
@@ -59,6 +66,8 @@ __all__ = [
     "dual_degree_factor",
     "dual_orthogonality_sum",
 ]
+
+_DECIMAL = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def theta_squared(theta: float) -> float:
@@ -152,16 +161,20 @@ def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
 
     The numerator parameters q^-n and q^-x are exact integer powers of q,
     so the sum stops after min(n, x) + 1 terms (_terminating_2phi1).
+    OverflowError where M_n itself exceeds the double range.
     """
     if n < 0 or x < 0:
         raise ValueError("degree n and lattice point x must be >= 0")
     q = p.ctx.q
     z = -(q ** (n + 1)) / p.c_effective
     value, magnitude = _terminating_2phi1(q, n, x, p.beta, p.b, z)
-    if magnitude > 2.0**16 * abs(value):
-        # near a zero of M_n the terms cancel, and a double sum keeps only
-        # ~16 digits of the largest; past 5 of them lost, sum in decimal
-        return _qmeixner_decimal(n, x, p)
+    if math.isfinite(value) and magnitude <= 2.0**16 * abs(value):
+        return value
+    # a term overflowed, or near a zero of M_n the terms cancel and a double
+    # sum keeps only ~16 digits of the largest: past 5 of them lost, decimal
+    value = float(_qmeixner_decimal(n, x, p, Decimal(p.c)))
+    if math.isinf(value):
+        raise OverflowError(f"M_{n}(q^-{x}) exceeds the double range")
     return value
 
 
@@ -193,21 +206,21 @@ def _terminating_2phi1(
     return total + comp, magnitude
 
 
-def _qmeixner_decimal(n: int, x: int, p: MeixnerParams) -> float:
+def _qmeixner_decimal(n: int, x: int, p: MeixnerParams, c: Decimal) -> Decimal:
     """qmeixner's 2_phi_1 in 50-digit decimals, on the exact values of q, bq
-    and c q^c_shift: room for any cancellation a double sum could show."""
-    with localcontext() as dc:
-        dc.prec = 50
+    and c q^c_shift (c is p.c, or xi's exact theta^2): room for the
+    cancellation of a double sum, and an exponent range no term leaves."""
+    with localcontext(_DECIMAL):
         q = Decimal(p.ctx.q)
         bq = q**p.beta if p.beta is not None else Decimal(p.b) * q
-        z = -(q ** (n + 1)) / (Decimal(p.c) * q**p.c_shift)
+        z = -(q ** (n + 1)) / (c * q**p.c_shift)
         qn, qx, qk = q**-n, q**-x, q  # q^(k-n), q^(k-x), q^(k+1); bq q^k
         total = term = Decimal(1)
         for _ in range(min(n, x)):
             term *= (1 - qn) * (1 - qx) * z / ((1 - qk) * (1 - bq))
             total += term
             qn, qx, qk, bq = qn * q, qx * q, qk * q, bq * q
-        return float(total)
+        return total
 
 
 def weight(x: int, mp: MatrixElementParams) -> float:
@@ -254,10 +267,9 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
 
     whose theta^-n cancels against the theta^(n+x) prefactor.
 
-    Where the radicand q^(C(x,2)+n) / (...) underflows to a subnormal or 0
-    while M_n is huge (at q = 0.5 from about x = 45 on), the product rounds
-    to 0; there the prefactor and M_n are multiplied as a sum of logs.
-    Where M_n itself overflows the value stays NaN.
+    Where the radicand q^(C(x,2)+n) / (...) is not a normal double (at
+    q = 0.5, theta = 0.3 from about x = 45 on) or M_n is not finite, the
+    cell is evaluated whole in decimal (_xi_decimal).
     """
     if n < 0 or x < 0:
         raise ValueError("n and x must be >= 0")
@@ -271,30 +283,39 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
     radicand = q ** (x * (x - 1) // 2 + n) / (
         q_pochhammer(-t2, x + mp.beta, ctx) * prod
     )
+    try:
+        m_n = qmeixner(n, x, mp.meixner_params())
+    except OverflowError:  # and yet |xi| <= 1
+        m_n = math.inf
+    if not (radicand >= sys.float_info.min and math.isfinite(m_n)):
+        return _xi_decimal(n, x, mp)
     sign = (-1.0) ** x * (-1.0 if (theta < 0.0 and (n + x) % 2) else 1.0)
-    binom_n = q_binomial(n + mp.beta - 1, n, ctx)
-    binom_x = q_binomial(x + mp.beta - 1, x, ctx)
-    m_n = qmeixner(n, x, mp.meixner_params())
-    if radicand < sys.float_info.min and m_n != 0.0 and math.isfinite(m_n):
-        # the logs reach hundreds and cancel: fsum rounds their sum once
-        logs = [
-            x * math.log(abs(theta)),
-            0.5 * math.log(binom_n),
-            0.5 * math.log(binom_x),
-            0.5 * (x * (x - 1) // 2 + n) * math.log(q),
-            math.log(abs(m_n)),
-        ]
-        logs += [-0.5 * math.log1p(t2 * q**k) for k in range(x + mp.beta)]
-        logs += [-0.5 * math.log1p(q**m / t2) for m in range(1, n + 1)]
-        return sign * math.copysign(math.exp(math.fsum(logs)), m_n)
     return (
         sign
         * abs(theta) ** x
-        * math.sqrt(binom_n)
-        * math.sqrt(binom_x)
+        * math.sqrt(q_binomial(n + mp.beta - 1, n, ctx))
+        * math.sqrt(q_binomial(x + mp.beta - 1, x, ctx))
         * math.sqrt(radicand)
         * m_n
     )
+
+
+def _xi_decimal(n: int, x: int, mp: MatrixElementParams) -> float:
+    """xi_{n,x} in 50-digit decimals on the exact q and theta, its M_n from
+    _qmeixner_decimal: no factor over- or underflows."""
+    with localcontext(_DECIMAL):
+        q, theta = Decimal(mp.ctx.q), Decimal(mp.theta)
+        t2 = theta * theta
+        binoms = math.prod(  # [n + beta - 1, n]_q [x + beta - 1, x]_q
+            (1 - q ** (mp.beta - 1 + i)) / (1 - q**i)
+            for m in (n, x)
+            for i in range(1, m + 1)
+        )
+        poch = math.prod(1 + t2 * q**k for k in range(x + mp.beta))
+        poch *= math.prod(1 + t2 * q ** (k - n) for k in range(n))
+        radicand = binoms * q ** (x * (x - 1) // 2 - n * (n - 1) // 2) / poch
+        m_n = _qmeixner_decimal(n, x, mp.meixner_params(), t2)
+        return float((-1) ** x * theta ** (n + x) * radicand.sqrt() * m_n)
 
 
 def duality_transform(
@@ -329,6 +350,7 @@ def classical_meixner(n: int, x: float, beta: float, c: float) -> float:
     M_n(x; beta, c) = sum_g (-n)_g (-x)_g / ((beta)_g g!) (1 - 1/c)^g,
 
     the q -> 1 companion of M_n(q^-x; q^(beta-1), c/(1-c); q).
+    OverflowError where the sum exceeds the double range, as for qmeixner.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -344,6 +366,8 @@ def classical_meixner(n: int, x: float, beta: float, c: float) -> float:
         if term == 0.0:
             break
         total += term
+    if not math.isfinite(total):
+        raise OverflowError(f"classical M_{n}({x}) exceeds the double range")
     return total
 
 

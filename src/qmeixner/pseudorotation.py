@@ -778,10 +778,10 @@ def classical_U(tau: float, t: FockTruncation) -> ClassicalU:
     return ClassicalU(tau, t)
 
 
-def classical_element(u: ClassicalU, t: FockTruncation, beta: int, n: int, x: int) -> float:
+def classical_element(u: ClassicalU, beta: int, n: int, x: int) -> float:
     """Sector element <n|_beta exp(tau(J~+ - J~-)) |x>_beta, read from block
-    beta - 1."""
-    block = u.block(sector_offset(t, beta))
+    beta - 1 of u's truncation."""
+    block = u.block(sector_offset(u.truncation, beta))
     if n >= len(block) or x >= len(block):
         raise OutOfBlock(f"(n={n}, x={x}) outside sector of size {len(block)}")
     return float(block[n, x])

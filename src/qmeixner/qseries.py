@@ -32,6 +32,10 @@ the package (the matrix series of pseudorotation included):
                  whose factor lies this close to zero
     MAX_TERMS    refuses, with NonConvergent, a product or sum still
                  running after this many factors or terms
+
+A non-terminating basic_hypergeometric is also refused, with NonConvergent,
+where its sum has lost more than 16 bits to cancellation: the precision
+rule of the meixner module docstring, which states it once.
 """
 
 from __future__ import annotations
@@ -227,7 +231,8 @@ def basic_hypergeometric(
     the sum at N + 1 exactly computed terms (tail_estimate 0).  Without such
     a marker the series must converge: any z when r <= s, |z| < 1 when
     r == s + 1, otherwise NonConvergent, and it ends by the tail rule, its
-    tail_estimate the geometric bound of the last term ratio.  Terms are
+    tail_estimate the geometric bound of the last term ratio; NonConvergent
+    too where it lost more than 16 bits to cancellation.  Terms are
     accumulated in increasing order with compensated summation.
     """
     q = ctx.q
@@ -283,7 +288,10 @@ def basic_hypergeometric(
             acc.add(term(used))
             used += 1
         total, tail = acc.total, 0.0
-    return SeriesValue(total, used, tail, sum(abs(term(k)) for k in range(used)))
+    magnitude = sum(abs(term(k)) for k in range(used))
+    if terminate_at is None and magnitude > 2.0**16 * abs(total):
+        raise NonConvergent(f"{label} lost more than 16 bits to cancellation")
+    return SeriesValue(total, used, tail, magnitude)
 
 
 def ratio_sequence(step: Callable[[float, int], float]) -> Callable[[int], float]:

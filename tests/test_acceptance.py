@@ -200,7 +200,7 @@ def test_criterion_7_limits_decrease_and_classical_operator():
         for beta in GRID_BETAS:
             worst = max(
                 abs(
-                    classical_element(u, t, beta, n, x)
+                    classical_element(u, beta, n, x)
                     - classical_xi_limit(n, x, beta, tau)
                 )
                 for n in range(5)

@@ -173,18 +173,14 @@ def test_limit_xi_errors_decrease(capsys):
     assert errs == sorted(errs, reverse=True)
 
 
-def test_limit_poly_tiny_c_converges_with_huge_absolute_errors(capsys):
-    # max_error is absolute: at c = 1e-300 the worst cell (n = 1, x = 4) has
-    # classical value -4e300, so 6.1e298, 6.0e297, 6.0e296 are relative
-    # errors 1.5e-2, 1.5e-3, 1.5e-4 and the limit converges
-    code, out, _ = run(capsys, "limit", "--kind", "poly", "--c", "1e-300")
-    assert code == 0
-    errs = [float(r["max_error"]) for r in parse_csv(out)]
-    assert len(errs) == 3 and errs[0] > errs[1] > errs[2]
-    _, classical = verify.limit_poly_errors(1, 4, 1, 1e-300, [2])
-    assert [e / abs(classical) for e in errs] == pytest.approx(
-        [1.5e-2, 1.5e-3, 1.5e-4], rel=0.05
-    )
+@pytest.mark.parametrize("c, cell", [("1e-300", "M_2(2)"), ("1e-100", "M_4(4)")])
+def test_limit_poly_tiny_c_refuses_overflowing_classical_values(capsys, c, cell):
+    # the term (1 - 1/c)^g of the classical sum overflows; the table was
+    # exit 0 only because max() skipped its NaN cells (9 of 25 at 1e-300)
+    code, out, err = run(capsys, "limit", "--kind", "poly", "--c", c)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: overflow: classical {cell} exceeds the double range\n"
 
 
 def test_limit_operator_tau_zero_exact(capsys):
@@ -286,25 +282,43 @@ def test_theta_underflow_names_theta(capsys, cmd):
 
 
 def test_tabulate_refuses_non_finite_cells(capsys):
-    # c = 1e-320 makes the 2phi1 argument -q^(n+1)/c overflow: NaN cells
+    # c = 1e-320 makes the 2phi1 argument -q^(n+1)/c overflow, and M_1(q^-1)
+    # itself lies beyond the double range
     code, out, err = run(
         capsys, "tabulate", "--q", "0.5", "--beta", "1", "--c", "1e-320",
         "--nmax", "3", "--xmax", "3",
     )
     assert code == 3
     assert out == ""
-    assert err == "error: value at (n=1, x=1) is nan, not a finite number\n"
+    assert err == "error: overflow: M_1(q^-1) exceeds the double range\n"
 
 
 def test_xi_refuses_non_finite_cells(capsys):
-    # the closed form loses 45 cells near the corner of this table to NaN
-    code, out, err = run(
+    # the closed form lost 45 cells of this table to NaN, from (29, 60) on,
+    # where the double sum for M_n overflows: now none is left to refuse
+    code, out, _ = run(
         capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
         "--nmax", "60", "--xmax", "60",
     )
-    assert code == 3
-    assert out == ""
-    assert err == "error: value at (n=29, x=60) is nan, not a finite number\n"
+    assert code == 0
+    oracle = mp_reference.xi_table(0.5, 1, 0.3, 60, 60)
+    assert all(
+        float(r["value"]) == pytest.approx(oracle[int(r["n"])][int(r["x"])], abs=1e-14)
+        for r in parse_csv(out)
+    )
+
+
+def test_only_m_n_beyond_the_double_range_is_refused(capsys):
+    # M_6(q^-57) = 1.12e306 overflowed in the double sum, and both commands
+    # refused the table there as NaN; M_6(q^-58) really exceeds the range,
+    # while every xi of the table is bounded by 1
+    args = ("--q", "0.1", "--beta", "1", "--theta", "1", "--nmax", "60", "--xmax", "60")
+    code, out, err = run(capsys, "tabulate", *args)
+    assert (code, out) == (3, "")
+    assert err == "error: overflow: M_6(q^-58) exceeds the double range\n"
+    code, out, _ = run(capsys, "xi", *args)
+    assert code == 0
+    assert all(abs(float(r["value"])) <= 1.0 for r in parse_csv(out))
 
 
 def test_xi_prints_no_false_zero(capsys):

@@ -168,6 +168,20 @@ def test_qmeixner_never_calls_the_general_2phi1(monkeypatch):
     assert len(calls) == 1  # the counter sees a call through qseries
 
 
+def test_qmeixner_sums_an_overflowing_double_sum_in_decimal():
+    # a term of the double sum overflows, and the sum gave NaN
+    p = MeixnerParams.from_beta(1, 1.0, QContext(q=0.1))
+    assert qmeixner(6, 57, p) == pytest.approx(
+        float(brute_meixner(6, 57, 1, 1.0, 0.1)), rel=1e-15
+    )
+
+
+def test_qmeixner_refuses_a_value_beyond_the_double_range():
+    with pytest.raises(OverflowError) as exc:
+        qmeixner(1, 1, MeixnerParams.from_beta(1, 1e-320, CTX))
+    assert str(exc.value) == "M_1(q^-1) exceeds the double range"
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MeixnerParams(c=0.5, ctx=CTX)  # neither b nor beta
@@ -291,20 +305,23 @@ def test_xi_bounded_by_one(n, x, beta, theta, q):
     assert abs(xi(n, x, mp)) <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("beta, theta", [(1, 0.3), (2, -0.7)])
-def test_xi_table_matches_mpmath_where_the_radicand_underflows(beta, theta):
-    """The 49x49 table at q = 0.5 against 50-digit mpmath, every cell
-    within 3e-14 (measured: 1.5e-14 and 1.8e-14).  In 114 cells at
-    theta = 0.3 the radicand q^(C(x,2)+n) / (...) underflows while M_n is
-    huge; the direct product gave 0.0 there, e.g. at (25, 48), whose value
-    is -0.6017."""
-    mp = MatrixElementParams(theta, beta, CTX)
-    oracle = mp_reference.xi_table(0.5, beta, theta, 48, 48)
+@pytest.mark.parametrize(
+    "q, beta, theta", [(0.5, 1, 0.3), (0.5, 2, -0.7), (0.3, 1, 0.3), (0.1, 1, 1.0)]
+)
+def test_xi_table_matches_mpmath_where_the_radicand_underflows(q, beta, theta):
+    """The 61x61 table against 50-digit mpmath, every cell within 1e-14
+    (measured: at most 2.0e-15).  Where the radicand q^(C(x,2)+n) / (...)
+    underflows while M_n is huge, the direct product gave 0.0, e.g. at
+    (25, 48) of the q = 0.5, theta = 0.3 table, whose value is -0.6017; where
+    the double sum for M_n overflows it gave NaN, in 45, 708 and 1,439
+    cells of the three beta = 1 tables.  Those cells are summed in decimal."""
+    mp = MatrixElementParams(theta, beta, QContext(q=q))
+    oracle = mp_reference.xi_table(q, beta, theta, 60, 60)
     errors = [
-        (abs(xi(n, x, mp) - oracle[n][x]), n, x) for n in range(49) for x in range(49)
+        (abs(xi(n, x, mp) - oracle[n][x]), n, x) for n in range(61) for x in range(61)
     ]
     worst = max(errors)
-    assert worst[0] <= 3e-14, worst
+    assert worst[0] <= 1e-14, worst
 
 
 def test_xi_row_orthonormality():
@@ -345,6 +362,8 @@ def test_classical_meixner_validation():
         classical_meixner(-1, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         classical_meixner(1, 0.0, 1.0, 1.5)
+    with pytest.raises(OverflowError):
+        classical_meixner(3, 3, 1, 1e-300)  # the term w^g overflows: was NaN
 
 
 def test_classical_xi_corner():

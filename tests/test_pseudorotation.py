@@ -497,7 +497,7 @@ def test_classical_u_is_orthogonal():
 def test_classical_u_corner_matches_sech():
     t = FockTruncation(32, 32)
     u = classical_U(0.5, t)
-    assert classical_element(u, t, 1, 0, 0) == pytest.approx(
+    assert classical_element(u, 1, 0, 0) == pytest.approx(
         1.0 / math.cosh(0.5), abs=1e-9
     )
 
@@ -518,7 +518,7 @@ def test_classical_element_out_of_block():
     t = FockTruncation(6, 6)
     u = classical_U(0.3, t)
     with pytest.raises(OutOfBlock):
-        classical_element(u, t, 1, 7, 0)
+        classical_element(u, 1, 7, 0)
 
 
 @pytest.mark.parametrize("n_a, beta", [(8, 1), (9, 2), (12, 4), (13, 3)])

@@ -266,6 +266,16 @@ def test_phi_denominator_pole():
         basic_hypergeometric([QPower(-5)], [QPower(-2)], 0.3, CTX)
 
 
+def test_phi_refuses_a_converging_sum_lost_to_cancellation():
+    # sum of |terms| 1.5e8 against a value of -9.0e-12 ((az; q)_oo / (z; q)_oo
+    # in 50-digit mpmath): the double sum gave -3.6e-10
+    with pytest.raises(NonConvergent, match="cancellation"):
+        basic_hypergeometric(
+            [-1.8050566346639796], [], -0.7799579842192175,
+            QContext(q=0.8861937987173055),
+        )
+
+
 def test_phi_q_binomial_theorem():
     # 1phi0(a; -; q, z) = (az; q)_oo / (z; q)_oo, |z| < 1
     a, z = 0.4, 0.6

@@ -20,6 +20,11 @@ ROOT = Path(__file__).resolve().parents[1]
             ["--min-trunc", "8", "--max-trunc", "12"],
             "trunc,rows_residual,cols_residual,vacuum_defect",
         ),
+        (
+            "xi_sweep.py",
+            ["--cells", "40"],
+            "q_from,q_to,cells,refusals,non_finite,max_abs_error,worst_cell",
+        ),
     ],
 )
 def test_script_runs_and_writes_csv(script, args, header):
