@@ -26,7 +26,7 @@ def gram_residuals(u, beta, window=8):
     The window stays put as the truncation grows, so the scan separates the
     two behaviours instead of mixing in edge rows whose lattice support is
     cut off."""
-    s = u.blocks[beta - 1]
+    s = u.block(beta - 1)
     w = min(window + 1, s.shape[0])
     eye = np.eye(s.shape[0])
     rows = np.abs(s @ s.T - eye)[:w, :w].max()

@@ -13,8 +13,8 @@ offset d is the sector |n>_beta = |n, n+beta-1> with beta = d + 1.  On each
 block the two middle arguments are a single sub-diagonal and its negated
 transpose, whose q-exponentials are exact finite sums in closed form.
 build_U stores U that way, one dense block per offset of side at most
-N + 1; the dense product-space matrix and the ladder matrices are built
-only when UOperator.matrix or UOperator.oscillators is first read.  The
+N + 1, each built on first read; the dense product-space matrix and the
+ladder matrices only when UOperator.matrix or .oscillators is read.  The
 sector elements <n|_beta U |x>_beta reproduce the closed-form overlap
 coefficients xi_{n,x} to rounding error at any truncation, because every
 ladder path between interior states stays interior.
@@ -65,6 +65,7 @@ from functools import cached_property
 
 from ._lazy import NumpyOnFirstUse
 from .errors import (
+    EmptySector,
     NonConvergent,
     OutOfBlock,
     ResidualFailure,
@@ -260,27 +261,60 @@ def _bidiagonal_qexp(sub: np.ndarray, kind: str, q: float) -> np.ndarray:
 
 
 @dataclass
-class UOperator:
+class _OffsetBlocks:
+    """An operator that keeps the offset d = n_B - n_A, one dense block per
+    offset: block(d) builds block d by _build on its first read and caches
+    it; matrix is the dense product-space form, built from every block."""
+
+    blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False)
+
+    @property
+    def offsets(self) -> range:
+        t = self.truncation
+        return range(-t.n_a_max, t.n_b_max + 1)
+
+    def block(self, d: int) -> np.ndarray:
+        if d not in self.blocks:
+            if d not in self.offsets:
+                raise EmptySector(f"offset {d} has no states under {self.truncation}")
+            self.blocks[d] = self._build(d)
+        return self.blocks[d]
+
+    @cached_property
+    def matrix(self) -> OperatorMatrix:
+        return from_offset_blocks(self.truncation, {d: self.block(d) for d in self.offsets})
+
+
+@dataclass
+class UOperator(_OffsetBlocks):
     """Built pseudorotation operator, stored one offset block at a time.
 
-    blocks[d] is U restricted to the states |m, m+d>, d = n_B - n_A, with m
-    running upward from max(0, -d); U has no entries between blocks.
-    row_factor[n_A] and col_factor[n_B] are the diagonal outer factors
-    e_q^(1/2)(-theta^2 q^-n_A) and E_q^(1/2)(theta^2 q^(n_B+1)) already
-    folded into the blocks.  matrix and oscillators are the dense product
-    space forms, built on first use.
+    block(d) is U restricted to the states |m, m+d>, d = n_B - n_A, with m
+    running upward from max(0, -d), built on first read; U has no entries
+    between blocks.  row_factor[n_A] and col_factor[n_B] are the diagonal
+    outer factors e_q^(1/2)(-theta^2 q^-n_A) and E_q^(1/2)(theta^2 q^(n_B+1))
+    folded into the blocks, a_up[n], b_up[n] are <n+1|A+|n>, <n+1|B+|n>.
+    oscillators are the ladder matrices of the truncation, built on first use.
     """
 
-    blocks: dict[int, np.ndarray]
     row_factor: np.ndarray
     col_factor: np.ndarray
+    a_up: np.ndarray
+    b_up: np.ndarray
     theta: float
     truncation: FockTruncation
     ctx: QContext
 
-    @cached_property
-    def matrix(self) -> OperatorMatrix:
-        return from_offset_blocks(self.truncation, self.blocks)
+    def _build(self, d: int) -> np.ndarray:
+        q = self.ctx.q
+        # rows whose outer factor underflows meet overflowing middle entries;
+        # element() refuses them, so the inf and nan they make are left in place
+        with np.errstate(over="ignore", invalid="ignore"):
+            na, _ = offset_block(self.truncation, d)
+            pref = q ** ((d + 1.0) / 2.0)
+            sub = self.theta * (1.0 - q) * (pref * (self.a_up[na[:-1]] * self.b_up[na[:-1] + d]))
+            mid = _bidiagonal_qexp(sub, "little", q) @ _bidiagonal_qexp(-sub, "big", q).T
+            return self.row_factor[na][:, None] * mid * self.col_factor[na + d][None, :]
 
     @cached_property
     def oscillators(self) -> Oscillators:
@@ -312,13 +346,13 @@ def sector_interior(t: FockTruncation, beta: int) -> int:
 def build_U(
     mp: MatrixElementParams, t: FockTruncation, edge_tol: float = 1e-6
 ) -> UOperator:
-    """Assemble U(theta) on the truncated space, one offset block at a time.
+    """U(theta) on the truncated space, each offset block built on first read.
 
     On the block of offset d the raising factor's argument
     theta(1-q) q^((d+1)/2) A+B+ is a sub-diagonal L_d and the lowering
     factor's is -L_d^T, so the block is
     d1 * (e_q(L_d) E_q(-L_d^T)) * d4 with both q-exponentials in closed
-    form (_bidiagonal_qexp).
+    form (_bidiagonal_qexp), which UOperator.block(d) evaluates on first read.
 
     Precondition: the truncation must hold the whole numerically relevant
     support of the mp.beta sector, measured by the edge weight
@@ -327,7 +361,6 @@ def build_U(
     """
     ctx = mp.ctx
     q = ctx.q
-    theta = mp.theta
     levels, _ = offset_block(t, mp.beta - 1)
     if levels.size < 2:
         raise TruncationTooSmall(f"no room for sector beta={mp.beta} under {t}")
@@ -338,34 +371,15 @@ def build_U(
             f"increase the truncation ({t})"
         )
 
-    t2 = theta * theta
+    t2 = mp.theta * mp.theta
     row_factor = np.sqrt(
         np.array([little_qexp(-t2 * q ** (-n), ctx).value for n in range(t.n_a_max + 1)])
     )
     col_factor = np.sqrt(
         np.array([big_qexp(t2 * q ** (n + 1), ctx).value for n in range(t.n_b_max + 1)])
     )
-    # <n+1|A+|n> and <n+1|B+|n> by the level n they leave
     a_up, b_up = ladder_coefficients(t, q)
-
-    blocks = {}
-    # rows whose outer factor underflows meet overflowing middle entries;
-    # element() refuses them, so the inf and nan they make are left in place
-    with np.errstate(over="ignore", invalid="ignore"):
-        for d in range(-t.n_a_max, t.n_b_max + 1):
-            na, _ = offset_block(t, d)
-            pref = q ** ((d + 1.0) / 2.0)
-            sub = theta * (1.0 - q) * (pref * (a_up[na[:-1]] * b_up[na[:-1] + d]))
-            mid = _bidiagonal_qexp(sub, "little", q) @ _bidiagonal_qexp(-sub, "big", q).T
-            blocks[d] = row_factor[na][:, None] * mid * col_factor[na + d][None, :]
-    return UOperator(
-        blocks=blocks,
-        row_factor=row_factor,
-        col_factor=col_factor,
-        theta=theta,
-        truncation=t,
-        ctx=ctx,
-    )
+    return UOperator(row_factor, col_factor, a_up, b_up, mp.theta, t, ctx)
 
 
 def element(u: UOperator, beta: int, n: int, x: int) -> float:
@@ -384,7 +398,7 @@ def element(u: UOperator, beta: int, n: int, x: int) -> float:
         raise OutOfBlock(
             f"(n={n}, x={x}) outside interior block 0..{cap} of sector beta={beta}"
         )
-    value = float(u.blocks[d][n, x])
+    value = float(u.block(d)[n, x])
     d1 = float(u.row_factor[n])
     d4 = float(u.col_factor[x + d])
     if not (_normal(d1) and _normal(d4) and math.isfinite(value)):
@@ -412,7 +426,8 @@ def unitarity_residual(u: UOperator) -> float:
     """
     t = u.truncation
     worst = []
-    for d, block in u.blocks.items():
+    for d in u.offsets:
+        block = u.block(d)
         na, _ = offset_block(t, d)
         keep = (na <= u.na_interior) & (na + d <= u.nb_interior)
         if not keep.any():
@@ -736,7 +751,7 @@ def exp_reorder_mixed(
 
 
 @dataclass
-class ClassicalU:
+class ClassicalU(_OffsetBlocks):
     """exp(tau (J~+ - J~-)) on the truncated classical space, stored one
     offset block at a time like UOperator.
 
@@ -751,24 +766,19 @@ class ClassicalU:
 
     tau: float
     truncation: FockTruncation
-    blocks: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def block(self, d: int) -> np.ndarray:
-        if d not in self.blocks:
-            # imported here: scipy.linalg costs about 0.2 s of start-up, and
-            # only the classical limit needs it
-            import scipy.linalg
+    def _build(self, d: int) -> np.ndarray:
+        # imported here: scipy.linalg costs about 0.2 s of start-up, and
+        # only the classical limit needs it
+        import scipy.linalg
 
-            m = offset_block(self.truncation, d)[0][:-1].astype(float)
-            up = self.tau * np.sqrt((m + 1.0) * (m + 1.0 + d))
-            self.blocks[d] = scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
-        return self.blocks[d]
+        m = offset_block(self.truncation, d)[0][:-1].astype(float)
+        up = self.tau * np.sqrt((m + 1.0) * (m + 1.0 + d))
+        return scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
 
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
-        t = self.truncation
-        blocks = {d: self.block(d) for d in range(-t.n_a_max, t.n_b_max + 1)}
-        return from_offset_blocks(t, blocks).entries
+        return self.matrix.entries
 
 
 def classical_U(tau: float, t: FockTruncation) -> ClassicalU:

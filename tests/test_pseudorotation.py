@@ -1,13 +1,17 @@
 """The pseudorotation operator, its conjugations, and the exponential
 identities behind the four-factor assembly."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qmeixner import pseudorotation
 from qmeixner.errors import (
+    EmptySector,
     NonConvergent,
     OutOfBlock,
     ResidualFailure,
@@ -256,6 +260,95 @@ def test_element_refuses_underflowed_outer_factor():
         element(u, 1, 49, 0)
 
 
+# --- offset blocks built on first read -----------------------------------------
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "q, beta, cap, interior_sha, matrix_sha",
+    [
+        (0.5, 1, 40, "9bcf43e9ab8073d402702e1dcbcb5d72f4771dbdab10f91124aa9d9afc311bcf",
+         "78ad6638064dbf996253389e9c52d7a18e1f9f74a7530dbf464f787d6b1bafaa"),
+        (0.9, 2, 40, "ecfde6186b82f026746fbed1e6c87b79b65fa235529f06b9cffd15a58fa4dbe2",
+         "c6d3538cdc84d672e1812b4bf2aa4d7b1aa29254291043cf575b1b8cc8eb5345"),
+        (0.9, 1, 24, "35b4311a39d5e402ba758d064f5b647199055cade174a8270aa2802f16561ccb",
+         "7c6a11cca243acbcef83fe1ffcc965e1eebd1dfc085fe5f9c3bd9eac11e5b103"),
+    ],
+)
+def test_lazy_blocks_are_bit_identical(q, beta, cap, interior_sha, matrix_sha):
+    # frozen from the build that assembled every offset block eagerly: the
+    # interior sector read through element() on a fresh U, and u.matrix
+    mp = MatrixElementParams(0.3, beta, QContext(q=q))
+    t = FockTruncation(cap, cap + beta - 1)
+    u = build_U(mp, t)
+    top = u.sector_interior(beta)
+    block = [[element(u, beta, n, x) for x in range(top + 1)] for n in range(top + 1)]
+    assert sha256(np.array(block)) == interior_sha
+    assert sha256(build_U(mp, t).matrix.entries) == matrix_sha
+
+
+@pytest.fixture
+def bidiagonal_calls(monkeypatch):
+    """Counts the closed-form q-exponentials, two per offset block built."""
+    calls = []
+    original = pseudorotation._bidiagonal_qexp
+
+    def counting(sub, kind, q):
+        calls.append(sub.size)
+        return original(sub, kind, q)
+
+    monkeypatch.setattr(pseudorotation, "_bidiagonal_qexp", counting)
+    return calls
+
+
+def test_blocks_are_built_once_on_first_read(bidiagonal_calls):
+    cap = 16
+    u = build_U(MatrixElementParams(0.3, 1, QContext(q=0.5)), FockTruncation(cap, cap))
+    assert bidiagonal_calls == []
+    top = u.sector_interior(1)
+    for n in range(top + 1):
+        for x in range(top + 1):
+            element(u, 1, n, x)
+    assert bidiagonal_calls == [cap, cap]  # block 0 alone
+    u.matrix
+    unitarity_residual(u)
+    assert len(bidiagonal_calls) == 2 * (2 * cap + 1)
+
+
+def test_truncation_gate_precedes_every_block(bidiagonal_calls):
+    with pytest.raises(TruncationTooSmall):
+        build_U(MatrixElementParams(3.0, 1, QContext(q=0.5)), FockTruncation(4, 4))
+    assert bidiagonal_calls == []
+
+
+def test_block_outside_the_truncation_is_refused():
+    # offsets run from -6 to 8 under this truncation; offset_block gives
+    # no states outside, which a build would turn into a bogus 1x1 block
+    t = FockTruncation(6, 8)
+    u = build_U(MatrixElementParams(0.5, 3, CTX), t, edge_tol=math.inf)
+    for op in (u, classical_U(0.5, t)):
+        for d in (-7, 9):
+            with pytest.raises(EmptySector):
+                op.block(d)
+        assert op.blocks == {}
+        assert op.block(-6).shape == op.block(8).shape == (1, 1)
+
+
+def test_first_read_of_an_underflowed_row_is_silent():
+    # the block holding the rows past the underflow of e_q(-theta^2 q^-n)
+    # meets inf and nan on its first read; they stay in the block without a
+    # RuntimeWarning and element() refuses them
+    mp = MatrixElementParams(0.3, 1, QContext(q=0.5))
+    u = build_U(mp, FockTruncation(100, 100), edge_tol=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent):
+            element(u, 1, 49, 0)
+
+
 def test_corner_element_closed_form():
     for beta in (1, 2, 3):
         u = build(0.5, 0.5, beta, 16)
@@ -408,7 +501,7 @@ def test_conjugation_pair_validation():
 
 def test_conjugation_nan_residual_fails():
     u, u_shift = conj_pair(0.5, 0.5, 1, 10)
-    u.blocks[0][0, 0] = math.nan
+    u.block(0)[0, 0] = math.nan
     with pytest.raises(ResidualFailure):
         conjugated_lowering_dual(u, tol=1.0)
 
