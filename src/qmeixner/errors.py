@@ -16,7 +16,7 @@ class DenominatorPole(Exception):
 
 
 class UnsupportedShape(Exception):
-    """Matrix argument is neither nilpotent (pure raising/lowering) nor diagonal."""
+    """Matrix arguments of qexp_split do not satisfy its premise XY = qYX."""
 
 
 class TruncationTooSmall(Exception):

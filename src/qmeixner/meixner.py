@@ -24,9 +24,9 @@ the polynomials satisfy sum_x omega_x M_n M_n' = delta * norm_factor(n).
 Precision rule, for qmeixner and xi: a value is computed in doubles and
 returned only where the doubles it rests on are finite and normal and its
 sum has lost at most 16 bits to cancellation (sum of |terms| at most
-2^16 |sum|).  Otherwise it is computed in 50-digit decimals on the exact
-values of the double arguments, and a value beyond the double range is
-refused with OverflowError.
+qseries.MAX_CANCELLATION = 2^16 times |sum|).  Otherwise it is computed in
+50-digit decimals on the exact values of the double arguments, and a value
+beyond the double range is refused with OverflowError.
 
 Classical (q -> 1) companions live at the bottom of the module.
 """
@@ -40,6 +40,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import Callable
 
 from .qseries import (
+    MAX_CANCELLATION,
     QContext,
     adaptive_sum,
     q_binomial,
@@ -168,7 +169,7 @@ def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
     q = p.ctx.q
     z = -(q ** (n + 1)) / p.c_effective
     value, magnitude = _terminating_2phi1(q, n, x, p.beta, p.b, z)
-    if math.isfinite(value) and magnitude <= 2.0**16 * abs(value):
+    if math.isfinite(value) and magnitude <= MAX_CANCELLATION * abs(value):
         return value
     # a term overflowed, or near a zero of M_n the terms cancel and a double
     # sum keeps only ~16 digits of the largest: past 5 of them lost, decimal

@@ -22,10 +22,10 @@ ladder path between interior states stays interior.
 The operator functions behind the identities work the same way.  Every
 generator they take leaves small blocks of states invariant (an offset
 sector for the pair ladders, a single state for a diagonal, a column of
-fixed n_B for A+), so matrix_qexp, matrix_qexp_series and qbch_series find
-the connected components of their arguments' nonzero pattern and sum one
-series on the stack of all blocks of each size; qbch_conjugate, qexp_split
-and the exp_reorder_* identities inherit that.  classical_U exponentiates
+fixed n_B for A+), so matrix_qexp and qbch_series find the connected
+components of their arguments' nonzero pattern and sum one series on the
+stack of all blocks of each size; qbch_conjugate, qexp_split and the
+exp_reorder_* identities inherit that.  classical_U exponentiates
 J~+ - J~- one offset block at a time, each on its first read.  Dense
 product-space matrices exist only at the API edge: they are what these
 functions take and return.
@@ -159,83 +159,66 @@ def _invariant_blocks(*mats: np.ndarray):
         yield ix, [m[ix] for m in mats]
 
 
-def _block_series(start, step, max_terms: int = MAX_TERMS) -> np.ndarray:
+def _block_series(start, step) -> np.ndarray:
     """start + t_1 + t_2 + ... with t_k = step(k, t_(k-1)), summed on a
     stack of blocks (count, s, s) at once.
 
     Each block ends by the tail rule of qseries, start being its first term;
-    the sum returns once every block has ended and raises NonConvergent
-    when one has not within max_terms terms.
+    the sum returns once every block has ended.  NonConvergent is raised at
+    the first term that is not finite (or whose norm overflows), and when a
+    block has not ended within MAX_TERMS terms.
     """
     term = np.array(start, dtype=float)
     acc = term
     largest = np.zeros(len(acc))
     streak = np.zeros(len(acc), dtype=int)
     ended = np.zeros(len(acc), dtype=bool)
-    for k in range(max_terms):
-        if k:
-            term = step(k, term)
-            acc = acc + term
-        size = np.linalg.norm(term, axis=(1, 2))
-        largest = np.maximum(largest, size)
-        bound = TAIL_CUTOFF * largest
-        streak = np.where((size <= bound) & (bound < np.inf), streak + 1, 0)
-        ended |= streak >= TAIL_STREAK
-        if ended.all():
-            return acc
-    raise NonConvergent(f"series did not settle in {max_terms} terms")
+    # an overflow or invalid value is refused below, at the term it made
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(MAX_TERMS):
+            if k:
+                term = step(k, term)
+                acc = acc + term
+            size = np.linalg.norm(term, axis=(1, 2))
+            if not np.isfinite(size).all():
+                raise NonConvergent(f"term {k} of the series is not finite")
+            largest = np.maximum(largest, size)
+            streak = np.where(size <= TAIL_CUTOFF * largest, streak + 1, 0)
+            ended |= streak >= TAIL_STREAK
+            if ended.all():
+                return acc
+    raise NonConvergent(f"series did not settle in {MAX_TERMS} terms")
 
 
-def _qexp_blocks(x: np.ndarray, kind: str, q: float, max_terms: int) -> np.ndarray:
-    """q-exponential series of a stack of blocks x, by the term recursion
-    t_k = x t_(k-1) / (1 - q^k), times q^(k-1) for the big kind."""
+def matrix_qexp(X: np.ndarray, kind: str, ctx: QContext) -> np.ndarray:
+    """q-exponential of X, one invariant block of X at a time.
 
-    def step(k, term):
-        term = (x @ term) / (1.0 - q**k)
-        return term * q ** (k - 1) if kind == "big" else term
-
-    start = np.broadcast_to(np.eye(x.shape[1]), x.shape)
-    return _block_series(start, step, max_terms)
-
-
-def matrix_qexp(
-    X: OperatorMatrix, kind: str, scale: float, ctx: QContext
-) -> OperatorMatrix:
-    """q-exponential of scale*X, one invariant block of X at a time.
-
-    kind 'little' gives sum_k M^k/(q;q)_k, kind 'big' gives
-    sum_k q^(k(k-1)/2) M^k/(q;q)_k.  A block of one state is a scalar,
-    evaluated through the product forms; a larger block must be nilpotent,
-    its terms 0 from term `size` on and its series ended by term size + 2,
-    or UnsupportedShape is raised.
+    kind 'little' gives sum_k X^k/(q;q)_k, kind 'big' gives
+    sum_k q^(k(k-1)/2) X^k/(q;q)_k.  A block of one state is a scalar,
+    evaluated through the product forms, which hold off the poles for any
+    size of argument.  A larger block is summed by the term recursion
+    t_k = X t_(k-1) / (1 - q^k), times q^(k-1) for the big kind, and ends
+    by the tail rule of qseries (a nilpotent block of s states at term
+    s + 2); NonConvergent where it does not.
     """
     _check_kind(kind)
-    m = scale * X.entries
-    out = np.zeros(m.shape)
-    for ix, (blk,) in _invariant_blocks(m):
-        size = blk.shape[1]
-        if size == 1:
-            out[ix] = _diag_qexp(kind, blk[:, 0, 0], ctx)[:, None, None]
-            continue
-        try:
-            out[ix] = _qexp_blocks(blk, kind, ctx.q, size + 3)
-        except NonConvergent:
-            raise UnsupportedShape(
-                f"a block of {size} states is neither one state nor nilpotent"
-            ) from None
-    return OperatorMatrix(out, X.basis)
-
-
-def matrix_qexp_series(X: np.ndarray, kind: str, ctx: QContext) -> np.ndarray:
-    """Direct series q-exponential for a general (typically triangular)
-    matrix whose powers decay; used for identities that mix diagonal and
-    nilpotent parts.  Summed on the invariant blocks of X, each of which
-    ends by the tail rule of qseries."""
-    _check_kind(kind)
+    q = ctx.q
     out = np.zeros(X.shape)
     for ix, (blk,) in _invariant_blocks(X):
-        out[ix] = _qexp_blocks(blk, kind, ctx.q, MAX_TERMS)
+        if blk.shape[1] == 1:
+            out[ix] = _diag_qexp(kind, blk[:, 0, 0], ctx)[:, None, None]
+            continue
+
+        def step(k, term, blk=blk):
+            term = (blk @ term) / (1.0 - q**k)
+            return term * q ** (k - 1) if kind == "big" else term
+
+        out[ix] = _block_series(np.broadcast_to(np.eye(blk.shape[1]), blk.shape), step)
     return out
+
+
+# the benchmark's warm-up calls this name, and its tracer wraps both names
+matrix_qexp_series = matrix_qexp
 
 
 def _bidiagonal_qexp(sub: np.ndarray, kind: str, q: float) -> np.ndarray:
@@ -637,9 +620,9 @@ def qbch_conjugate(
     kind 'big': E_q(lam X) Y e_q(-lam q^alpha X); kind 'little':
     e_q(lam X) Y E_q(-lam q^alpha X).
     """
-    left = matrix_qexp_series(lam * x, kind, ctx)  # rejects an unknown kind
+    left = matrix_qexp(lam * x, kind, ctx)  # rejects an unknown kind
     other = "little" if kind == "big" else "big"
-    right = matrix_qexp_series(-lam * ctx.q**alpha * x, other, ctx)
+    right = matrix_qexp(-lam * ctx.q**alpha * x, other, ctx)
     return left @ y @ right
 
 
@@ -661,15 +644,15 @@ def qexp_split(
     scale = max(np.abs(xy).max(), np.abs(yx).max(), 1.0)
     if np.abs(xy - ctx.q * yx).max() > _COMM_TOL * scale:
         raise UnsupportedShape("arguments do not satisfy XY = qYX")
-    combined = matrix_qexp_series(x + y, kind, ctx)
+    combined = matrix_qexp(x + y, kind, ctx)
     first, second = (y, x) if kind == "little" else (x, y)
-    split = matrix_qexp_series(first, kind, ctx) @ matrix_qexp_series(second, kind, ctx)
+    split = matrix_qexp(first, kind, ctx) @ matrix_qexp(second, kind, ctx)
     return combined, split
 
 
 def _scaled_ladders(
     osc: Oscillators, ctx: QContext
-) -> tuple[OperatorMatrix, OperatorMatrix, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Boost-scaled pair ladders K± = (1-q) q^((B0-A0+1)/2) A± B±, with
     the level arrays n_A and n_B."""
     basis = osc.a0.basis
@@ -677,7 +660,7 @@ def _scaled_ladders(
     nb = basis.nb.astype(float)
     pref = (1.0 - ctx.q) * ctx.q ** ((nb - na + 1.0) / 2.0)
     _, k_plus, k_minus = su11_generators(osc, pref)
-    return k_plus, k_minus, na, nb
+    return k_plus.entries, k_minus.entries, na, nb
 
 
 def _diag_qexp(kind: str, args: np.ndarray, ctx: QContext) -> np.ndarray:
@@ -696,8 +679,8 @@ def _exp_reorder(
     K+, K-, +1 for big."""
     k_plus, k_minus, na, nb = _scaled_ladders(osc, ctx)
     x, y, ab = (k_minus, k_plus, -a * b) if kind == "little" else (k_plus, k_minus, a * b)
-    e_x = matrix_qexp(x, kind, a, ctx).entries
-    e_y = matrix_qexp(y, kind, b, ctx).entries
+    e_x = matrix_qexp(a * x, kind, ctx)
+    e_y = matrix_qexp(b * y, kind, ctx)
     mid_l = _diag_qexp(kind, ab * ctx.q ** (-na), ctx)
     mid_r = _diag_qexp(kind, ab * ctx.q ** (nb + 1.0), ctx)
     return (e_x * mid_l) @ e_y, (e_y * mid_r) @ e_x
@@ -743,8 +726,8 @@ def exp_reorder_mixed(
     Returns (lhs, rhs); same domain and edge caveats.
     """
     k_plus, k_minus, na, nb = _scaled_ladders(osc, ctx)
-    e_km = matrix_qexp(k_minus, "big", a, ctx).entries
-    e_kp = matrix_qexp(k_plus, "little", b, ctx).entries
+    e_km = matrix_qexp(a * k_minus, "big", ctx)
+    e_kp = matrix_qexp(b * k_plus, "little", ctx)
     mid_1 = _diag_qexp("little", a * b * ctx.q ** (-na), ctx)
     mid_2 = _diag_qexp("big", -a * b * ctx.q ** (nb + 1.0), ctx)
     return e_km @ e_kp, ((mid_1[:, None] * e_kp) @ e_km) * mid_2
@@ -758,7 +741,7 @@ class ClassicalU(_OffsetBlocks):
     J~+ = A~+B~+ takes |m, m+d> to sqrt((m+1)(m+1+d)) |m+1, m+1+d>, so on
     the block of offset d the generator is that sub-diagonal minus its
     transpose.  block(d) exponentiates that block alone on its first read;
-    entries is the dense product-space matrix, built from every block on
+    matrix is the dense product-space form, built from every block on
     first read.  The generator is exactly antisymmetric under truncation, so
     the result is orthogonal to machine precision; only comparisons against
     the infinite-space closed form need interior margins.
@@ -776,10 +759,6 @@ class ClassicalU(_OffsetBlocks):
         up = self.tau * np.sqrt((m + 1.0) * (m + 1.0 + d))
         return scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
 
-    @property
-    def entries(self) -> np.ndarray:
-        return self.matrix.entries
-
 
 def classical_U(tau: float, t: FockTruncation) -> ClassicalU:
     """exp(tau (J~+ - J~-)) on the truncation t, its blocks exponentiated
@@ -790,8 +769,8 @@ def classical_U(tau: float, t: FockTruncation) -> ClassicalU:
 
 def classical_element(u: ClassicalU, beta: int, n: int, x: int) -> float:
     """Sector element <n|_beta exp(tau(J~+ - J~-)) |x>_beta, read from block
-    beta - 1 of u's truncation."""
+    beta - 1 of u's truncation; OutOfBlock for n or x outside that block."""
     block = u.block(sector_offset(u.truncation, beta))
-    if n >= len(block) or x >= len(block):
+    if n < 0 or x < 0 or n >= len(block) or x >= len(block):
         raise OutOfBlock(f"(n={n}, x={x}) outside sector of size {len(block)}")
     return float(block[n, x])

@@ -26,16 +26,19 @@ the package (the matrix series of pseudorotation included):
                  from 1 by less than this
     TAIL_STREAK  ends an infinite sum after this many (3) consecutive
                  terms, each at most TAIL_CUTOFF times the largest term so
-                 far; a matrix term is measured by its Frobenius norm, and
-                 a sum with a non-finite term never ends
+                 far; a matrix term is measured by its Frobenius norm
     POLE_TOL     refuses, with PoleHit, a product about to be inverted
                  whose factor lies this close to zero
     MAX_TERMS    refuses, with NonConvergent, a product or sum still
                  running after this many factors or terms
 
-A non-terminating basic_hypergeometric is also refused, with NonConvergent,
-where its sum has lost more than 16 bits to cancellation: the precision
-rule of the meixner module docstring, which states it once.
+A sum is refused, with NonConvergent, at its first term that is not finite
+(for a matrix term, whose norm is not).
+
+MAX_CANCELLATION (2^16) is the precision rule of the meixner module
+docstring, which states it once: a non-terminating basic_hypergeometric
+whose sum of |terms| exceeds this times |sum| has lost more than 16 bits
+to cancellation and is refused with NonConvergent.
 """
 
 from __future__ import annotations
@@ -63,12 +66,14 @@ __all__ = [
     "TAIL_STREAK",
     "POLE_TOL",
     "MAX_TERMS",
+    "MAX_CANCELLATION",
 ]
 
 TAIL_CUTOFF = 1e-18
 TAIL_STREAK = 3
 POLE_TOL = 1e-12
 MAX_TERMS = 10_000
+MAX_CANCELLATION = 2.0**16
 
 
 @dataclass(frozen=True)
@@ -289,7 +294,7 @@ def basic_hypergeometric(
             used += 1
         total, tail = acc.total, 0.0
     magnitude = sum(abs(term(k)) for k in range(used))
-    if terminate_at is None and magnitude > 2.0**16 * abs(total):
+    if terminate_at is None and magnitude > MAX_CANCELLATION * abs(total):
         raise NonConvergent(f"{label} lost more than 16 bits to cancellation")
     return SeriesValue(total, used, tail, magnitude)
 
@@ -312,19 +317,21 @@ def ratio_sequence(step: Callable[[float, int], float]) -> Callable[[int], float
 
 def adaptive_sum(term_of: Callable[[int], float], label: str) -> tuple[float, int]:
     """Sum term_of(k) for k = 0, 1, ... with compensated summation until the
-    tail rule ends it.  Returns (sum, terms_used); NonConvergent past
-    MAX_TERMS.
+    tail rule ends it.  Returns (sum, terms_used); NonConvergent at the
+    first term that is not finite, and past MAX_TERMS.
     """
     acc = CompensatedSum()
     largest = 0.0
     streak = 0
     for k in range(MAX_TERMS):
         t = term_of(k)
+        if not math.isfinite(t):
+            raise NonConvergent(f"{label} term {k} is not finite")
         acc.add(t)
         size = abs(t)
-        if size > largest or math.isnan(size):  # NaN sticks, as inf does
+        if size > largest:
             largest = size
-        streak = streak + 1 if size <= TAIL_CUTOFF * largest < math.inf else 0
+        streak = streak + 1 if size <= TAIL_CUTOFF * largest else 0
         if streak >= TAIL_STREAK:
             return acc.total, k + 1
     raise NonConvergent(f"{label} exceeded the term budget")

@@ -21,9 +21,9 @@ from qmeixner.errors import (
 from qmeixner.meixner import MatrixElementParams, xi
 from qmeixner.oscillator import (
     FockTruncation,
-    OperatorMatrix,
     build_classical,
     build_oscillators,
+    offset_block,
     sector,
 )
 from qmeixner.pseudorotation import (
@@ -120,67 +120,71 @@ def deviation(got, ref):
 
 def test_qexp_of_zero_is_identity():
     osc, ctx = small_osc()
-    zero = OperatorMatrix(np.zeros_like(osc.a0.entries), osc.a0.basis)
+    zero = np.zeros_like(osc.a0.entries)
     for kind in ("little", "big"):
-        out = matrix_qexp(zero, kind, 1.0, ctx)
-        assert np.array_equal(out.entries, np.eye(osc.a0.basis.dim))
+        out = matrix_qexp(zero, kind, ctx)
+        assert np.array_equal(out, np.eye(osc.a0.basis.dim))
 
 
 def test_qexp_single_entry_nilpotent():
     # X^2 = 0 collapses both kinds to I + sX/(1-q)
     osc, ctx = small_osc(cap=1)
-    x = osc.a_plus
+    x = osc.a_plus.entries
     for kind in ("little", "big"):
-        out = matrix_qexp(x, kind, 0.7, ctx)
-        expected = np.eye(x.basis.dim) + 0.7 * x.entries / (1.0 - ctx.q)
-        assert np.abs(out.entries - expected).max() <= 1e-15
+        out = matrix_qexp(0.7 * x, kind, ctx)
+        expected = np.eye(len(x)) + 0.7 * x / (1.0 - ctx.q)
+        assert np.abs(out - expected).max() <= 1e-15
 
 
 def test_qexp_little_big_inverse_for_nilpotent():
     osc, ctx = small_osc()
-    x = OperatorMatrix(osc.a_plus.entries @ osc.b_plus.entries, osc.a0.basis)
-    little = matrix_qexp(x, "little", 0.4, ctx)
-    big = matrix_qexp(x, "big", -0.4, ctx)
-    assert np.abs(little.entries @ big.entries - np.eye(x.basis.dim)).max() <= 1e-12
+    x = osc.a_plus.entries @ osc.b_plus.entries
+    little = matrix_qexp(0.4 * x, "little", ctx)
+    big = matrix_qexp(-0.4 * x, "big", ctx)
+    assert np.abs(little @ big - np.eye(len(x))).max() <= 1e-12
 
 
 def test_qexp_diagonal_uses_scalar_forms():
     osc, ctx = small_osc()
-    out = matrix_qexp(osc.a0, "little", -0.3, ctx)
-    assert np.count_nonzero(out.entries - np.diag(np.diagonal(out.entries))) == 0
+    out = matrix_qexp(-0.3 * osc.a0.entries, "little", ctx)
+    assert np.count_nonzero(out - np.diag(np.diagonal(out))) == 0
 
 
 def test_qexp_rejects_mixed_shape():
+    # the terms of the A+ + A- blocks grow until they overflow: refused at
+    # the first non-finite term, with no overflow warning on the way
     osc, ctx = small_osc()
-    mixed = OperatorMatrix(osc.a_plus.entries + osc.a_minus.entries, osc.a0.basis)
-    with pytest.raises(UnsupportedShape):
-        matrix_qexp(mixed, "little", 1.0, ctx)
+    mixed = osc.a_plus.entries + osc.a_minus.entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent, match="not finite"):
+            matrix_qexp(mixed, "little", ctx)
     with pytest.raises(ValueError):
-        matrix_qexp(osc.a0, "huge", 1.0, ctx)
+        matrix_qexp(osc.a0.entries, "huge", ctx)
 
 
 @pytest.mark.parametrize("cap", [8, 12, 20])
 @pytest.mark.parametrize("q", [0.5, 0.9])
 @pytest.mark.parametrize("kind", ["little", "big"])
 def test_blockwise_series_match_dense_reference(kind, q, cap):
-    """matrix_qexp, matrix_qexp_series and qbch_series, summed per invariant
-    block, against the dense power series on the argument shapes of the
-    identities: the pair ladders K+-, the diagonal q^A0 plus A+ of
-    qexp_split, and the K+ with n_A pair of the q-BCH check.  Worst measured
-    deviation 5.5e-14, in qbch_series at q = 0.9, cap 20; matrix_qexp
-    matched bit for bit."""
+    """matrix_qexp and qbch_series, summed per invariant block, against the
+    dense power series on the argument shapes of the identities: the pair
+    ladders K+-, the diagonal q^A0 plus A+ of qexp_split, and the K+ with
+    n_A pair of the q-BCH check.  Worst measured deviation 5.5e-14, in
+    qbch_series at q = 0.9, cap 20; matrix_qexp on the pair ladders matched
+    bit for bit."""
     osc, ctx = small_osc(q, cap)
     basis = osc.a0.basis
     na = basis.na.astype(float)
     k_plus, k_minus = pair_ladders(osc, ctx)
     worst = 0.0
     for x, scale in ((k_plus, 0.3), (k_minus, -0.3), (k_minus, 0.1)):
-        got = matrix_qexp(OperatorMatrix(x, basis), kind, scale, ctx).entries
+        got = matrix_qexp(scale * x, kind, ctx)
         worst = max(worst, deviation(got, dense_qexp(scale * x, kind, ctx, 0.0)))
     diag = np.diag(q**na)
     for cx, cy in ((0.3, 0.3), (-0.3, 0.3)):
         for x in (cx * diag + cy * osc.a_plus.entries, cx * diag, 0.3 * k_plus):
-            got = matrix_qexp_series(x, kind, ctx)
+            got = matrix_qexp(x, kind, ctx)
             worst = max(worst, deviation(got, dense_qexp(x, kind, ctx, TAIL_CUTOFF)))
     y = np.diag(na)
     for lam in (0.3, -0.3):
@@ -190,11 +194,18 @@ def test_blockwise_series_match_dense_reference(kind, q, cap):
 
 
 def test_qexp_series_matches_nilpotent_path():
+    # one function under both names; its series on each pair-ladder block
+    # against the closed form that build_U uses there
+    assert matrix_qexp_series is matrix_qexp
     osc, ctx = small_osc()
     x = 0.3 * (osc.a_plus.entries @ osc.b_plus.entries)
-    direct = matrix_qexp(OperatorMatrix(x, osc.a0.basis), "little", 1.0, ctx)
-    series = matrix_qexp_series(x, "little", ctx)
-    assert np.abs(direct.entries - series).max() <= 1e-12
+    got = matrix_qexp(x, "little", ctx)
+    t = osc.a0.basis.trunc
+    for d in range(-t.n_a_max, t.n_b_max + 1):
+        _, idx = offset_block(t, d)
+        block = np.ix_(idx, idx)
+        closed = pseudorotation._bidiagonal_qexp(np.diagonal(x[block], -1), "little", ctx.q)
+        assert np.abs(got[block] - closed).max() <= 1e-12
 
 
 # --- building U -------------------------------------------------------------
@@ -561,6 +572,37 @@ def test_reorder_big_and_mixed_converged_blocks():
     assert interior_residual(l, r, basis, 4, 4) <= 1e-9
 
 
+def identity_outputs(name):
+    """The outputs of exp_reorder_* or qbch_conjugate at the arguments of
+    the identities benchmark: q = 0.9, truncation 20."""
+    osc, ctx = small_osc(q=0.9, cap=20)
+    if name == "qbch_conjugate":
+        k_plus, _ = pair_ladders(osc, ctx)
+        y = np.diag(osc.a0.basis.na.astype(float))
+        return [
+            qbch_conjugate(k_plus, y, lam, 0.3, kind, ctx)
+            for kind in ("big", "little")
+            for lam in (0.3, -0.3, 0.1)
+        ]
+    fn = getattr(pseudorotation, name)
+    return [m for a, b in ((0.3, 0.3), (0.1, 0.1), (0.3, -0.3)) for m in fn(a, b, osc, ctx)]
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("exp_reorder_little", "c77b845fbd251fabb70e88b3c1bd4ebfa3cde99d54b33f7c700819f5774406f3"),
+        ("exp_reorder_big", "22b70db213b33c86476e344abedb59fc34b68a0b54de910f0f9778d3bcc46ebc"),
+        ("exp_reorder_mixed", "49363fce2b26889cef92e3b6730c213544df722d73978d00aca0bf4c11861ca8"),
+        ("qbch_conjugate", "c7c2640bd24c0ebf2158f7601cc28bfe665dd9d050d81f697c89509265230a56"),
+    ],
+)
+def test_identity_outputs_are_bit_identical(name, digest):
+    # frozen from the build with a separate nilpotent-only matrix_qexp and a
+    # series-only matrix_qexp_series
+    assert sha256(np.stack(identity_outputs(name))) == digest
+
+
 def test_reorder_little_breakage_decays_with_margin():
     # the little reordering never reaches a truncation-free block at this
     # size; certify instead that the edge breakage decays inward
@@ -578,13 +620,13 @@ def test_reorder_little_breakage_decays_with_margin():
 def test_classical_u_tau_zero():
     t = FockTruncation(6, 6)
     u = classical_U(0.0, t)
-    assert np.array_equal(u.entries, np.eye(t.dim))
+    assert np.array_equal(u.matrix.entries, np.eye(t.dim))
 
 
 def test_classical_u_is_orthogonal():
     t = FockTruncation(10, 10)
     u = classical_U(0.4, t)
-    assert np.abs(u.entries.T @ u.entries - np.eye(t.dim)).max() <= 1e-12
+    assert np.abs(u.matrix.entries.T @ u.matrix.entries - np.eye(t.dim)).max() <= 1e-12
 
 
 def test_classical_u_corner_matches_sech():
@@ -603,15 +645,16 @@ def test_classical_u_matches_dense_expm(k):
     t = FockTruncation(k, k)
     cl = build_classical(t)
     ref = scipy.linalg.expm(0.5 * (cl.j_plus.entries - cl.j_minus.entries))
-    dev = np.abs(classical_U(0.5, t).entries - ref).max()
+    dev = np.abs(classical_U(0.5, t).matrix.entries - ref).max()
     assert dev <= 1e-12
 
 
 def test_classical_element_out_of_block():
-    t = FockTruncation(6, 6)
-    u = classical_U(0.3, t)
-    with pytest.raises(OutOfBlock):
-        classical_element(u, 1, 7, 0)
+    # a negative index would read the far end of the block
+    u = classical_U(0.3, FockTruncation(6, 6))
+    for n, x in ((7, 0), (-1, 0), (0, -1)):
+        with pytest.raises(OutOfBlock):
+            classical_element(u, 1, n, x)
 
 
 @pytest.mark.parametrize("n_a, beta", [(8, 1), (9, 2), (12, 4), (13, 3)])

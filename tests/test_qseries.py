@@ -1,6 +1,7 @@
 """Scalar q-series primitives: frozen oracles, shift identities, contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,12 +138,31 @@ def test_every_sum_ends_by_the_one_tail_rule(z, used):
     assert blocks == pytest.approx(1.0 / (1.0 - z), rel=1e-14)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_a_sum_with_a_non_finite_term_never_ends(bad):
-    with pytest.raises(NonConvergent):
-        _block_series(np.full((1, 1, 1), bad), lambda k, term: term, 10)
-    with pytest.raises(NonConvergent):
-        adaptive_sum(lambda k: bad if k == 1 else 0.0, "non-finite sum")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_sum_is_refused_at_its_first_non_finite_term(bad):
+    # term 2 is the first non-finite one: each sum stops there, with no
+    # overflow or invalid-value warning from the block sum
+    terms = []
+
+    def term_of(k):
+        terms.append(k)
+        return bad if k == 2 else 0.5**k
+
+    with pytest.raises(NonConvergent, match="non-finite sum term 2 is not finite"):
+        adaptive_sum(term_of, "non-finite sum")
+    assert terms == [0, 1, 2]
+
+    steps = []
+
+    def step(k, term):
+        steps.append(k)
+        return term * (bad if k == 2 else 0.5)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent, match="term 2 of the series is not finite"):
+            _block_series(np.ones((2, 1, 1)), step)
+    assert steps == [1, 2]
 
 
 def test_ratio_sequence_is_a_memoised_running_product():
