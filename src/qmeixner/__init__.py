@@ -19,10 +19,8 @@ from .meixner import (
     MeixnerParams,
     classical_meixner,
     classical_xi_limit,
-    dual_orthogonality_sum,
     duality_transform,
     norm_factor,
-    orthogonality_sum,
     qmeixner,
     weight,
     xi,
@@ -83,6 +81,8 @@ from .verify import (
     check,
     check_all,
     default_grid,
+    dual_orthogonality_sum,
+    orthogonality_sum,
 )
 
 __version__ = "0.1.0"

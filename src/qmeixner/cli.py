@@ -53,6 +53,7 @@ from .pseudorotation import (
 )
 from .qseries import QContext
 from .verify import (
+    LIMIT_KS,
     RelationId,
     check_all,
     limit_passes,
@@ -251,7 +252,7 @@ def cmd_limit(args) -> int:
     _refuse_negative_sizes(args, ("nmax", "xmax"))
     if args.kind != "poly":
         _as_option(limit_xi_theta if args.kind == "xi" else classical_c, args.tau)
-    ks = args.k if args.k else ([8, 16, 32] if args.kind == "operator" else [2, 3, 4])
+    ks = args.k if args.k else ([8, 16, 32] if args.kind == "operator" else LIMIT_KS)
     if any(k < 1 for k in ks):
         raise ValueError("--k values must be positive integers")
     cells = [(n, x) for n in range(args.nmax + 1) for x in range(args.xmax + 1)]
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k",
         type=int,
         action="append",
-        help="poly/xi: q = 1 - 10^-k (default 2 3 4); "
+        help=f"poly/xi: q = 1 - 10^-k (default {' '.join(map(str, LIMIT_KS))}); "
         "operator: truncation sizes (default 8 16 32)",
     )
     p.add_argument("--beta", type=int, default=1)

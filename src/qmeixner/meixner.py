@@ -21,12 +21,13 @@ Equivalently, with the weight
 
 the polynomials satisfy sum_x omega_x M_n M_n' = delta * norm_factor(n).
 
-Precision rule, for qmeixner and xi: a value is computed in doubles and
-returned only where the doubles it rests on are finite and normal and its
-sum has lost at most 16 bits to cancellation (sum of |terms| at most
-qseries.MAX_CANCELLATION = 2^16 times |sum|).  Otherwise it is computed in
-50-digit decimals on the exact values of the double arguments, and a value
-beyond the double range is refused with OverflowError.
+Precision rule, for qmeixner, xi, weight and norm_factor: a value is
+computed in doubles and returned only where the doubles it rests on are
+finite and normal and a sum has lost at most 16 bits to cancellation (sum
+of |terms| at most qseries.MAX_CANCELLATION = 2^16 times |sum|).
+Otherwise it is computed in 50-digit decimals on the exact values of the
+double arguments, and a value above the double range is refused with
+OverflowError; one below it rounds toward 0.0 like any double.
 
 Classical (q -> 1) companions live at the bottom of the module.
 """
@@ -37,12 +38,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from functools import cached_property
 from typing import Callable
 
 from .qseries import (
     MAX_CANCELLATION,
     QContext,
-    adaptive_sum,
     q_binomial,
     q_pochhammer,
     ratio_sequence,
@@ -63,9 +64,7 @@ __all__ = [
     "xi_dual",
     "classical_meixner",
     "classical_xi_limit",
-    "orthogonality_sum",
     "dual_degree_factor",
-    "dual_orthogonality_sum",
 ]
 
 _DECIMAL = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -156,6 +155,14 @@ class MatrixElementParams:
     def meixner_params(self) -> MeixnerParams:
         return MeixnerParams.from_beta(self.beta, self.theta * self.theta, self.ctx)
 
+    @cached_property
+    def _pochhammer_decimal(self) -> Callable[[int], Decimal]:
+        """k -> (-theta^2; q)_k in decimals on the exact q and theta, held
+        with the parameters, so a sum over the lattice builds each prefix
+        once; read under _DECIMAL."""
+        q, t2 = Decimal(self.ctx.q), Decimal(self.theta) ** 2
+        return ratio_sequence(lambda p, k: Decimal(p) * (1 + t2 * q**k))
+
 
 def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
     """M_n(q^-x; b, c; q), exact terminating evaluation.
@@ -168,11 +175,14 @@ def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
         raise ValueError("degree n and lattice point x must be >= 0")
     q = p.ctx.q
     z = -(q ** (n + 1)) / p.c_effective
-    value, magnitude = _terminating_2phi1(q, n, x, p.beta, p.b, z)
+    try:
+        value, magnitude = _terminating_2phi1(q, n, x, p.beta, p.b, z)
+    except OverflowError:  # q^(k-n) or q^(k-x)
+        value = math.inf
     if math.isfinite(value) and magnitude <= MAX_CANCELLATION * abs(value):
         return value
-    # a term overflowed, or near a zero of M_n the terms cancel and a double
-    # sum keeps only ~16 digits of the largest: past 5 of them lost, decimal
+    # a factor or term overflowed, or near a zero of M_n the terms cancel and
+    # a double sum keeps only ~16 digits of the largest: past 5 lost, decimal
     value = float(_qmeixner_decimal(n, x, p, Decimal(p.c)))
     if math.isinf(value):
         raise OverflowError(f"M_{n}(q^-{x}) exceeds the double range")
@@ -225,36 +235,105 @@ def _qmeixner_decimal(n: int, x: int, p: MeixnerParams, c: Decimal) -> Decimal:
 
 
 def weight(x: int, mp: MatrixElementParams) -> float:
-    """Orthogonality weight omega_x = xi_{0,x}^2 (positive)."""
+    """Orthogonality weight omega_x = xi_{0,x}^2, positive and at most 1.
+
+    In doubles where theta^(2x), q^(C(x,2)) and omega_x are normal: the
+    factors [x+beta-1, x]_q and (-theta^2; q)_{x+beta} are at least 1, so a
+    partial product that leaves the range takes omega_x out of it too.
+    Otherwise in decimal (_weight_decimal).
+    """
     if x < 0:
         raise ValueError("x must be >= 0")
     q = mp.ctx.q
     t2 = mp.theta * mp.theta
-    num = t2**x * q_binomial(x + mp.beta - 1, x, mp.ctx) * q ** (x * (x - 1) // 2)
-    return num / q_pochhammer(-t2, x + mp.beta, mp.ctx)
+    try:
+        t2x = t2**x
+    except OverflowError:
+        t2x = math.inf
+    qc = q ** (x * (x - 1) // 2)
+    if _normal(t2x, qc):
+        w = (
+            t2x
+            * q_binomial(x + mp.beta - 1, x, mp.ctx)
+            * qc
+            / q_pochhammer(-t2, x + mp.beta, mp.ctx)
+        )
+        if _normal(w):
+            return w
+    with localcontext(_DECIMAL):
+        return float(_weight_decimal(x, mp))
 
 
 def norm_factor(n: int, mp: MatrixElementParams) -> float:
-    """Squared norm of degree n in the weighted sum over the lattice:
+    """Squared norm h_n of degree n in the weighted sum over the lattice:
 
     q^(C(n,2)) theta^(-2n) (q;q)_n (q;q)_{beta-1} (-theta^2 q^-n; q)_n
         / (q;q)_{n+beta-1}.
 
-    Equals 1 at n = 0 for every beta (the weights sum to one).
+    Equals 1 at n = 0 for every beta (the weights sum to one).  In doubles
+    where _norm_double finds every double it rests on normal, otherwise in
+    decimal (_norm_decimal); OverflowError where h_n exceeds the double
+    range.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    h = _norm_double(n, mp)
+    if h is None:
+        with localcontext(_DECIMAL):
+            h = float(_norm_decimal(n, mp))
+        if math.isinf(h):
+            raise OverflowError(f"h_{n} = norm_factor({n}) exceeds the double range")
+    return h
+
+
+def _norm_double(n: int, mp: MatrixElementParams) -> float | None:
+    """h_n in doubles; None where q^(C(n,2)), (q;q)_n, (q;q)_{n+beta-1}, a
+    partial product or h_n is not a normal double.  Those factors are at
+    most 1, and the products they enter grow again by theta^(-2n) and
+    (-theta^2 q^-n; q)_n, so a value that left the range would not show."""
     ctx = mp.ctx
     q = ctx.q
     t2 = mp.theta * mp.theta
-    num = (
-        q ** (n * (n - 1) // 2)
-        * t2 ** (-n)
-        * q_pochhammer(q, n, ctx)
-        * q_pochhammer(-t2 * q ** (-n), n, ctx)
+    qc, qq, top = (
+        q ** (n * (n - 1) // 2),
+        q_pochhammer(q, n, ctx),
+        q_pochhammer(q, n + mp.beta - 1, ctx),
     )
-    den = q_pochhammer(q, n + mp.beta - 1, ctx) / q_pochhammer(q, mp.beta - 1, ctx)
-    return num / den
+    try:
+        head = qc * t2 ** (-n)
+        poch = q_pochhammer(-t2 * q ** (-n), n, ctx)
+    except OverflowError:  # theta^(-2n) or q^-n
+        return None
+    mid = head * qq
+    if not _normal(qc, qq, top, head, mid):
+        return None
+    h = mid * poch / (top / q_pochhammer(q, mp.beta - 1, ctx))
+    return h if _normal(h) else None
+
+
+def _normal(*values: float) -> bool:
+    """Whether every value is a positive, finite, normal double."""
+    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
+
+
+def _binom_decimal(m: int, beta: int, q: Decimal) -> Decimal:
+    """[m + beta - 1, m]_q = [m + beta - 1, beta - 1]_q in the caller's
+    decimal context."""
+    return math.prod((1 - q ** (m + i)) / (1 - q**i) for i in range(1, beta))
+
+
+def _weight_decimal(x: int, mp: MatrixElementParams) -> Decimal:
+    """omega_x in the caller's decimal context on the exact q and theta."""
+    q, t2 = Decimal(mp.ctx.q), Decimal(mp.theta) ** 2
+    poch = mp._pochhammer_decimal(x + mp.beta)
+    return t2**x * _binom_decimal(x, mp.beta, q) * q ** (x * (x - 1) // 2) / poch
+
+
+def _norm_decimal(n: int, mp: MatrixElementParams) -> Decimal:
+    """h_n in the caller's decimal context on the exact q and theta."""
+    q, t2 = Decimal(mp.ctx.q), Decimal(mp.theta) ** 2
+    poch = math.prod(1 + t2 * q ** (k - n) for k in range(n))
+    return q ** (n * (n - 1) // 2) * poch / (t2**n * _binom_decimal(n, mp.beta, q))
 
 
 def xi(n: int, x: int, mp: MatrixElementParams) -> float:
@@ -302,21 +381,15 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
 
 
 def _xi_decimal(n: int, x: int, mp: MatrixElementParams) -> float:
-    """xi_{n,x} in 50-digit decimals on the exact q and theta, its M_n from
-    _qmeixner_decimal: no factor over- or underflows."""
+    """xi_{n,x} in 50-digit decimals on the exact q and theta, as
+    sign * sqrt(omega_x / h_n) * M_n with M_n from _qmeixner_decimal: no
+    factor over- or underflows."""
     with localcontext(_DECIMAL):
-        q, theta = Decimal(mp.ctx.q), Decimal(mp.theta)
-        t2 = theta * theta
-        binoms = math.prod(  # [n + beta - 1, n]_q [x + beta - 1, x]_q
-            (1 - q ** (mp.beta - 1 + i)) / (1 - q**i)
-            for m in (n, x)
-            for i in range(1, m + 1)
-        )
-        poch = math.prod(1 + t2 * q**k for k in range(x + mp.beta))
-        poch *= math.prod(1 + t2 * q ** (k - n) for k in range(n))
-        radicand = binoms * q ** (x * (x - 1) // 2 - n * (n - 1) // 2) / poch
-        m_n = _qmeixner_decimal(n, x, mp.meixner_params(), t2)
-        return float((-1) ** x * theta ** (n + x) * radicand.sqrt() * m_n)
+        theta = Decimal(mp.theta)
+        ratio = _weight_decimal(x, mp) / _norm_decimal(n, mp)
+        m_n = _qmeixner_decimal(n, x, mp.meixner_params(), theta * theta)
+        sign = (-1) ** x * (-1 if theta < 0 and (n + x) % 2 else 1)
+        return float(sign * ratio.sqrt() * m_n)
 
 
 def duality_transform(
@@ -378,7 +451,10 @@ def classical_c(tau: float) -> float:
     for one whose cosh overflows."""
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    math.cosh(tau)  # the limit's cosh(tau)^-beta
+    try:
+        math.cosh(tau)  # the limit's cosh(tau)^-beta
+    except OverflowError:
+        raise OverflowError(f"cosh(tau) at tau = {tau}") from None
     th = math.tanh(tau)
     c = th * th
     if (c == 0.0 and tau != 0.0) or c == 1.0:
@@ -421,44 +497,3 @@ def dual_degree_factor(t2: float, beta: int, q: float) -> Callable[[int], float]
         / ((1.0 - q ** (k + 1)) * (1.0 + t2 * q ** (-k - 1)))
     )
 
-
-def orthogonality_sum(
-    n: int, n2: int, mp: MatrixElementParams
-) -> tuple[float, int]:
-    """Adaptively truncated sum over the lattice:
-
-    sum_x omega_x M_n(q^-x) M_n2(q^-x).
-
-    Terms decay super-geometrically; the sum ends by the qseries tail rule.
-    Returns (sum, terms_used).
-    """
-    pm = mp.meixner_params()
-    return adaptive_sum(
-        lambda x: weight(x, mp) * qmeixner(n, x, pm) * qmeixner(n2, x, pm),
-        "orthogonality sum",
-    )
-
-
-def dual_orthogonality_sum(
-    x: int, x2: int, mp: MatrixElementParams
-) -> tuple[float, int]:
-    """Adaptively truncated dual sum over the degree:
-
-    sum_n M_n(q^-x) M_n(q^-x2) theta^(2n) q^(-C(n,2))
-          [n+beta-1, n]_q / (-theta^2 q^-n; q)_n,
-
-    nominally delta_{x,x2} / omega_x.  The sum converges (terms shrink like
-    q^n), but to a value that genuinely differs from delta/omega: the
-    lattice functions n -> xi_{n,x} are orthogonal in x yet not complete,
-    so the dual sum carries a finite completeness defect (about 4.4e-4
-    relative at x = 0 for q = 0.5, theta = 0.3, beta = 1, growing with x
-    and shrinking as q -> 1).  The degree-dependent factor is carried by a
-    stable term-ratio recurrence (dual_degree_factor).  Returns
-    (sum, terms_used).
-    """
-    factor = dual_degree_factor(mp.theta * mp.theta, mp.beta, mp.ctx.q)
-    pm = mp.meixner_params()
-    return adaptive_sum(
-        lambda n: factor(n) * qmeixner(n, x, pm) * qmeixner(n, x2, pm),
-        "dual orthogonality sum",
-    )

@@ -17,10 +17,10 @@ cancelled remainder.
 
 The two LIMIT relations are judged differently: the identity is a limit
 statement, so each grid point is checked for strictly decreasing error
-against the classical value over q = 1 - 10^-k, k = 2, 3, 4 (rows whose
-error is already below 1e-11 everywhere count as converged).  limit_passes
-is that judge and limit_poly_errors and limit_xi_errors give the errors it
-judges; the CLI's limit command shares all three.
+against the classical value over q = 1 - 10^-k, k in LIMIT_KS = (2, 3, 4)
+(rows whose error is already below 1e-11 everywhere count as converged).
+limit_passes is that judge and limit_poly_errors and limit_xi_errors give
+the errors it judges; the CLI's limit command shares all four.
 
 Grid points violating a relation's domain (the complementary relations need
 beta >= 2, the variable generating function converges only for z < q^n) are
@@ -30,6 +30,7 @@ reported as skipped, not failed.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,6 +78,9 @@ __all__ = [
     "limit_poly_errors",
     "limit_xi_errors",
     "limit_xi_theta",
+    "LIMIT_KS",
+    "orthogonality_sum",
+    "dual_orthogonality_sum",
 ]
 
 
@@ -110,7 +114,7 @@ class GridPoint(NamedTuple):
     """One parameter tuple.  For pointwise relations all of (q, beta, theta,
     n, x) are set; generating functions carry z in aux; the limit relations
     carry tau (LIMIT_XI) or classical c (LIMIT_POLY) in aux with q/theta
-    unused (the q sequence is fixed to 1 - 10^-k, k = 2, 3, 4)."""
+    unused (the q sequence is fixed to 1 - 10^-k, k in LIMIT_KS)."""
 
     q: float | None
     beta: int
@@ -164,7 +168,7 @@ class _Row:
 
     def at(self, n: int) -> float:
         values = self.values
-        if n < len(values):
+        if 0 <= n < len(values):  # a negative n goes to qmeixner's refusal
             value = values[n]
             if value == value:
                 return value
@@ -226,11 +230,17 @@ class _Cache:
     ) -> float:
         return self.row(q, c, beta, shift, x)(n)
 
+    def element_params(self, q: float, theta: float, beta: int) -> MatrixElementParams:
+        key = (MatrixElementParams, q, theta, beta)
+        if key not in self._mp:
+            self._mp[key] = MatrixElementParams(theta, beta, self.context(q))
+        return self._mp[key]
+
     def by_theta(self, fn: Callable, q: float, theta: float, beta: int, k: int) -> float:
-        """fn(k, MatrixElementParams(theta, beta)), fn weight or norm_factor."""
+        """fn(k, element_params(q, theta, beta)), fn weight or norm_factor."""
         key = (fn, q, theta, beta, k)
         if key not in self._mp:
-            self._mp[key] = fn(k, MatrixElementParams(theta, beta, self.context(q)))
+            self._mp[key] = fn(k, self.element_params(q, theta, beta))
         return self._mp[key]
 
     def qexp(self, fn: Callable, q: float, z: float) -> float:
@@ -384,14 +394,14 @@ def _eval_duality(pt: GridPoint, c: _Cache):
 
 
 def _eval_duality_xi(pt: GridPoint, c: _Cache):
-    mp = MatrixElementParams(pt.theta, pt.beta, c.context(pt.q))
+    mp = c.element_params(pt.q, pt.theta, pt.beta)
     lhs = xi(pt.n, pt.x, mp)
     pref, xd, nd, mpd = xi_dual(pt.n, pt.x, mp)
     rhs = pref * xi(xd, nd, mpd)
     return lhs, rhs, None
 
 
-def _eval_ortho_degree(pt: GridPoint, c: _Cache):
+def _orthogonality_sum(pt: GridPoint, c: _Cache) -> tuple[float, int]:
     q, b, th = pt.q, pt.beta, pt.theta
     n, n2 = pt.n, pt.x
     t2 = th * th
@@ -400,28 +410,79 @@ def _eval_ortho_degree(pt: GridPoint, c: _Cache):
         row = c.row(q, t2, b, 0, x)
         return c.by_theta(weight, q, th, b, x) * row(n) * row(n2)
 
-    lhs, _ = adaptive_sum(term, "orthogonality sum")
-    nfn = c.by_theta(norm_factor, q, th, b, n)
-    nfn2 = c.by_theta(norm_factor, q, th, b, n2)
-    rhs = nfn if n == n2 else 0.0
-    return lhs, rhs, math.sqrt(nfn * nfn2)
+    return adaptive_sum(term, "orthogonality sum")
+
+
+def _dual_orthogonality_sum(pt: GridPoint, c: _Cache) -> tuple[float, int]:
+    q, b = pt.q, pt.beta
+    t2 = pt.theta * pt.theta
+    factor = c.dual_factor(q, t2, b)
+    row, row2 = c.row(q, t2, b, 0, pt.n), c.row(q, t2, b, 0, pt.x)
+    return adaptive_sum(lambda n: factor(n) * row(n) * row2(n), "dual orthogonality sum")
+
+
+def orthogonality_sum(n: int, n2: int, mp: MatrixElementParams) -> tuple[float, int]:
+    """Adaptively truncated sum over the lattice, the ortho_degree sum:
+
+    sum_x omega_x M_n(q^-x) M_n2(q^-x).
+
+    Terms decay super-geometrically; the sum ends by the qseries tail rule.
+    Returns (sum, terms_used).
+    """
+    return _orthogonality_sum(GridPoint(mp.ctx.q, mp.beta, mp.theta, n, n2), _Cache())
+
+
+def dual_orthogonality_sum(x: int, x2: int, mp: MatrixElementParams) -> tuple[float, int]:
+    """Adaptively truncated dual sum over the degree, the ortho_variable sum:
+
+    sum_n M_n(q^-x) M_n(q^-x2) theta^(2n) q^(-C(n,2))
+          [n+beta-1, n]_q / (-theta^2 q^-n; q)_n,
+
+    nominally delta_{x,x2} / omega_x.  The sum converges (terms shrink like
+    q^n), but to a value that genuinely differs from delta/omega: the
+    lattice functions n -> xi_{n,x} are orthogonal in x yet not complete,
+    so the dual sum carries a finite completeness defect (about 4.4e-4
+    relative at x = 0 for q = 0.5, theta = 0.3, beta = 1, growing with x
+    and shrinking as q -> 1).  The degree-dependent factor is carried by a
+    stable term-ratio recurrence (dual_degree_factor).  Returns
+    (sum, terms_used).
+    """
+    return _dual_orthogonality_sum(GridPoint(mp.ctx.q, mp.beta, mp.theta, x, x2), _Cache())
+
+
+def _scale_root(pt: GridPoint, name: str, a: float, b: float) -> float:
+    """sqrt(a b) of an orthogonality scale: the root of the double product
+    where that is a normal double, else sqrt(a) sqrt(b).  OverflowError
+    where the root or its reciprocal exceeds the double range."""
+    product = a * b
+    if sys.float_info.min <= product <= sys.float_info.max:
+        root = math.sqrt(product)
+    else:
+        root = math.sqrt(a) * math.sqrt(b)
+    if not 1.0 / sys.float_info.max <= root <= sys.float_info.max:
+        raise OverflowError(
+            f"{name} = {root!r} at q = {pt.q}, theta = {pt.theta}, beta = {pt.beta}, "
+            f"({pt.n}, {pt.x}): the scale or its reciprocal exceeds the double range"
+        )
+    return root
+
+
+def _eval_ortho_degree(pt: GridPoint, c: _Cache):
+    lhs, _ = _orthogonality_sum(pt, c)
+    nfn = c.by_theta(norm_factor, pt.q, pt.theta, pt.beta, pt.n)
+    nfn2 = c.by_theta(norm_factor, pt.q, pt.theta, pt.beta, pt.x)
+    rhs = nfn if pt.n == pt.x else 0.0
+    return lhs, rhs, _scale_root(pt, "sqrt(h_n h_n2)", nfn, nfn2)
 
 
 def _eval_ortho_variable(pt: GridPoint, c: _Cache):
-    q, b, th = pt.q, pt.beta, pt.theta
-    x, x2 = pt.n, pt.x
-    t2 = th * th
-    factor = c.dual_factor(q, t2, b)
-    row, row2 = c.row(q, t2, b, 0, x), c.row(q, t2, b, 0, x2)
-
-    def term(n):
-        return factor(n) * row(n) * row2(n)
-
-    lhs, _ = adaptive_sum(term, "dual orthogonality sum")
-    wx = c.by_theta(weight, q, th, b, x)
-    wx2 = c.by_theta(weight, q, th, b, x2)
-    rhs = 1.0 / wx if x == x2 else 0.0
-    return lhs, rhs, 1.0 / math.sqrt(wx * wx2)
+    lhs, _ = _dual_orthogonality_sum(pt, c)
+    wx = c.by_theta(weight, pt.q, pt.theta, pt.beta, pt.n)
+    wx2 = c.by_theta(weight, pt.q, pt.theta, pt.beta, pt.x)
+    # at x = x2 the root is omega_x, so 1/omega_x is checked with it
+    root = _scale_root(pt, "sqrt(omega_x omega_x2)", wx, wx2)
+    rhs = 1.0 / wx if pt.n == pt.x else 0.0
+    return lhs, rhs, 1.0 / root
 
 
 def _genfun_coefficient(q: float, b: int, z: float) -> Callable[[int], float]:
@@ -474,7 +535,7 @@ def _eval_genfun_variable(pt: GridPoint, c: _Cache):
 # ---------------------------------------------------------------------------
 # q -> 1 limits, judged by limit_passes over q = 1 - 10^-k
 
-_LIMIT_KS = (2, 3, 4)
+LIMIT_KS = (2, 3, 4)
 
 # limit rows whose true error vanishes show only rounding noise, and the
 # noise grows like 1/(1-q) toward q = 1; the floor sits above that
@@ -499,17 +560,19 @@ def limit_q(k: int) -> float:
     return q
 
 
+def _eval_limit_poly(pt: GridPoint, c: _Cache, ks: Iterable[int] = LIMIT_KS):
+    classical = classical_meixner(pt.n, pt.x, admissible_beta(pt.beta), pt.aux)
+    cq = pt.aux / (1.0 - pt.aux)
+    values = (c.meixner(limit_q(k), cq, pt.beta, 0, pt.n, pt.x) for k in ks)
+    return [abs(v - classical) for v in values], classical
+
+
 def limit_poly_errors(
     n: int, x: int, beta: int, c: float, ks: Iterable[int]
 ) -> tuple[list[float], float]:
     """|M_n(q^-x; q^(beta-1), c/(1-c); q) - M_n(x; beta, c)| at q = 1 - 10^-k
     for each k in ks, and the classical value M_n(x; beta, c)."""
-    classical = classical_meixner(n, x, admissible_beta(beta), c)
-    errs = []
-    for k in ks:
-        p = MeixnerParams.from_beta(beta, c / (1.0 - c), QContext(q=limit_q(k)))
-        errs.append(abs(qmeixner(n, x, p) - classical))
-    return errs, classical
+    return _eval_limit_poly(GridPoint(None, beta, None, n, x, c), _Cache(), ks)
 
 
 def limit_xi_theta(tau: float) -> float:
@@ -520,18 +583,19 @@ def limit_xi_theta(tau: float) -> float:
     return math.sinh(tau)
 
 
+def _eval_limit_xi(pt: GridPoint, c: _Cache, ks: Iterable[int] = LIMIT_KS):
+    theta = limit_xi_theta(pt.aux)
+    classical = classical_xi_limit(pt.n, pt.x, pt.beta, pt.aux)
+    mps = (c.element_params(limit_q(k), theta, pt.beta) for k in ks)
+    return [abs(xi(pt.n, pt.x, mp) - classical) for mp in mps], classical
+
+
 def limit_xi_errors(
     n: int, x: int, beta: int, tau: float, ks: Iterable[int]
 ) -> tuple[list[float], float]:
     """|xi_{n,x}(sinh tau; beta) - its q -> 1 limit| at q = 1 - 10^-k for each
     k in ks, and the limit value."""
-    theta = limit_xi_theta(tau)
-    classical = classical_xi_limit(n, x, beta, tau)
-    errs = []
-    for k in ks:
-        mp = MatrixElementParams(theta, beta, QContext(q=limit_q(k)))
-        errs.append(abs(xi(n, x, mp) - classical))
-    return errs, classical
+    return _eval_limit_xi(GridPoint(None, beta, None, n, x, tau), _Cache(), ks)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +644,7 @@ def _grid_limit(aux_values) -> Callable[..., list[GridPoint]]:
 @dataclass(frozen=True)
 class _Relation:
     grid: Callable[..., list[GridPoint]]  # (qs, betas, thetas) -> points
-    evaluate: Callable  # (pt, cache); a limit's is (n, x, beta, aux, ks)
+    evaluate: Callable  # (pt, cache) -> (lhs, rhs, scale), or a limit's (errors, classical)
     domain: Callable[[GridPoint], bool] | None = None
     judge: str = "tol"  # or "monotone"
 
@@ -604,19 +668,16 @@ _REGISTRY: dict[RelationId, _Relation] = {
         _grid_genfun_variable, _eval_genfun_variable, domain=_genfun_variable_domain
     ),
     RelationId.LIMIT_POLY: _Relation(
-        _grid_limit(_CLASSICAL_CS), limit_poly_errors, judge="monotone"
+        _grid_limit(_CLASSICAL_CS), _eval_limit_poly, judge="monotone"
     ),
-    RelationId.LIMIT_XI: _Relation(
-        _grid_limit(_TAUS), limit_xi_errors, judge="monotone"
-    ),
+    RelationId.LIMIT_XI: _Relation(_grid_limit(_TAUS), _eval_limit_xi, judge="monotone"),
 }
 
 IDENTITY_RELATIONS: tuple[RelationId, ...] = tuple(
     r for r in RelationId if _REGISTRY[r].judge == "tol"
 )
-LIMIT_RELATIONS: tuple[RelationId, ...] = (
-    RelationId.LIMIT_POLY,
-    RelationId.LIMIT_XI,
+LIMIT_RELATIONS: tuple[RelationId, ...] = tuple(
+    r for r in RelationId if _REGISTRY[r].judge == "monotone"
 )
 
 
@@ -668,12 +729,13 @@ def _check(
         if spec.domain is not None and not spec.domain(pt):
             report.skipped.append(pt)
             continue
+        result = spec.evaluate(pt, cache)
         if spec.judge == "monotone":
-            errs, classical = spec.evaluate(pt.n, pt.x, pt.beta, pt.aux, _LIMIT_KS)
+            errs, classical = result
             residual = (errs[-1], errs[-1] / max(abs(classical), 1.0))
             ok = limit_passes(errs)
         else:
-            lhs, rhs, scale = spec.evaluate(pt, cache)
+            lhs, rhs, scale = result
             absolute = abs(lhs - rhs)
             if scale is None:
                 scale = max(abs(lhs), abs(rhs), 1.0)

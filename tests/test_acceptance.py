@@ -21,7 +21,6 @@ from qmeixner.meixner import (
     MatrixElementParams,
     classical_xi_limit,
     norm_factor,
-    orthogonality_sum,
     xi,
 )
 from qmeixner.oscillator import (
@@ -49,7 +48,13 @@ from qmeixner.pseudorotation import (
     unitarity_residual,
 )
 from qmeixner.qseries import QContext, big_qexp, little_qexp
-from qmeixner.verify import IDENTITY_RELATIONS, RelationId, check, check_all
+from qmeixner.verify import (
+    IDENTITY_RELATIONS,
+    RelationId,
+    check,
+    check_all,
+    orthogonality_sum,
+)
 
 GRID_QS = (0.5, 0.9)
 GRID_THETAS = (0.3, 0.7)

@@ -568,3 +568,25 @@ def test_out_of_memory_operator_is_numeric_error(capsys, monkeypatch):
         "error: out of memory: "
         "Unable to allocate 193. GiB for an array with shape (160801, 160801)\n"
     )
+
+
+def test_limit_operator_names_an_overflowing_cosh(capsys):
+    code, out, err = run(capsys, "limit", "--kind", "operator", "--tau", "1e300")
+    assert code == 3
+    assert out == ""
+    assert err == "error: overflow: cosh(tau) at tau = 1e+300\n"
+
+
+@pytest.mark.parametrize("theta", ["1e15", "-1e15", "1e20", "1e100"])
+def test_verify_at_an_extreme_theta_ends_in_an_exit_code(capsys, theta):
+    # weight and norm_factor returned 0.0, inf or nan here, or raised a bare
+    # OverflowError, and ortho_variable ended in a ZeroDivisionError
+    # traceback; main() raises nothing, so check_all() raised nothing untyped
+    code, out, err = run(capsys, "verify", f"--theta={theta}")
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert out == ""
+        assert err.startswith("error: overflow: sqrt(omega_x omega_x2) = 0.0 at q = 0.4, ")
+    else:
+        assert err == "" and len(out.splitlines()) == 21

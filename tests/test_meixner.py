@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,8 @@ from qmeixner.meixner import (
     classical_meixner,
     classical_xi_limit,
     dual_degree_factor,
-    dual_orthogonality_sum,
     duality_transform,
     norm_factor,
-    orthogonality_sum,
     qmeixner,
     weight,
     xi,
@@ -31,6 +30,7 @@ from qmeixner.qseries import (
     q_binomial,
     q_pochhammer,
 )
+from qmeixner.verify import dual_orthogonality_sum, orthogonality_sum
 
 import mp_reference
 
@@ -222,6 +222,50 @@ def test_norm_factor_hand_values():
     assert norm_factor(0, mp) == 1.0
     # (1-q)(1 + t2/q) / (1-q) = 3 at t2 = 1, q = 0.5
     assert norm_factor(1, mp) == pytest.approx(3.0, rel=1e-14)
+
+
+def _mp_weight_and_norm(k, q, theta, beta):
+    """omega_k and h_k in 50-digit mpmath from their closed forms."""
+    with mpmath.workdps(50):
+        q, t2 = mpmath.mpf(q), mpmath.mpf(theta) ** 2
+
+        def poch(a, m):
+            return mpmath.fprod(1 - a * q**j for j in range(m))
+
+        binom = poch(q, k + beta - 1) / (poch(q, k) * poch(q, beta - 1))
+        omega = t2**k * binom * q ** (k * (k - 1) // 2) / poch(-t2, k + beta)
+        h = q ** (k * (k - 1) // 2) * poch(-t2 * q**-k, k) / (t2**k * binom)
+        return float(omega), float(h)
+
+
+# (k, q, theta, beta): the double forms of omega_k and h_k left the range.
+# weight(8) at theta = 1e19 and 1e15 returned 0.0, norm_factor(8) inf at
+# 1e19 and nan at 1e20, weight(40) at 1e5 raised a bare OverflowError; the
+# last two cells returned a normal double that rested on a subnormal factor,
+# weight(48) 84% and norm_factor(46) 86% off.
+_RANGE_CELLS = [
+    (8, 0.4, 1e19, 1),
+    (8, 0.4, 1e15, 4),
+    (7, 0.4, 1e15, 4),
+    (8, 0.4, 1e20, 1),
+    (40, 0.4, 1e5, 1),
+    (48, 0.516590001175745, 8.84592350924751, 3),
+    (46, 0.4868167181394342, -0.18408930154220715, 2),
+]
+
+
+@pytest.mark.parametrize("k, q, theta, beta", _RANGE_CELLS)
+def test_weight_and_norm_match_mpmath_where_doubles_leave_the_range(k, q, theta, beta):
+    mp = MatrixElementParams(theta, beta, QContext(q=q))
+    omega, h = _mp_weight_and_norm(k, q, theta, beta)
+    assert weight(k, mp) == pytest.approx(omega, rel=1e-14, abs=0.0)
+    assert norm_factor(k, mp) == pytest.approx(h, rel=1e-14, abs=0.0)
+
+
+def test_norm_factor_beyond_the_double_range_names_h_n():
+    # h_8 ~ theta^-16 at theta = 1e-20
+    with pytest.raises(OverflowError, match=r"^h_8 = norm_factor\(8\) exceeds the double range$"):
+        norm_factor(8, MatrixElementParams(1e-20, 1, CTX))
 
 
 def test_weight_sums_to_norm0():

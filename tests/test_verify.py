@@ -7,9 +7,10 @@ from collections import Counter
 
 import pytest
 
-from qmeixner import verify
+from qmeixner import dual_orthogonality_sum, orthogonality_sum, verify
 from qmeixner.errors import EmptyGrid
-from qmeixner.meixner import MeixnerParams
+from qmeixner.meixner import MatrixElementParams, MeixnerParams
+from qmeixner.qseries import QContext
 from qmeixner.verify import (
     IDENTITY_RELATIONS,
     LIMIT_RELATIONS,
@@ -306,8 +307,11 @@ def test_default_reports_are_pinned():
 def test_check_all_builds_each_block_and_qexp_once(monkeypatch):
     # the cache built a MeixnerParams on every row miss (56,614 in one
     # check_all() for 342 blocks) and genfun_degree formed e_q and E_q at
-    # every grid point (648 calls for 24 distinct arguments)
+    # every grid point (648 calls for 24 distinct arguments); the limit
+    # relations built their parameters outside the cache, 450 MeixnerParams
+    # for 18 blocks and 2,700 MatrixElementParams for 36 (q, theta, beta)
     blocks = Counter()
+    elements = Counter()
     qexps = Counter()
 
     class Counted(MeixnerParams):
@@ -315,6 +319,10 @@ def test_check_all_builds_each_block_and_qexp_once(monkeypatch):
         def from_beta(cls, beta, c, ctx, c_shift=0):
             blocks[ctx.q, c, beta, c_shift] += 1
             return MeixnerParams.from_beta(beta, c, ctx, c_shift)
+
+    def counted_element(theta, beta, ctx):
+        elements[ctx.q, theta, beta] += 1
+        return MatrixElementParams(theta, beta, ctx)
 
     def counting(name):
         original = getattr(verify, name)
@@ -326,12 +334,59 @@ def test_check_all_builds_each_block_and_qexp_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(verify, "MeixnerParams", Counted)
+    monkeypatch.setattr(verify, "MatrixElementParams", counted_element)
     for name in ("little_qexp", "big_qexp"):
         monkeypatch.setattr(verify, name, counting(name))
     check_all()
-    # the limit relations build their parameters at q = 1 - 10^-k, outside
-    # the cache, since the CLI's limit command shares them
-    cached = {block: k for block, k in blocks.items() if block[0] in verify._QS}
-    assert 0 < len(cached) <= 342
-    assert max(cached.values()) == 1
+    limit = {block for block in blocks if block[0] not in verify._QS}
+    assert len(blocks) == 360 and len(limit) == 18
+    assert max(blocks.values()) == 1
+    assert len(elements) == 36 and max(elements.values()) == 1
     assert qexps == {"little_qexp": 6, "big_qexp": 18}
+
+
+# sha256 of repr() of orthogonality_sum and dual_orthogonality_sum over
+# q in (0.4, 0.7, 0.95), theta in (0.3, -0.7, 2.0), beta in (1, 2, 4) and
+# 0 <= n <= n2 <= 5, recorded when meixner.py still held its own copy of both
+_ORTHOGONALITY_SUMS_SHA256 = "c199dde37f6a4b1a4c5fd760f19fd29922dd329c953a87a428f14d49e3f456ff"
+
+
+def test_public_orthogonality_sums_are_the_registry_sums_bit_for_bit():
+    sums = []
+    for q in (0.4, 0.7, 0.95):
+        for theta in (0.3, -0.7, 2.0):
+            for beta in (1, 2, 4):
+                mp = MatrixElementParams(theta, beta, QContext(q=q))
+                for n in range(6):
+                    for n2 in range(n, 6):
+                        sums.append(orthogonality_sum(n, n2, mp))
+                        sums.append(dual_orthogonality_sum(n, n2, mp))
+    assert hashlib.sha256(repr(sums).encode()).hexdigest() == _ORTHOGONALITY_SUMS_SHA256
+
+
+@pytest.mark.parametrize("n, n2", [(-1, 0), (0, -1), (3, -1)])
+def test_orthogonality_sum_refuses_a_negative_degree(n, n2):
+    # a cache row indexed by a negative degree read its own last entry
+    mp = MatrixElementParams(0.3, 1, QContext(q=0.5))
+    with pytest.raises(ValueError, match=r"^degree n and lattice point x must be >= 0$"):
+        orthogonality_sum(n, n2, mp)
+
+
+def test_ortho_variable_refuses_a_scale_beyond_the_double_range():
+    # omega_0 = 1/((1 + c)(1 + c q)) underflows to 0 at c = 1e200, where
+    # 1/omega_0 divided by zero
+    with pytest.raises(OverflowError) as exc:
+        check(RelationId.ORTHO_VARIABLE, grid=[GridPoint(0.4, 2, 1e100, 0, 0)])
+    assert str(exc.value) == (
+        "sqrt(omega_x omega_x2) = 0.0 at q = 0.4, theta = 1e+100, beta = 2, (0, 0): "
+        "the scale or its reciprocal exceeds the double range"
+    )
+
+
+def test_ortho_degree_scale_survives_an_overflowing_norm_product():
+    # h_3 h_8 overflows at theta = 1e-15, but sqrt(h_3) sqrt(h_8) does not;
+    # the scale was sqrt(inf), and the residual 0 passed whatever the sum
+    report = check(RelationId.ORTHO_DEGREE, grid=[GridPoint(0.4, 1, 1e-15, 3, 8)])
+    (absolute, relative), = report.residuals
+    assert report.passed and absolute > 0.0
+    assert 0.0 < relative <= 1e-9  # a finite scale
