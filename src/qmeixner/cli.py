@@ -44,13 +44,7 @@ from .meixner import (
     xi,
 )
 from .oscillator import FockTruncation
-from .pseudorotation import (
-    build_U,
-    classical_U,
-    classical_element,
-    element,
-    sector_interior,
-)
+from .pseudorotation import build_U, classical_U, classical_element, element
 from .qseries import QContext
 from .verify import (
     LIMIT_KS,
@@ -182,24 +176,21 @@ def cmd_xi(args) -> int:
     theta = args.theta if args.theta is not None else math.sqrt(admissible_c(c))
     mp = MatrixElementParams(theta, args.beta, QContext(q=args.q))
 
-    m = max(args.nmax, args.xmax)
-    need = 2 * m
     closed = args.source in ("closed", "both")
     operator = args.source in ("operator", "both")
     if operator:
-        if args.trunc is not None and args.trunc < need:
+        # block beta - 1 of truncation T holds n, x <= T, and build_U needs
+        # two levels of it
+        m = max(args.nmax, args.xmax, 1)
+        if args.trunc is not None and args.trunc < m:
             raise TruncationTooSmall(
-                f"--trunc {args.trunc} < {need} = 2*max(nmax, xmax); "
-                "the interior block cannot cover the requested elements"
+                f"--trunc {args.trunc} < {m} = max(nmax, xmax, 1); "
+                "the sector block cannot hold the requested elements"
             )
+        trunc = m if args.trunc is None else args.trunc
         # the B mode needs beta-1 extra levels to hold the sector offset;
         # sector elements are exact finite sums, so no edge-weight gate here
-        trunc = max(args.trunc if args.trunc is not None else need, 1)
-        t = FockTruncation(trunc, trunc + args.beta - 1)
-        # without --trunc: the smallest truncation whose interior covers the table
-        while args.trunc is None and sector_interior(t, args.beta) < m:
-            t = FockTruncation(t.n_a_max + 1, t.n_b_max + 1)
-        u = build_U(mp, t, edge_tol=math.inf)
+        u = build_U(mp, FockTruncation(trunc, trunc + args.beta - 1), edge_tol=math.inf)
 
     if args.source == "both":
         columns = ["n", "x", "closed", "operator", "discrepancy"]
@@ -330,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trunc",
         type=int,
         help="per-mode truncation for --source operator/both "
-        "(must be >= 2*max(nmax, xmax); default: smallest size whose "
-        "interior block covers the table)",
+        "(at least max(nmax, xmax, 1), which is also the default; every "
+        "element of the sector block is exact at any truncation that holds it)",
     )
     _add_format(p)
     p.set_defaults(fn=cmd_xi)

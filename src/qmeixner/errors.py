@@ -28,7 +28,7 @@ class OutOfTruncation(Exception):
 
 
 class OutOfBlock(Exception):
-    """A matrix element was requested outside the trusted interior block."""
+    """A matrix element was requested outside its sector block."""
 
 
 class EmptySector(Exception):

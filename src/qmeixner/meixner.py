@@ -37,17 +37,21 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from functools import cached_property
 from typing import Callable
 
 from .qseries import (
+    _DECIMAL,
     MAX_CANCELLATION,
     QContext,
     q_binomial,
     q_pochhammer,
     ratio_sequence,
 )
+
+# the positive normal doubles
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 __all__ = [
     "theta_squared",
@@ -66,9 +70,6 @@ __all__ = [
     "classical_xi_limit",
     "dual_degree_factor",
 ]
-
-_DECIMAL = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
 
 def theta_squared(theta: float) -> float:
     """c = theta^2; ValueError for a theta that is 0, not finite or too small
@@ -174,15 +175,22 @@ def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
     if n < 0 or x < 0:
         raise ValueError("degree n and lattice point x must be >= 0")
     q = p.ctx.q
-    z = -(q ** (n + 1)) / p.c_effective
     try:
-        value, magnitude = _terminating_2phi1(q, n, x, p.beta, p.b, z)
-    except OverflowError:  # q^(k-n) or q^(k-x)
-        value = math.inf
-    if math.isfinite(value) and magnitude <= MAX_CANCELLATION * abs(value):
-        return value
-    # a factor or term overflowed, or near a zero of M_n the terms cancel and
-    # a double sum keeps only ~16 digits of the largest: past 5 lost, decimal
+        c = p.c_effective
+    except OverflowError:  # q^c_shift
+        c = math.inf
+    if _TINY <= c <= _HUGE:
+        try:
+            value, magnitude = _terminating_2phi1(
+                q, n, x, p.beta, p.b, -(q ** (n + 1)) / c
+            )
+        except OverflowError:  # q^(k-n) or q^(k-x)
+            value = math.inf
+        if math.isfinite(value) and magnitude <= MAX_CANCELLATION * abs(value):
+            return value
+    # c q^c_shift or a factor or term left the double range, or near a zero
+    # of M_n the terms cancel and a double sum keeps only ~16 digits of the
+    # largest: past 5 lost, decimal
     value = float(_qmeixner_decimal(n, x, p, Decimal(p.c)))
     if math.isinf(value):
         raise OverflowError(f"M_{n}(q^-{x}) exceeds the double range")
@@ -313,7 +321,7 @@ def _norm_double(n: int, mp: MatrixElementParams) -> float | None:
 
 def _normal(*values: float) -> bool:
     """Whether every value is a positive, finite, normal double."""
-    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
+    return all(_TINY <= v <= _HUGE for v in values)
 
 
 def _binom_decimal(m: int, beta: int, q: Decimal) -> Decimal:
@@ -410,11 +418,18 @@ def xi_dual(
 
     xi_{n,x}(theta) = q^((n-x)/2) * xi_{x,n}(-theta q^((x-n)/2)).
 
-    Returns (prefactor, x, n, transformed params).
+    Returns (prefactor, x, n, transformed params); OverflowError where the
+    dual theta's square leaves the double range, since the caller's theta is
+    admissible and only its transform is not.
     """
     q = mp.ctx.q
     prefactor = q ** ((n - x) / 2.0)
     theta_dual = -mp.theta * q ** ((x - n) / 2.0)
+    if not 0.0 < theta_dual * theta_dual < math.inf:
+        raise OverflowError(
+            f"dual theta {theta_dual!r} = -theta q^((x-n)/2): "
+            "its square leaves the double range"
+        )
     return prefactor, x, n, MatrixElementParams(theta_dual, mp.beta, mp.ctx)
 
 

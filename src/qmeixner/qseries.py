@@ -44,7 +44,9 @@ to cancellation and is refused with NonConvergent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import Callable, Sequence, Union
 
 from .errors import DenominatorPole, NonConvergent, PoleHit
@@ -74,6 +76,10 @@ TAIL_STREAK = 3
 POLE_TOL = 1e-12
 MAX_TERMS = 10_000
 MAX_CANCELLATION = 2.0**16
+
+# the package's one decimal context: 50 digits and an exponent range that no
+# value of the package leaves, for the fallbacks of the precision rule
+_DECIMAL = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -166,8 +172,13 @@ def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> Serie
     The tail estimate bounds the error from dropped factors:
     |log prod_{k>=K} (1 - a q^k)| <= |a q^K| / (1 - q) to first order.
 
-    With reciprocal=True a factor vanishing within POLE_TOL raises PoleHit
-    (the caller intends to divide by the result).
+    A product that is neither a normal double nor exactly 0 is taken again
+    in 50-digit decimals on the exact a and q (its running product may have
+    left the double range on the way), and refused with OverflowError where
+    it exceeds the range.  With reciprocal=True the caller intends to divide
+    by the result: a factor vanishing within POLE_TOL raises PoleHit, and a
+    product beyond the range is returned as inf, whose reciprocal rounds to
+    0 like any double below the range.
     """
     q = ctx.q
     prod = 1.0
@@ -184,6 +195,15 @@ def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> Serie
             raise NonConvergent(
                 f"(a; q)_oo did not reach tail cutoff within {MAX_TERMS} factors"
             )
+    if prod != 0.0 and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
+        with localcontext(_DECIMAL):
+            dq, a_k, exact = Decimal(q), Decimal(a), Decimal(1)
+            for _ in range(k):
+                exact *= 1 - a_k
+                a_k *= dq
+        prod = float(exact)
+        if math.isinf(prod) and not reciprocal:
+            raise OverflowError(f"(a; q)_oo at a = {a}, q = {q} exceeds the double range")
     tail = abs(prod) * abs(term) / (1.0 - q)
     return SeriesValue(prod, k, tail)
 
@@ -319,6 +339,10 @@ def adaptive_sum(term_of: Callable[[int], float], label: str) -> tuple[float, in
     """Sum term_of(k) for k = 0, 1, ... with compensated summation until the
     tail rule ends it.  Returns (sum, terms_used); NonConvergent at the
     first term that is not finite, and past MAX_TERMS.
+
+    The tail streak starts at the first nonzero term: leading terms of 0.0
+    (terms that underflow ahead of the sum's bulk), measured against a
+    largest term of 0, would count as a tail and end the sum before it began.
     """
     acc = CompensatedSum()
     largest = 0.0
@@ -331,7 +355,8 @@ def adaptive_sum(term_of: Callable[[int], float], label: str) -> tuple[float, in
         size = abs(t)
         if size > largest:
             largest = size
-        streak = streak + 1 if size <= TAIL_CUTOFF * largest else 0
+        # no tail before the first nonzero term
+        streak = streak + 1 if size <= TAIL_CUTOFF * largest and largest else 0
         if streak >= TAIL_STREAK:
             return acc.total, k + 1
     raise NonConvergent(f"{label} exceeded the term budget")

@@ -461,10 +461,15 @@ def _scale_root(pt: GridPoint, name: str, a: float, b: float) -> float:
         root = math.sqrt(a) * math.sqrt(b)
     if not 1.0 / sys.float_info.max <= root <= sys.float_info.max:
         raise OverflowError(
-            f"{name} = {root!r} at q = {pt.q}, theta = {pt.theta}, beta = {pt.beta}, "
-            f"({pt.n}, {pt.x}): the scale or its reciprocal exceeds the double range"
+            f"{name} = {root!r} {_where(pt)}: "
+            "the scale or its reciprocal exceeds the double range"
         )
     return root
+
+
+def _where(pt: GridPoint) -> str:
+    """The point in an error message."""
+    return f"at q = {pt.q}, theta = {pt.theta}, beta = {pt.beta}, ({pt.n}, {pt.x})"
 
 
 def _eval_ortho_degree(pt: GridPoint, c: _Cache):
@@ -729,7 +734,16 @@ def _check(
         if spec.domain is not None and not spec.domain(pt):
             report.skipped.append(pt)
             continue
-        result = spec.evaluate(pt, cache)
+        try:
+            result = spec.evaluate(pt, cache)
+        except (OverflowError, ZeroDivisionError) as exc:
+            # a value left the double range: refused, naming the relation and
+            # the point unless the refusal names the point already
+            # (_scale_root); float ** says only errno ERANGE and its text
+            text = str(exc.args[-1])
+            if _where(pt) in text:
+                raise
+            raise OverflowError(f"{rid.value} {_where(pt)}: {text}") from None
         if spec.judge == "monotone":
             errs, classical = result
             residual = (errs[-1], errs[-1] / max(abs(classical), 1.0))

@@ -103,10 +103,51 @@ def test_xi_c_flag_equivalent_to_theta(capsys):
 def test_xi_trunc_too_small_is_numeric_error(capsys):
     code, _, err = run(
         capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.5",
-        "--nmax", "4", "--xmax", "4", "--source", "operator", "--trunc", "6",
+        "--nmax", "4", "--xmax", "4", "--source", "operator", "--trunc", "3",
     )
     assert code == 3
     assert "trunc" in err.lower()
+
+
+def test_xi_trunc_needs_only_the_table(capsys):
+    # block beta - 1 of truncation T holds n, x <= T, and each of its entries
+    # is exact there, even where no quarter margin fits (beta = 20, T = 2)
+    for trunc in ("2", "3"):
+        code, out, err = run(
+            capsys, "xi", "--q", "0.5", "--beta", "20", "--theta", "0.3",
+            "--nmax", "2", "--xmax", "2", "--source", "both", "--trunc", trunc,
+        )
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)
+        assert len(rows) == 9
+        assert max(float(r["discrepancy"]) for r in rows) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("verify", "--q", "1e-50", "--relation", r)
+          for r in ("forward", "duality", "duality_xi")),
+        *(("verify", "--q", "1e-300", "--relation", r)
+          for r in ("backward", "comp_backward", "recurrence", "ortho_variable",
+                    "dual_forward", "genfun_degree")),
+        ("xi", "--q", "1e-300", "--beta", "1", "--theta", "0.3",
+         "--nmax", "3", "--xmax", "3", "--source", "operator"),
+    ],
+    ids=" ".join,
+)
+def test_tiny_q_ends_in_a_typed_refusal(capsys, argv):
+    # these ended in a ZeroDivisionError traceback (exit 1), a usage error
+    # naming a dual theta (exit 2), or "error: overflow: (34, 'Numerical
+    # result out of range')"; q itself is admissible, so no exit 2
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err and "(34," not in err
+    if code == 3:
+        assert out == "" and err.startswith("error: overflow: ")
+        assert err.count("\n") == 1
+    if argv[0] == "verify" and code == 3:
+        assert f"{argv[-1]} at q = {argv[2]}, " in err
 
 
 def test_xi_negative_c_is_usage_error(capsys):
@@ -214,7 +255,7 @@ def test_float_round_trip_formatting(capsys):
 
 
 def test_xi_operator_refuses_underflowed_rows(capsys):
-    # truncation 120: the outer factor of U underflows to 0 for n >= 49
+    # truncation 60: the outer factor of U underflows to 0 for n >= 49
     code, out, err = run(
         capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
         "--nmax", "60", "--xmax", "60", "--source", "operator",

@@ -391,6 +391,30 @@ def test_xi_self_duality():
         assert xi(n, x, mp) == pytest.approx(pref * xi(xd, nd, mpd), rel=1e-12)
 
 
+def test_xi_dual_refuses_a_dual_theta_whose_square_leaves_the_range():
+    # the dual theta -0.3 q^((x-n)/2) = -3e-176 at q = 1e-50, (0, 7) was
+    # refused as a usage error naming a theta the caller never gave
+    mp = MatrixElementParams(0.3, 1, QContext(q=1e-50))
+    with pytest.raises(OverflowError) as exc:
+        xi_dual(0, 7, mp)
+    assert str(exc.value) == (
+        "dual theta -3e-176 = -theta q^((x-n)/2): its square leaves the double range"
+    )
+
+
+def test_qmeixner_takes_decimals_where_c_q_shift_leaves_the_range():
+    # c q^8 = 0.09e-400 underflows to 0 at q = 1e-50, and -q^(n+1)/c divided
+    # by zero; where min(n, x) = 0 the sum is its first term, 1
+    p = MeixnerParams.from_beta(1, 0.09, QContext(q=1e-50), c_shift=8)
+    assert qmeixner(3, 0, p) == 1.0
+    assert qmeixner(0, 3, p) == 1.0
+    with pytest.raises(OverflowError, match=r"^M_1\(q\^-1\) exceeds the double range$"):
+        qmeixner(1, 1, p)  # about -1.1e400
+    # c q^-8 = 0.09e400 overflows
+    p = MeixnerParams.from_beta(1, 0.09, QContext(q=1e-50), c_shift=-8)
+    assert qmeixner(2, 0, p) == 1.0
+
+
 # --- classical companions --------------------------------------------------
 
 

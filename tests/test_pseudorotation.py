@@ -416,13 +416,36 @@ def test_negative_theta_alternates_signs():
 
 
 def test_out_of_block_contract():
+    # element refuses only outside block beta - 1, whose last index is 12
     u = build(0.5, 0.5, 1, 12)
-    cap = u.sector_interior(1)
-    assert cap == 12 - math.ceil(12 / 4)
+    size = len(u.block(0))
+    assert size == 13
+    assert element(u, 1, size - 1, size - 1) == u.block(0)[12, 12]
     with pytest.raises(OutOfBlock):
-        element(u, 1, cap + 1, 0)
+        element(u, 1, size, 0)
     with pytest.raises(OutOfBlock):
         element(u, 1, 0, -1)
+
+
+@pytest.mark.parametrize("trunc", [6, 24])
+@pytest.mark.parametrize("beta", [1, 4])
+@pytest.mark.parametrize("theta", [0.3, -0.7])
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+def test_block_entries_do_not_depend_on_the_truncation(q, theta, beta, trunc):
+    """Entry (n, x) of block beta - 1 is a finite sum over levels at most
+    max(n, x), so it never reaches the truncation edge: built at truncation
+    T and at 3T, the block's common entries agree bit for bit.  This is why
+    element() reads the whole block."""
+    mp = MatrixElementParams(theta, beta, QContext(q=q))
+
+    def block(t):
+        u = build_U(mp, FockTruncation(t, t + beta - 1), edge_tol=math.inf)
+        return u.block(beta - 1)[: trunc + 1, : trunc + 1]
+
+    small, large = block(trunc), block(3 * trunc)
+    assert small.shape == (trunc + 1, trunc + 1)
+    assert np.isfinite(small).any()
+    assert small.tobytes() == large.tobytes()
 
 
 def test_truncation_gates():
@@ -435,6 +458,16 @@ def test_truncation_gates():
         build_U(MatrixElementParams(3.0, 1, ctx), FockTruncation(4, 4))
 
 
+def test_build_U_names_an_overflowing_row_power():
+    # q^-n of the row factors overflowed with a bare (34, ...) at q = 1e-300
+    mp = MatrixElementParams(0.3, 1, QContext(q=1e-300))
+    with pytest.raises(OverflowError) as exc:
+        build_U(mp, FockTruncation(3, 3), edge_tol=math.inf)
+    assert str(exc.value) == (
+        "q^-n of the row factors at q = 1e-300, n = 2 exceeds the double range"
+    )
+
+
 def test_unitarity_is_one_sided():
     """Rows with full lattice support inside the window are orthonormal;
     columns carry a converged completeness defect.  The (0,0) column sum is
@@ -445,7 +478,7 @@ def test_unitarity_is_one_sided():
     sec = [basis.index(k, k) for k in range(29)]
     s = u.matrix.entries[np.ix_(sec, sec)]
     # a degree-n row spreads over x near n, so the row Gram needs headroom
-    # beyond the element-exact zone: probe well-supported rows only
+    # above the row: probe rows whose support stays inside the window only
     rows = np.abs((s @ s.T - np.eye(29))[:9, :9]).max()
     assert rows <= 1e-11
     cols = s.T @ s

@@ -120,6 +120,24 @@ def test_adaptive_sum_budget_is_nonconvergent():
     assert len(calls) == MAX_TERMS
 
 
+def test_adaptive_sum_starts_its_tail_rule_at_the_first_nonzero_term():
+    # five leading terms that underflow to 0.0 were a tail of three small
+    # terms (at most 1e-18 times a largest term of 0), which ended the sum
+    # at (0.0, 3); each term is still read once
+    calls = []
+
+    def term(k):
+        calls.append(k)
+        return 0.0 if k < 5 else 0.5 ** (k - 5)
+
+    total, used = adaptive_sum(term, "late geometric")
+    assert total == pytest.approx(2.0, rel=1e-15)
+    assert used == 5 + 63
+    assert calls == list(range(used))
+    with pytest.raises(NonConvergent, match="zero sum exceeded the term budget"):
+        adaptive_sum(lambda k: 0.0, "zero sum")
+
+
 @pytest.mark.parametrize("z, used", [(0.5, 63), (0.9, 397)])
 def test_every_sum_ends_by_the_one_tail_rule(z, used):
     # sum z^k: z^k first drops to 1e-18 times the largest term, 1, at
@@ -315,3 +333,37 @@ def test_compensated_sum_beats_naive():
         naive += v
     assert cs.total == 2.0
     assert naive != 2.0
+
+
+def _mp_pochhammer_inf(a, q):
+    """(a; q)_oo in 50-digit mpmath on the exact a and q: the finite product
+    while |a q^k| >= 1e-10, then the tail by its logarithm
+    -sum_m (a q^K)^m / (m (1 - q^m)), whose terms fall like 1e-10^m."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a, q = mpmath.mpf(a), mpmath.mpf(q)
+        prod = mpmath.mpf(1)
+        while abs(a) >= 1e-10:
+            prod *= 1 - a
+            a *= q
+        log_tail = -mpmath.fsum(a**m / (m * (1 - q**m)) for m in range(1, 7))
+        return prod * mpmath.exp(log_tail)
+
+
+def test_pochhammer_inf_whose_running_product_overflows_on_the_way():
+    # the running product of this E_q peaks near 1e322 and comes back into
+    # the double range; the double product stayed at inf
+    z, q = -167.04980695166228, 0.9835146630331925
+    value = big_qexp(z, QContext(q=q)).value
+    assert value == pytest.approx(float(_mp_pochhammer_inf(-z, q)), rel=1e-12)
+    assert value == pytest.approx(1.9153e257, rel=1e-4)
+
+
+def test_pochhammer_inf_beyond_the_double_range_is_refused():
+    # (1e5; 0.99)_oo is about 1e2724 in magnitude; it was returned as inf
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        q_pochhammer_inf(1e5, QContext(q=0.99))
+    # e_q = 1 / (z; q)_oo of such a product lies below the range and
+    # rounds to 0 like any double there
+    assert little_qexp(-0.09 * 2.0**100, CTX).value == 0.0

@@ -9,7 +9,7 @@ import pytest
 
 from qmeixner import dual_orthogonality_sum, orthogonality_sum, verify
 from qmeixner.errors import EmptyGrid
-from qmeixner.meixner import MatrixElementParams, MeixnerParams
+from qmeixner.meixner import MatrixElementParams, MeixnerParams, norm_factor
 from qmeixner.qseries import QContext
 from qmeixner.verify import (
     IDENTITY_RELATIONS,
@@ -25,6 +25,30 @@ from qmeixner.verify import (
 )
 
 from test_meixner import TAU_REFUSALS, THETA_REFUSALS
+
+
+def test_orthogonality_sum_whose_first_terms_underflow():
+    # omega_x rounds to 0.0 for x < 96 at theta = 1e100, q = 0.4, beta = 2,
+    # and the three leading zeros ended the sum at (0.0, 3)
+    mp = MatrixElementParams(1e100, 2, QContext(q=0.4))
+    total, used = orthogonality_sum(1, 1, mp)
+    assert total == pytest.approx(norm_factor(1, mp), rel=1e-12)
+    assert used > 96
+    # 18 of these 135 points failed at residual 1.0
+    report = check_all([RelationId.ORTHO_DEGREE], qs=[0.4], thetas=[1e100])[0]
+    assert report.passed and report.max_residual <= 1e-13
+
+
+def test_a_point_that_leaves_the_double_range_names_relation_and_point():
+    # q^x underflows to 0 in a FORWARD coefficient and q^-x overflows in a
+    # BACKWARD one: a ZeroDivisionError and a bare OverflowError (34, ...)
+    for rid, q, where in [
+        ("forward", 1e-50, "(1, 7): float division by zero"),
+        ("backward", 1e-300, "(0, 2): Numerical result out of range"),
+    ]:
+        with pytest.raises(OverflowError) as exc:
+            check_all([rid], qs=[q], betas=[1], thetas=[0.3])
+        assert str(exc.value) == f"{rid} at q = {q}, theta = 0.3, beta = 1, {where}"
 
 
 def test_registry_split():
