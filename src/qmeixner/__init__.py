@@ -31,7 +31,6 @@ from .oscillator import (
     OperatorMatrix,
     ProductBasis,
     SectorBasis,
-    build_classical,
     build_J,
     build_oscillators,
     interior_indices,

@@ -37,7 +37,6 @@ __all__ = [
     "Oscillators",
     "JOperators",
     "SectorBasis",
-    "ClassicalOperators",
     "build_oscillators",
     "build_J",
     "ladder_coefficients",
@@ -47,7 +46,6 @@ __all__ = [
     "from_offset_blocks",
     "sector",
     "ladder_power_action",
-    "build_classical",
     "interior_indices",
 ]
 
@@ -112,13 +110,6 @@ class JOperators(NamedTuple):
     j_minus: OperatorMatrix
 
 
-# the ordinary boson pair followed by its su(1,1) generators
-ClassicalOperators = NamedTuple(
-    "ClassicalOperators",
-    [(f, OperatorMatrix) for f in Oscillators._fields + JOperators._fields],
-)
-
-
 def _ladders(
     t: FockTruncation, a_coeff: np.ndarray, b_coeff: np.ndarray
 ) -> Oscillators:
@@ -172,9 +163,17 @@ def su11_generators(osc: Oscillators, pref=1.0) -> JOperators:
     pref = np.reshape(pref, (-1, 1))
     return JOperators(
         OperatorMatrix((osc.a0.entries + osc.b0.entries + np.eye(basis.dim)) / 2.0, basis),
-        OperatorMatrix(pref * (osc.a_plus.entries @ osc.b_plus.entries), basis),
-        OperatorMatrix(pref * (osc.a_minus.entries @ osc.b_minus.entries), basis),
+        OperatorMatrix(pref * _shift_product(osc.a_plus.entries, osc.b_plus.entries), basis),
+        OperatorMatrix(pref * _shift_product(osc.a_minus.entries, osc.b_minus.entries), basis),
     )
+
+
+def _shift_product(shift: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """shift @ m for a shift with at most one nonzero per row (a ladder of
+    one mode): each entry is the one product shift[i, k] m[k, j], the value
+    a dense product returns, with no dense product formed."""
+    col = np.argmax(shift != 0, axis=1)
+    return shift[np.arange(len(shift)), col][:, None] * m[col]
 
 
 def build_J(t: FockTruncation, ctx: QContext) -> JOperators:
@@ -278,20 +277,6 @@ def ladder_power_action(
     for step in steps:
         rad *= step
     return float((1.0 - q) ** (-power) * np.sqrt(rad)), (target, beta)
-
-
-def build_classical(t: FockTruncation) -> ClassicalOperators:
-    """Ordinary boson pair and su(1,1) generators (q -> 1 companions):
-
-    A~-|n> = sqrt(n)|n-1>, J~0 = (A~0+B~0+1)/2, J~+- = A~+-B~+-,
-    with [J~+, J~-] = -2 J~0 on the sectors |n, n+beta-1>.
-    """
-    osc = _ladders(
-        t,
-        np.sqrt(np.arange(1, t.n_a_max + 1, dtype=float)),
-        np.sqrt(np.arange(1, t.n_b_max + 1, dtype=float)),
-    )
-    return ClassicalOperators(*osc, *su11_generators(osc))
 
 
 def interior_indices(

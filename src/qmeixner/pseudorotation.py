@@ -25,9 +25,11 @@ The operator functions behind the identities work the same way.  Every
 generator they take leaves small blocks of states invariant (an offset
 sector for the pair ladders, a single state for a diagonal, a column of
 fixed n_B for A+), so matrix_qexp and qbch_series find the connected
-components of their arguments' nonzero pattern and sum one series on the
-stack of all blocks of each size; qbch_conjugate, qexp_split and the
-exp_reorder_* identities inherit that.  classical_U exponentiates
+components of their arguments' nonzero pattern and sum one series per
+size class of blocks (s states in class ceil(log2 s), zero-padded to the
+largest of the class); qbch_conjugate, qexp_split and the exp_reorder_*
+identities inherit that, and the conjugated_* identities multiply by U
+one offset block at a time.  classical_U exponentiates
 J~+ - J~- one offset block at a time, each on its first read.  Dense
 product-space matrices exist only at the API edge: they are what these
 functions take and return.
@@ -126,19 +128,24 @@ def _check_kind(kind: str) -> None:
 
 
 def _invariant_blocks(*mats: np.ndarray):
-    """The blocks that every one of mats leaves invariant, grouped by size.
+    """The blocks that every one of mats leaves invariant, grouped by size
+    class.
 
-    The blocks are the connected components of the joint nonzero pattern.
-    Yields (ix, stacks) per block size s: ix indexes the blocks of that size
-    in a dense matrix (m[ix] has shape (count, s, s), states in ascending
-    order within each block) and stacks holds m[ix] for each m in mats.
-    Every state lies in exactly one block, so a matrix zero between blocks
-    is rebuilt by writing each stack back through its ix.
+    The blocks are the connected components of the joint nonzero pattern;
+    a block of s states is in class ceil(log2 s).  Yields (keep, at, stacks)
+    per class: stacks holds each m in mats on the class's blocks, states in
+    ascending order, zero-padded to the largest block of the class (shape
+    (count, S, S)); keep marks the slots of real states and at their flat
+    indices in a dense matrix.  A zero pad row and column meet no real state
+    in a product, so a series on the stack equals the one on each block
+    alone; writing result[keep] to the flat positions at rebuilds the dense
+    result, since every state lies in exactly one block.
     """
     pattern = np.zeros(mats[0].shape, dtype=bool)
     for m in mats:
         pattern |= m != 0
-    rows, cols = np.nonzero(pattern)
+    # divmod of the flat indices: np.nonzero on a 2-d mask is ten times slower
+    rows, cols = np.divmod(np.flatnonzero(pattern), len(pattern))
     # every state takes the smallest label among itself and its neighbours,
     # then its label's label, until nothing moves: each state then carries
     # the smallest index of its component
@@ -155,20 +162,30 @@ def _invariant_blocks(*mats: np.ndarray):
     members = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
-    for s in np.unique(sizes):
-        idx = members[starts[sizes == s][:, None] + np.arange(s)]
+    # frexp's exponent of s - 1 is ceil(log2 s), exactly
+    classes = np.frexp(sizes - 1)[1]
+    for c in np.unique(classes):
+        size, start = sizes[classes == c], starts[classes == c]
+        slot = np.arange(size.max())
+        real = slot < size[:, None]
+        # pad slots read some real state, then keep zeroes them
+        idx = members.take(start[:, None] + slot, mode="clip")
         ix = (idx[:, :, None], idx[:, None, :])
-        yield ix, [m[ix] for m in mats]
+        keep = real[:, :, None] & real[:, None, :]
+        at = (ix[0] * len(pattern) + ix[1])[keep]
+        yield keep, at, [np.where(keep, m[ix], 0.0) for m in mats]
 
 
 def _block_series(start, step) -> np.ndarray:
     """start + t_1 + t_2 + ... with t_k = step(k, t_(k-1)), summed on a
     stack of blocks (count, s, s) at once.
 
-    Each block ends by the tail rule of qseries, start being its first term;
-    the sum returns once every block has ended.  NonConvergent is raised at
-    the first term that is not finite (or whose norm overflows), and when a
-    block has not ended within MAX_TERMS terms.
+    Each block ends by the tail rule of qseries, start being its first term,
+    and takes no term after its end, so its sum does not depend on the
+    blocks stacked with it; the sum returns once every block has ended.
+    NonConvergent is raised at the first term of a block still summing that
+    is not finite (or whose norm overflows), and when a block has not ended
+    within MAX_TERMS terms.
     """
     term = np.array(start, dtype=float)
     acc = term
@@ -180,9 +197,9 @@ def _block_series(start, step) -> np.ndarray:
         for k in range(MAX_TERMS):
             if k:
                 term = step(k, term)
-                acc = acc + term
+                acc = np.where(ended[:, None, None], acc, acc + term)
             size = np.linalg.norm(term, axis=(1, 2))
-            if not np.isfinite(size).all():
+            if not np.isfinite(size[~ended]).all():
                 raise NonConvergent(f"term {k} of the series is not finite")
             largest = np.maximum(largest, size)
             streak = np.where(size <= TAIL_CUTOFF * largest, streak + 1, 0)
@@ -205,18 +222,19 @@ def matrix_qexp(X: np.ndarray, kind: str, ctx: QContext) -> np.ndarray:
     """
     _check_kind(kind)
     q = ctx.q
-    out = np.zeros(X.shape)
-    for ix, (blk,) in _invariant_blocks(X):
+    out = np.zeros(X.size)
+    for keep, at, (blk,) in _invariant_blocks(X):
         if blk.shape[1] == 1:
-            out[ix] = _diag_qexp(kind, blk[:, 0, 0], ctx)[:, None, None]
+            out[at] = _diag_qexp(kind, blk[:, 0, 0], ctx)
             continue
 
         def step(k, term, blk=blk):
             term = (blk @ term) / (1.0 - q**k)
             return term * q ** (k - 1) if kind == "big" else term
 
-        out[ix] = _block_series(np.broadcast_to(np.eye(blk.shape[1]), blk.shape), step)
-    return out
+        # the identity on the real states only, so pad slots stay zero
+        out[at] = _block_series(keep * np.eye(blk.shape[1]), step)[keep]
+    return out.reshape(X.shape)
 
 
 # the benchmark's warm-up calls this name, and its tracer wraps both names
@@ -482,6 +500,24 @@ def _certify(
     return closed, residual
 
 
+def _u_times(u: UOperator, m: np.ndarray) -> np.ndarray:
+    """U m, one row block of U at a time; u.matrix is not read."""
+    out = np.zeros(m.shape)
+    for d in u.offsets:
+        _, idx = offset_block(u.truncation, d)
+        out[idx] = u.block(d) @ m[idx]
+    return out
+
+
+def _times_u(m: np.ndarray, u: UOperator) -> np.ndarray:
+    """m U, one column block of U at a time; u.matrix is not read."""
+    out = np.zeros(m.shape)
+    for d in u.offsets:
+        _, idx = offset_block(u.truncation, d)
+        out[:, idx] = m[:, idx] @ u.block(d)
+    return out
+
+
 def _levels(u: UOperator) -> tuple[Oscillators, float, float, np.ndarray, np.ndarray]:
     """(ladders, q, theta, n_A, n_B) of the product space u acts on."""
     osc = u.oscillators
@@ -512,8 +548,8 @@ def conjugated_lowering(
     r = osc.a_minus.entries * sqrt_b[None, :] + theta * (
         (q ** ((na + nb) / 2.0))[:, None] * osc.b_plus.entries
     )
-    lhs = osc.a_minus.entries @ u_theta.matrix.entries
-    rhs = u_shift.matrix.entries @ r
+    lhs = _times_u(osc.a_minus.entries, u_theta)
+    rhs = _u_times(u_shift, r)
     return _certify("conjugated lowering", u_theta, lhs, rhs, r, tol)
 
 
@@ -533,8 +569,8 @@ def conjugated_raising(
     r = osc.a_plus.entries * sqrt_b[None, :] + theta * (
         osc.b_minus.entries * (q ** ((na + nb) / 2.0))[None, :]
     )
-    lhs = osc.a_plus.entries @ u_shift.matrix.entries
-    rhs = u_theta.matrix.entries @ r
+    lhs = _times_u(osc.a_plus.entries, u_shift)
+    rhs = _u_times(u_theta, r)
     return _certify("conjugated raising", u_theta, lhs, rhs, r, tol)
 
 
@@ -555,8 +591,7 @@ def conjugated_lowering_dual(
     r = mid * sqrt_a[None, :] - theta * (
         (q ** (-na) * q ** (nb / 2.0))[:, None] * osc.b_plus.entries
     )
-    m = u.matrix.entries
-    return _certify("dual conjugated lowering", u, m @ mid, r @ m, r, tol)
+    return _certify("dual conjugated lowering", u, _u_times(u, mid), _times_u(r, u), r, tol)
 
 
 def conjugated_raising_dual(
@@ -576,8 +611,7 @@ def conjugated_raising_dual(
     r = sqrt_a[:, None] * mid - theta * (
         (q ** (-na))[:, None] * osc.b_minus.entries * (q ** (nb / 2.0))[None, :]
     )
-    m = u.matrix.entries
-    return _certify("dual conjugated raising", u, m @ mid, r @ m, r, tol)
+    return _certify("dual conjugated raising", u, _u_times(u, mid), _times_u(r, u), r, tol)
 
 
 def qbch_series(
@@ -602,8 +636,8 @@ def qbch_series(
     _check_kind(kind)
     q = ctx.q
     qa = q**alpha
-    out = np.zeros(y.shape)
-    for ix, (x_blk, y_blk) in _invariant_blocks(x, y):
+    out = np.zeros(y.size)
+    for keep, at, (x_blk, y_blk) in _invariant_blocks(x, y):
 
         def step(n, term, x_blk=x_blk):
             if kind == "big":
@@ -612,8 +646,8 @@ def qbch_series(
                 c = x_blk @ term - q ** (n - 1) * qa * (term @ x_blk)
             return (lam / (1.0 - q**n)) * c
 
-        out[ix] = _block_series(y_blk, step)
-    return out
+        out[at] = _block_series(y_blk, step)[keep]
+    return out.reshape(y.shape)
 
 
 def qbch_conjugate(

@@ -234,8 +234,9 @@ def little_qexp(z: float, ctx: QContext) -> SeriesValue:
     """
     pinf = q_pochhammer_inf(z, ctx, reciprocal=True)
     value = 1.0 / pinf.value
-    tail = pinf.tail_estimate / (pinf.value * pinf.value)
-    return SeriesValue(value, pinf.terms_used, abs(tail))
+    # d(1/p) = dp / p^2; a product beyond the range (value 0) leaves no tail
+    tail = pinf.tail_estimate * value * value if value else 0.0
+    return SeriesValue(value, pinf.terms_used, tail)
 
 
 def big_qexp(z: float, ctx: QContext) -> SeriesValue:

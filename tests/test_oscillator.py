@@ -1,13 +1,18 @@
 """Deformed oscillator matrices, sectors, and the discrete-series combination."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from qmeixner.errors import EmptySector, OutOfTruncation
 from qmeixner.oscillator import (
     FockTruncation,
+    JOperators,
+    OperatorMatrix,
+    Oscillators,
     ProductBasis,
-    build_classical,
+    _ladders,
     build_J,
     build_oscillators,
     from_offset_blocks,
@@ -17,8 +22,29 @@ from qmeixner.oscillator import (
     offset_block,
     sector,
     sector_offset,
+    su11_generators,
 )
 from qmeixner.qseries import QContext
+
+# the ordinary boson pair followed by its su(1,1) generators
+ClassicalOperators = NamedTuple(
+    "ClassicalOperators",
+    [(f, OperatorMatrix) for f in Oscillators._fields + JOperators._fields],
+)
+
+
+def build_classical(t: FockTruncation) -> ClassicalOperators:
+    """Ordinary boson pair and su(1,1) generators (q -> 1 companions):
+
+    A~-|n> = sqrt(n)|n-1>, J~0 = (A~0+B~0+1)/2, J~+- = A~+-B~+-,
+    with [J~+, J~-] = -2 J~0 on the sectors |n, n+beta-1>.
+    """
+    osc = _ladders(
+        t,
+        np.sqrt(np.arange(1, t.n_a_max + 1, dtype=float)),
+        np.sqrt(np.arange(1, t.n_b_max + 1, dtype=float)),
+    )
+    return ClassicalOperators(*osc, *su11_generators(osc))
 
 
 def interior_block(m: np.ndarray, basis: ProductBasis, margin: int) -> np.ndarray:
@@ -153,6 +179,27 @@ def test_ladder_power_bottom_and_top():
     assert coeff == 0.0 and target is None
     with pytest.raises(OutOfTruncation):
         ladder_power_action("raise", 3, (2, 2), t, ctx)
+
+
+class NoProduct(np.ndarray):
+    """An array that refuses to take part in a matrix product."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("a dense matrix product was formed")
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("t", [FockTruncation(20, 20), FockTruncation(3, 5), FockTruncation(6, 2)])
+def test_pair_ladders_are_the_dense_products_without_one(t):
+    osc = build_oscillators(t, QContext(q=0.9))
+    guarded = Oscillators(
+        *(OperatorMatrix(m.entries.view(NoProduct), m.basis) for m in osc)
+    )
+    j = su11_generators(guarded)
+    assert np.array_equal(j.j_plus.entries, osc.a_plus.entries @ osc.b_plus.entries)
+    assert np.array_equal(j.j_minus.entries, osc.a_minus.entries @ osc.b_minus.entries)
 
 
 def test_classical_su11_commutator():

@@ -21,7 +21,6 @@ from qmeixner.errors import (
 from qmeixner.meixner import MatrixElementParams, xi
 from qmeixner.oscillator import (
     FockTruncation,
-    build_classical,
     build_oscillators,
     offset_block,
     sector,
@@ -50,6 +49,7 @@ from qmeixner.pseudorotation import (
 from qmeixner.qseries import TAIL_CUTOFF, QContext, big_qexp, little_qexp, q_pochhammer
 
 from test_meixner import TAU_REFUSALS
+from test_oscillator import build_classical
 
 CTX = QContext(q=0.5)
 
@@ -108,6 +108,18 @@ def pair_ladders(osc, ctx):
     k_plus = pref[:, None] * (osc.a_plus.entries @ osc.b_plus.entries)
     k_minus = pref[:, None] * (osc.a_minus.entries @ osc.b_minus.entries)
     return k_plus, k_minus
+
+
+def scattered_blocks(sizes, seed):
+    """A diagonal plus sub-diagonal matrix whose invariant blocks have the
+    given sizes, their states scattered over the basis."""
+    rng = np.random.default_rng(seed)
+    states = rng.permutation(sum(sizes))
+    x = np.zeros((states.size, states.size))
+    for block in np.split(states, np.cumsum(sizes)[:-1]):
+        x[block, block] = rng.uniform(-0.2, 0.2, block.size)
+        x[block[1:], block[:-1]] = rng.uniform(0.05, 0.15, block.size - 1)
+    return x
 
 
 def deviation(got, ref):
@@ -170,7 +182,9 @@ def test_blockwise_series_match_dense_reference(kind, q, cap):
     """matrix_qexp and qbch_series, summed per invariant block, against the
     dense power series on the argument shapes of the identities: the pair
     ladders K+-, the diagonal q^A0 plus A+ of qexp_split, and the K+ with
-    n_A pair of the q-BCH check.  Worst measured deviation 5.5e-14, in
+    n_A pair of the q-BCH check; and a series whose blocks differ in size
+    inside one size class (5 to 8 and 17 to 21 states), so that padding
+    never leaks into a block.  Worst measured deviation 5.5e-14, in
     qbch_series at q = 0.9, cap 20; matrix_qexp on the pair ladders matched
     bit for bit."""
     osc, ctx = small_osc(q, cap)
@@ -186,11 +200,32 @@ def test_blockwise_series_match_dense_reference(kind, q, cap):
         for x in (cx * diag + cy * osc.a_plus.entries, cx * diag, 0.3 * k_plus):
             got = matrix_qexp(x, kind, ctx)
             worst = max(worst, deviation(got, dense_qexp(x, kind, ctx, TAIL_CUTOFF)))
-    y = np.diag(na)
-    for lam in (0.3, -0.3):
-        got = qbch_series(k_plus, y, lam, 0.3, kind, ctx)
-        worst = max(worst, deviation(got, dense_qbch(k_plus, y, lam, 0.3, kind, ctx)))
+    mixed = scattered_blocks((5, 8, 17, 6, 21, 19, 7), cap)
+    got = matrix_qexp(mixed, kind, ctx)
+    worst = max(worst, deviation(got, dense_qexp(mixed, kind, ctx, TAIL_CUTOFF)))
+    for x, y in ((k_plus, np.diag(na)), (mixed, np.diag(np.arange(len(mixed)) % 4.0))):
+        for lam in (0.3, -0.3):
+            got = qbch_series(x, y, lam, 0.3, kind, ctx)
+            worst = max(worst, deviation(got, dense_qbch(x, y, lam, 0.3, kind, ctx)))
     assert worst <= 2e-13
+
+
+def test_pair_ladder_series_run_once_per_size_class(monkeypatch):
+    # the 41 offset blocks of K+ at cap 20 hold 1 to 21 states: the two
+    # one-state blocks take the product forms, and the others fall in the
+    # 5 size classes 2, 3-4, 5-8, 9-16 and 17-21
+    osc, ctx = small_osc(0.9, 20)
+    k_plus, _ = pair_ladders(osc, ctx)
+    calls = []
+    series = pseudorotation._block_series
+
+    def counted(start, step):
+        calls.append(len(start))
+        return series(start, step)
+
+    monkeypatch.setattr(pseudorotation, "_block_series", counted)
+    matrix_qexp(0.3 * k_plus, "little", ctx)
+    assert len(calls) <= 6
 
 
 def test_qexp_series_matches_nilpotent_path():
@@ -500,13 +535,16 @@ def conj_pair(q, theta, beta, cap):
 
 
 def test_conjugations_certify_small_residuals():
+    # U is multiplied one offset block at a time: u.matrix is never built
     u, u_shift = conj_pair(0.5, 0.5, 1, 16)
     for fn in (conjugated_lowering, conjugated_raising):
         _, res = fn(u, u_shift, tol=1e-11)
         assert res <= 1e-12
+        assert "matrix" not in u.__dict__ and "matrix" not in u_shift.__dict__
     for fn in (conjugated_lowering_dual, conjugated_raising_dual):
         _, res = fn(u, tol=1e-11)
         assert res <= 1e-12
+        assert "matrix" not in u.__dict__
 
 
 def test_conjugated_lowering_closed_form_shape():

@@ -365,5 +365,7 @@ def test_pochhammer_inf_beyond_the_double_range_is_refused():
     with pytest.raises(OverflowError, match="exceeds the double range"):
         q_pochhammer_inf(1e5, QContext(q=0.99))
     # e_q = 1 / (z; q)_oo of such a product lies below the range and
-    # rounds to 0 like any double there
+    # rounds to 0 like any double there, and so does its tail
     assert little_qexp(-0.09 * 2.0**100, CTX).value == 0.0
+    sv = little_qexp(-0.09 * 2.0**60, CTX)
+    assert (sv.value, sv.tail_estimate) == (0.0, 0.0)
