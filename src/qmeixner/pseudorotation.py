@@ -30,7 +30,8 @@ size class of blocks (s states in class ceil(log2 s), zero-padded to the
 largest of the class); qbch_conjugate, qexp_split and the exp_reorder_*
 identities inherit that, and the conjugated_* identities multiply by U
 one offset block at a time.  classical_U exponentiates
-J~+ - J~- one offset block at a time, each on its first read.  Dense
+J~+ - J~- one offset block at a time, each on its first read, by one
+eigendecomposition of the skew-symmetric block (numpy alone).  Dense
 product-space matrices exist only at the API edge: they are what these
 functions take and return.
 
@@ -680,17 +681,27 @@ def qexp_split(
     For XY = qYX the little kind satisfies e_q(X+Y) = e_q(Y) e_q(X) and the
     big kind E_q(X+Y) = E_q(X) E_q(Y).  The premise is validated first
     (UnsupportedShape when violated); returns (combined, split).
+
+    X, Y, their products and both factors of split leave the joint invariant
+    blocks of X and Y invariant, so every product is formed on those blocks.
     """
     _check_kind(kind)
-    xy = x @ y
-    yx = y @ x
-    scale = max(np.abs(xy).max(), np.abs(yx).max(), 1.0)
-    if np.abs(xy - ctx.q * yx).max() > _COMM_TOL * scale:
+    blocks = list(_invariant_blocks(x, y))
+    xy = [x_blk @ y_blk for _, _, (x_blk, y_blk) in blocks]
+    yx = [y_blk @ x_blk for _, _, (x_blk, y_blk) in blocks]
+    scale = max(max(np.abs(p).max() for p in xy + yx), 1.0)
+    if max(np.abs(a - ctx.q * b).max() for a, b in zip(xy, yx)) > _COMM_TOL * scale:
         raise UnsupportedShape("arguments do not satisfy XY = qYX")
     combined = matrix_qexp(x + y, kind, ctx)
     first, second = (y, x) if kind == "little" else (x, y)
-    split = matrix_qexp(first, kind, ctx) @ matrix_qexp(second, kind, ctx)
-    return combined, split
+    e_first = matrix_qexp(first, kind, ctx).ravel()
+    e_second = matrix_qexp(second, kind, ctx).ravel()
+    split = np.zeros(x.size)
+    for keep, at, _ in blocks:
+        f_blk, s_blk = np.zeros(keep.shape), np.zeros(keep.shape)
+        f_blk[keep], s_blk[keep] = e_first[at], e_second[at]
+        split[at] = (f_blk @ s_blk)[keep]
+    return combined, split.reshape(x.shape)
 
 
 def _scaled_ladders(
@@ -783,24 +794,27 @@ class ClassicalU(_OffsetBlocks):
 
     J~+ = A~+B~+ takes |m, m+d> to sqrt((m+1)(m+1+d)) |m+1, m+1+d>, so on
     the block of offset d the generator is that sub-diagonal minus its
-    transpose.  block(d) exponentiates that block alone on its first read;
+    transpose.  block(d) exponentiates that block alone on its first read,
+    through one Hermitian eigendecomposition of i times the generator;
     matrix is the dense product-space form, built from every block on
-    first read.  The generator is exactly antisymmetric under truncation, so
-    the result is orthogonal to machine precision; only comparisons against
-    the infinite-space closed form need interior margins.
+    first read.  The generator is exactly antisymmetric under truncation,
+    hence normal, so the spectral form is orthogonal to machine precision at
+    any tau; only comparisons against the infinite-space closed form need
+    interior margins.
     """
 
     tau: float
     truncation: FockTruncation
 
     def _build(self, d: int) -> np.ndarray:
-        # imported here: scipy.linalg costs about 0.2 s of start-up, and
-        # only the classical limit needs it
-        import scipy.linalg
-
         m = offset_block(self.truncation, d)[0][:-1].astype(float)
+        if self.tau == 0.0:  # eigh of a zero block need not return V = I
+            return np.eye(m.size + 1)
         up = self.tau * np.sqrt((m + 1.0) * (m + 1.0 + d))
-        return scipy.linalg.expm(np.diag(up, -1) - np.diag(up, 1))
+        # S is real skew-symmetric, so iS = V diag(lam) V^H is Hermitian and
+        # exp(S) = V diag(exp(-i lam)) V^H, with orthonormal V at any tau
+        lam, v = np.linalg.eigh(1j * (np.diag(up, -1) - np.diag(up, 1)))
+        return ((v * np.exp(-1j * lam)) @ v.conj().T).real
 
 
 def classical_U(tau: float, t: FockTruncation) -> ClassicalU:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qmeixner import cli, verify
 from qmeixner.cli import main
 from qmeixner.errors import DenominatorPole, NonConvergent, OutOfTruncation, PoleHit
+from qmeixner.pseudorotation import ClassicalU
 
 import mp_reference
 
@@ -577,22 +578,21 @@ def test_beta_refusal_has_one_wording(capsys):
 def test_operator_limit_exponentiates_only_the_blocks_it_reads(capsys, monkeypatch):
     # classical_element reads offset block beta - 1; classical_U exponentiated
     # all 2k + 1 blocks of each truncation, 115 expm calls for k = 8, 16, 32
-    import scipy.linalg
-
-    original = scipy.linalg.expm
+    original = ClassicalU._build
     shapes = []
 
-    def counting(a):
-        shapes.append(a.shape)
-        return original(a)
+    def counting(self, d):
+        block = original(self, d)
+        shapes.append(block.shape)
+        return block
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    monkeypatch.setattr(ClassicalU, "_build", counting)
     code, out, _ = run(capsys, "limit", "--kind", "operator")
     assert code == 0
     assert shapes == [(9, 9), (17, 17), (33, 33)]
-    # the stdout of the dense-operator implementation
+    # the stdout of the per-block eigendecomposition
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7e31d4db5f18be6db8f295a1b2b8377a0b1a2918817c9364fc3e74ace2a752c9"
+        "1fb5fa46519711238e8cd33a67f0f31c6444b154a96ead84f92777d7fd20e768"
     )
 
 

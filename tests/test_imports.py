@@ -1,9 +1,10 @@
-"""The import graph: `import qmeixner` and the closed-form commands load
-neither numpy nor scipy; numpy loads on the first operator call and scipy
-only in the classical operator limit.  `import qmeixner` still loads every
-qmeixner module (the benchmark's layer tracer finds them in sys.modules),
-whose global `np` becomes numpy itself on that first operator call, and
-every function the tracer wraps still exists under its name."""
+"""The import graph: no command loads scipy, and every command runs where
+scipy cannot be imported.  `import qmeixner` and the closed-form commands
+load no numpy either; numpy loads on the first operator call.  `import
+qmeixner` still loads every qmeixner module (the benchmark's layer tracer
+finds them in sys.modules), whose global `np` becomes numpy itself on that
+first operator call, and every function the tracer wraps still exists under
+its name."""
 
 import json
 import os
@@ -103,14 +104,20 @@ def _probe(*commands):
     return _run(_PROBE, json.dumps(commands))
 
 
-def test_commands_other_than_the_operator_limit_never_load_scipy():
-    report = _probe(
-        ["tabulate", "--q", "0.5", "--beta", "2", "--theta", "0.3",
-         "--nmax", "4", "--xmax", "4"],
-        ["xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
-         "--nmax", "4", "--xmax", "4", "--source", "both"],
-        ["verify", "--relation", "duality"],
-    )
+_EVERY_COMMAND = (
+    ["tabulate", "--q", "0.5", "--beta", "2", "--theta", "0.3",
+     "--nmax", "4", "--xmax", "4"],
+    ["xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",
+     "--nmax", "4", "--xmax", "4", "--source", "both"],
+    ["verify", "--relation", "duality"],
+    ["limit", "--kind", "poly"],
+    ["limit", "--kind", "xi"],
+    ["limit", "--kind", "operator"],
+)
+
+
+def test_no_command_loads_scipy():
+    report = _probe(*_EVERY_COMMAND)
     assert report["after_import"] == []
     for command in report["commands"]:
         assert command["code"] == 0, command["argv"]
@@ -128,7 +135,15 @@ def test_operator_limit_still_runs():
     assert [line.split(",")[:2] for line in lines[1:]] == [
         ["8", "8"], ["16", "16"], ["32", "32"]
     ]
-    assert "scipy.linalg" in command["scipy"]
+    assert command["scipy"] == []
+
+
+def test_every_command_runs_without_scipy():
+    # None in sys.modules makes every import of scipy raise ImportError
+    report = _run("import sys; sys.modules['scipy'] = None\n" + _PROBE,
+                  json.dumps(_EVERY_COMMAND))
+    for command in report["commands"]:
+        assert command["code"] == 0, command["argv"]
 
 
 def test_import_and_closed_form_commands_never_load_numpy():

@@ -5,6 +5,7 @@ import hashlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +27,7 @@ from qmeixner.oscillator import (
     sector,
 )
 from qmeixner.pseudorotation import (
+    ClassicalU,
     build_U,
     classical_U,
     classical_element,
@@ -634,6 +636,20 @@ def test_qexp_split_factorizes():
         assert interior_residual(combined, split, basis, 7, 7) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["little", "big"])
+def test_qexp_split_blockwise_product_matches_dense(kind):
+    # at the identities benchmark's arguments: q = 0.9, truncation 20
+    osc, ctx = small_osc(q=0.9, cap=20)
+    for cx, cy in ((0.3, 0.3), (-0.3, 0.3)):
+        x = cx * np.diag(ctx.q ** osc.a0.basis.na.astype(float))
+        y = cy * osc.a_plus.entries
+        combined, split = qexp_split(x, y, kind, ctx)
+        first, second = (y, x) if kind == "little" else (x, y)
+        dense = matrix_qexp(first, kind, ctx) @ matrix_qexp(second, kind, ctx)
+        assert np.array_equal(combined, matrix_qexp(x + y, kind, ctx))
+        assert deviation(split, dense) <= 1e-14
+
+
 def test_reorder_big_and_mixed_converged_blocks():
     osc, ctx = small_osc(q=0.9, cap=20)
     basis = osc.a0.basis
@@ -718,6 +734,31 @@ def test_classical_u_matches_dense_expm(k):
     ref = scipy.linalg.expm(0.5 * (cl.j_plus.entries - cl.j_minus.entries))
     dev = np.abs(classical_U(0.5, t).matrix.entries - ref).max()
     assert dev <= 1e-12
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+@pytest.mark.parametrize("d", [0, 2])
+def test_classical_blocks_match_a_50_digit_exponential(d, k):
+    """Blocks d = 0 and 2 against mpmath's expm of the same truncated
+    generator block at 50 digits (worst measured 2.9e-15, at k = 32;
+    scipy's expm was off by 2.4e-14 there)."""
+    u = classical_U(0.5, FockTruncation(k, k))
+    m = np.arange(k - d)
+    up = 0.5 * np.sqrt((m + 1.0) * (m + 1.0 + d))
+    with mpmath.workdps(50):
+        ref = mpmath.expm(mpmath.matrix((np.diag(up, -1) - np.diag(up, 1)).tolist()))
+        ref = np.array(ref.tolist(), dtype=float)
+    assert np.abs(u.block(d) - ref).max() <= 5e-15
+
+
+@pytest.mark.parametrize("tau", [0.5, 2.0, 20.0])
+def test_classical_blocks_stay_orthogonal_at_large_tau(tau):
+    # scipy's expm lost orthogonality as tau grew: 3.9e-12 at tau = 20.
+    # classical_U refuses tau = 20 (tanh(tau)^2 rounds to 1), the blocks not
+    u = ClassicalU(tau, FockTruncation(128, 128))
+    for d in (-64, 0, 2, 64):
+        b = u.block(d)
+        assert np.abs(b.T @ b - np.eye(len(b))).max() <= 1e-14
 
 
 def test_classical_element_out_of_block():
