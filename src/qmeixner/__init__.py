@@ -34,7 +34,6 @@ from .oscillator import (
     build_J,
     build_oscillators,
     interior_indices,
-    ladder_power_action,
     sector,
 )
 from .pseudorotation import (

@@ -21,12 +21,14 @@ Equivalently, with the weight
 
 the polynomials satisfy sum_x omega_x M_n M_n' = delta * norm_factor(n).
 
-Precision rule, for qmeixner, xi, weight and norm_factor: a value is
-computed in doubles and returned only where the doubles it rests on are
-finite and normal and a sum has lost at most 16 bits to cancellation (sum
-of |terms| at most qseries.MAX_CANCELLATION = 2^16 times |sum|).
-Otherwise it is computed in 50-digit decimals on the exact values of the
-double arguments, and a value above the double range is refused with
+Precision rule, for qmeixner, xi, weight and norm_factor: each value has
+one body, a formula written once for either scalar type, float or Decimal,
+and one dispatcher, _precision_rule, runs it.  The value computed in
+doubles is returned only where the doubles it rests on are finite and
+normal and a sum has lost at most 16 bits to cancellation (sum of |terms|
+at most qseries.MAX_CANCELLATION = 2^16 times |sum|).  Otherwise the same
+body runs in 50-digit decimals on the exact values of the double
+arguments, and a value above the double range is refused with
 OverflowError; one below it rounds toward 0.0 like any double.
 
 Classical (q -> 1) companions live at the bottom of the module.
@@ -37,16 +39,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from functools import cached_property
 from typing import Callable
 
 from .qseries import (
-    _DECIMAL,
     MAX_CANCELLATION,
     QContext,
-    q_binomial,
-    q_pochhammer,
+    _binomial,
+    _pochhammer,
+    _retake,
     ratio_sequence,
 )
 
@@ -134,12 +136,6 @@ class MeixnerParams:
     ) -> "MeixnerParams":
         return cls(c=c, ctx=ctx, beta=beta, c_shift=c_shift)
 
-    @property
-    def c_effective(self) -> float:
-        if self.c_shift == 0:
-            return self.c
-        return self.c * self.ctx.q ** self.c_shift
-
 
 @dataclass(frozen=True)
 class MatrixElementParams:
@@ -157,12 +153,41 @@ class MatrixElementParams:
         return MeixnerParams.from_beta(self.beta, self.theta * self.theta, self.ctx)
 
     @cached_property
-    def _pochhammer_decimal(self) -> Callable[[int], Decimal]:
-        """k -> (-theta^2; q)_k in decimals on the exact q and theta, held
-        with the parameters, so a sum over the lattice builds each prefix
-        once; read under _DECIMAL."""
-        q, t2 = Decimal(self.ctx.q), Decimal(self.theta) ** 2
-        return ratio_sequence(lambda p, k: Decimal(p) * (1 + t2 * q**k))
+    def _prefixes(self) -> dict:
+        """Scalar type -> k -> (-theta^2; q)_k in that type, held with the
+        parameters, so a sum over the lattice builds each prefix once."""
+        return {}
+
+
+def _precision_rule(
+    body: Callable[..., tuple], args: tuple, holds: Callable, what: Callable[[], str]
+) -> float:
+    """The precision rule of the module docstring, applied in this one place.
+
+    body(*args) is one formula for float and Decimal (qseries._retake)
+    that returns its value, then the doubles holds(*result) judges.  Where
+    holds refuses a double result, or a double overflowed or divided by an
+    underflowed 0, the body runs again on the exact decimals of args, and a
+    value beyond the double range is refused with OverflowError naming
+    what().  Inside a decimal run (a Decimal args[0]) the body just runs.
+    """
+    if isinstance(args[0], Decimal):
+        return body(*args)[0]
+    try:
+        result = body(*args)
+        if holds(*result):
+            return result[0]
+    except (OverflowError, ZeroDivisionError):  # a double left the range
+        pass
+    value = _retake(body, *args)
+    if math.isinf(value):
+        raise OverflowError(f"{what()} exceeds the double range")
+    return value
+
+
+def _normal(*values: float) -> bool:
+    """Whether every value is a positive, finite, normal double."""
+    return all(_TINY <= v <= _HUGE for v in values)
 
 
 def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
@@ -174,46 +199,38 @@ def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
     """
     if n < 0 or x < 0:
         raise ValueError("degree n and lattice point x must be >= 0")
-    q = p.ctx.q
-    try:
-        c = p.c_effective
-    except OverflowError:  # q^c_shift
-        c = math.inf
-    if _TINY <= c <= _HUGE:
-        try:
-            value, magnitude = _terminating_2phi1(
-                q, n, x, p.beta, p.b, -(q ** (n + 1)) / c
-            )
-        except OverflowError:  # q^(k-n) or q^(k-x)
-            value = math.inf
-        if math.isfinite(value) and magnitude <= MAX_CANCELLATION * abs(value):
-            return value
-    # c q^c_shift or a factor or term left the double range, or near a zero
-    # of M_n the terms cancel and a double sum keeps only ~16 digits of the
-    # largest: past 5 lost, decimal
-    value = float(_qmeixner_decimal(n, x, p, Decimal(p.c)))
-    if math.isinf(value):
-        raise OverflowError(f"M_{n}(q^-{x}) exceeds the double range")
-    return value
+    return _qmeixner(p.ctx.q, p.c, p.b, n, x, p.beta, p.c_shift)
 
 
-def _terminating_2phi1(
-    q: float, n: int, x: int, beta: int | None, b: float | None, z: float
-) -> tuple[float, float]:
-    """2_phi_1(q^-n, q^-x; bq; q, z) with bq = q^beta (integer beta) or b q,
-    in doubles with Neumaier compensation.  Returns (sum, sum of |terms|).
+def _qmeixner(q, c, b, n: int, x: int, beta: int | None, c_shift: int):
+    """M_n(q^-x; b, c q^c_shift; q) by the precision rule, with b = q^(beta-1)
+    where b is None; in the scalar type of q."""
+    return _precision_rule(
+        _terminating_2phi1, (q, c, b, n, x, beta, c_shift), _summed,
+        lambda: f"M_{n}(q^-{x})",
+    )
+
+
+def _terminating_2phi1(q, c, b, n: int, x: int, beta: int | None, c_shift: int):
+    """2_phi_1(q^-n, q^-x; bq; q, z) at z = -q^(n+1) / (c q^c_shift), with
+    bq = q^beta (integer beta) or b q, with Neumaier compensation, in the
+    scalar type of q (float or Decimal).  Returns (sum, sum of |terms|,
+    c q^c_shift).
 
     The numerator parameters are exact powers of q, so the sum has
-    min(n, x) + 1 terms; it stops early at a term of 0.0, after which every
-    term is 0.0.
+    min(n, x) + 1 terms; it stops early at a term of 0, after which every
+    term is 0.
     """
+    one = q**0
+    c = c * q**c_shift
+    z = -(q ** (n + 1)) / c
     bq = None if b is None else b * q
-    total, comp, magnitude, term = 1.0, 0.0, 1.0, 1.0
+    total, comp, magnitude, term = one, one - one, one, one
     for k in range(min(n, x)):
-        num = (1.0 - q ** (k - n)) * (1.0 - q ** (k - x))
-        den_b = 1.0 - q ** (beta + k) if bq is None else 1.0 - bq * q**k
-        term = term * (num / ((1.0 - q ** (k + 1)) * den_b)) * z
-        if term == 0.0:
+        num = (one - q ** (k - n)) * (one - q ** (k - x))
+        den_b = one - q ** (beta + k) if bq is None else one - bq * q**k
+        term = term * (num / ((one - q ** (k + 1)) * den_b)) * z
+        if not term:
             break
         t = total + term
         if abs(total) >= abs(term):
@@ -222,54 +239,44 @@ def _terminating_2phi1(
             comp += (term - t) + total
         total = t
         magnitude += abs(term)
-    return total + comp, magnitude
+    return total + comp, magnitude, c
 
 
-def _qmeixner_decimal(n: int, x: int, p: MeixnerParams, c: Decimal) -> Decimal:
-    """qmeixner's 2_phi_1 in 50-digit decimals, on the exact values of q, bq
-    and c q^c_shift (c is p.c, or xi's exact theta^2): room for the
-    cancellation of a double sum, and an exponent range no term leaves."""
-    with localcontext(_DECIMAL):
-        q = Decimal(p.ctx.q)
-        bq = q**p.beta if p.beta is not None else Decimal(p.b) * q
-        z = -(q ** (n + 1)) / (c * q**p.c_shift)
-        qn, qx, qk = q**-n, q**-x, q  # q^(k-n), q^(k-x), q^(k+1); bq q^k
-        total = term = Decimal(1)
-        for _ in range(min(n, x)):
-            term *= (1 - qn) * (1 - qx) * z / ((1 - qk) * (1 - bq))
-            total += term
-            qn, qx, qk, bq = qn * q, qx * q, qk * q, bq * q
-        return total
+def _summed(value: float, magnitude: float, c: float) -> bool:
+    """Whether a double M_n holds: c q^c_shift is a normal double, and the
+    sum is finite and lost at most 16 bits to cancellation.  Near a zero of
+    M_n the terms cancel, and a double sum keeps only ~16 digits of the
+    largest."""
+    return (
+        _TINY <= c <= _HUGE
+        and math.isfinite(value)
+        and magnitude <= MAX_CANCELLATION * abs(value)
+    )
 
 
 def weight(x: int, mp: MatrixElementParams) -> float:
     """Orthogonality weight omega_x = xi_{0,x}^2, positive and at most 1.
 
-    In doubles where theta^(2x), q^(C(x,2)) and omega_x are normal: the
-    factors [x+beta-1, x]_q and (-theta^2; q)_{x+beta} are at least 1, so a
-    partial product that leaves the range takes omega_x out of it too.
-    Otherwise in decimal (_weight_decimal).
+    Its doubles hold where theta^(2x), q^(C(x,2)) and omega_x are normal:
+    the factors [x+beta-1, x]_q and (-theta^2; q)_{x+beta} are at least 1, so
+    a partial product that leaves the range takes omega_x out of it too.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    q = mp.ctx.q
-    t2 = mp.theta * mp.theta
-    try:
-        t2x = t2**x
-    except OverflowError:
-        t2x = math.inf
+    return _precision_rule(
+        _weight, (mp.ctx.q, mp.theta, x, mp.beta, mp._prefixes), _normal,
+        lambda: f"omega_{x}",
+    )
+
+
+def _weight(q, theta, x: int, beta: int, prefixes: dict):
+    """(omega_x, theta^(2x), q^(C(x,2))) in the scalar type of q."""
+    t2 = theta * theta
+    t2x = t2**x
     qc = q ** (x * (x - 1) // 2)
-    if _normal(t2x, qc):
-        w = (
-            t2x
-            * q_binomial(x + mp.beta - 1, x, mp.ctx)
-            * qc
-            / q_pochhammer(-t2, x + mp.beta, mp.ctx)
-        )
-        if _normal(w):
-            return w
-    with localcontext(_DECIMAL):
-        return float(_weight_decimal(x, mp))
+    poch = prefixes.setdefault(type(q), _pochhammer(-t2, q))(x + beta)
+    w = t2x * _binomial(x + beta - 1, x, q) * qc / poch
+    return w, t2x, qc
 
 
 def norm_factor(n: int, mp: MatrixElementParams) -> float:
@@ -278,70 +285,33 @@ def norm_factor(n: int, mp: MatrixElementParams) -> float:
     q^(C(n,2)) theta^(-2n) (q;q)_n (q;q)_{beta-1} (-theta^2 q^-n; q)_n
         / (q;q)_{n+beta-1}.
 
-    Equals 1 at n = 0 for every beta (the weights sum to one).  In doubles
-    where _norm_double finds every double it rests on normal, otherwise in
-    decimal (_norm_decimal); OverflowError where h_n exceeds the double
-    range.
+    Equals 1 at n = 0 for every beta (the weights sum to one).  Its doubles
+    hold where h_n and every double it rests on (_norm) are normal;
+    OverflowError where h_n exceeds the double range.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    h = _norm_double(n, mp)
-    if h is None:
-        with localcontext(_DECIMAL):
-            h = float(_norm_decimal(n, mp))
-        if math.isinf(h):
-            raise OverflowError(f"h_{n} = norm_factor({n}) exceeds the double range")
-    return h
-
-
-def _norm_double(n: int, mp: MatrixElementParams) -> float | None:
-    """h_n in doubles; None where q^(C(n,2)), (q;q)_n, (q;q)_{n+beta-1}, a
-    partial product or h_n is not a normal double.  Those factors are at
-    most 1, and the products they enter grow again by theta^(-2n) and
-    (-theta^2 q^-n; q)_n, so a value that left the range would not show."""
-    ctx = mp.ctx
-    q = ctx.q
-    t2 = mp.theta * mp.theta
-    qc, qq, top = (
-        q ** (n * (n - 1) // 2),
-        q_pochhammer(q, n, ctx),
-        q_pochhammer(q, n + mp.beta - 1, ctx),
+    return _precision_rule(
+        _norm, (mp.ctx.q, mp.theta, n, mp.beta), _normal,
+        lambda: f"h_{n} = norm_factor({n})",
     )
-    try:
-        head = qc * t2 ** (-n)
-        poch = q_pochhammer(-t2 * q ** (-n), n, ctx)
-    except OverflowError:  # theta^(-2n) or q^-n
-        return None
+
+
+def _norm(q, theta, n: int, beta: int):
+    """(h_n, q^(C(n,2)), (q;q)_n, (q;q)_{n+beta-1}, and the partial products
+    q^(C(n,2)) theta^(-2n) and that times (q;q)_n) in the scalar type of q.
+    The factors are at most 1, and the products they enter grow again by
+    theta^(-2n) and (-theta^2 q^-n; q)_n, so a double that left the range
+    would not show in h_n."""
+    t2 = theta * theta
+    qc = q ** (n * (n - 1) // 2)
+    q_q = _pochhammer(q, q)
+    qq, top = q_q(n), q_q(n + beta - 1)
+    head = qc * t2 ** (-n)
+    poch = _pochhammer(-t2 * q ** (-n), q)(n)
     mid = head * qq
-    if not _normal(qc, qq, top, head, mid):
-        return None
-    h = mid * poch / (top / q_pochhammer(q, mp.beta - 1, ctx))
-    return h if _normal(h) else None
-
-
-def _normal(*values: float) -> bool:
-    """Whether every value is a positive, finite, normal double."""
-    return all(_TINY <= v <= _HUGE for v in values)
-
-
-def _binom_decimal(m: int, beta: int, q: Decimal) -> Decimal:
-    """[m + beta - 1, m]_q = [m + beta - 1, beta - 1]_q in the caller's
-    decimal context."""
-    return math.prod((1 - q ** (m + i)) / (1 - q**i) for i in range(1, beta))
-
-
-def _weight_decimal(x: int, mp: MatrixElementParams) -> Decimal:
-    """omega_x in the caller's decimal context on the exact q and theta."""
-    q, t2 = Decimal(mp.ctx.q), Decimal(mp.theta) ** 2
-    poch = mp._pochhammer_decimal(x + mp.beta)
-    return t2**x * _binom_decimal(x, mp.beta, q) * q ** (x * (x - 1) // 2) / poch
-
-
-def _norm_decimal(n: int, mp: MatrixElementParams) -> Decimal:
-    """h_n in the caller's decimal context on the exact q and theta."""
-    q, t2 = Decimal(mp.ctx.q), Decimal(mp.theta) ** 2
-    poch = math.prod(1 + t2 * q ** (k - n) for k in range(n))
-    return q ** (n * (n - 1) // 2) * poch / (t2**n * _binom_decimal(n, mp.beta, q))
+    h = mid * poch / (top / q_q(beta - 1))
+    return h, qc, qq, top, head, mid
 
 
 def xi(n: int, x: int, mp: MatrixElementParams) -> float:
@@ -355,49 +325,46 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
 
     whose theta^-n cancels against the theta^(n+x) prefactor.
 
-    Where the radicand q^(C(x,2)+n) / (...) is not a normal double (at
-    q = 0.5, theta = 0.3 from about x = 45 on) or M_n is not finite, the
-    cell is evaluated whole in decimal (_xi_decimal).
+    Its doubles hold where the radicand q^(C(x,2)+n) / (...), at most 1, is
+    a normal double (it is not at q = 0.5, theta = 0.3 from about x = 45 on)
+    and M_n is finite.
     """
     if n < 0 or x < 0:
         raise ValueError("n and x must be >= 0")
-    ctx = mp.ctx
-    q = ctx.q
-    theta = mp.theta
-    t2 = theta * theta
-    prod = 1.0
-    for m in range(1, n + 1):
-        prod *= 1.0 + q**m / t2
-    radicand = q ** (x * (x - 1) // 2 + n) / (
-        q_pochhammer(-t2, x + mp.beta, ctx) * prod
+    return _precision_rule(
+        _xi, (mp.ctx.q, mp.theta, n, x, mp.beta, mp._prefixes),
+        lambda value, radicand, m_n: radicand >= _TINY and math.isfinite(m_n),
+        lambda: f"xi_{n},{x}",
     )
-    try:
-        m_n = qmeixner(n, x, mp.meixner_params())
-    except OverflowError:  # and yet |xi| <= 1
-        m_n = math.inf
-    if not (radicand >= sys.float_info.min and math.isfinite(m_n)):
-        return _xi_decimal(n, x, mp)
-    sign = (-1.0) ** x * (-1.0 if (theta < 0.0 and (n + x) % 2) else 1.0)
-    return (
+
+
+def _xi(q, theta, n: int, x: int, beta: int, prefixes: dict):
+    """(xi_{n,x}, its radicand, M_n) in the scalar type of q; M_n takes the
+    precision rule of its own on doubles, at c = theta^2."""
+    one = q**0
+    t2 = theta * theta
+    prod = one
+    for m in range(1, n + 1):
+        prod *= one + q**m / t2
+    poch = prefixes.setdefault(type(q), _pochhammer(-t2, q))(x + beta)
+    radicand = q ** (x * (x - 1) // 2 + n) / (poch * prod)
+    m_n = _qmeixner(q, t2, None, n, x, beta, 0)
+    sign = (-1) ** x * (-1 if (theta < 0 and (n + x) % 2) else 1)
+    value = (
         sign
         * abs(theta) ** x
-        * math.sqrt(q_binomial(n + mp.beta - 1, n, ctx))
-        * math.sqrt(q_binomial(x + mp.beta - 1, x, ctx))
-        * math.sqrt(radicand)
+        * _sqrt(_binomial(n + beta - 1, n, q))
+        * _sqrt(_binomial(x + beta - 1, x, q))
+        * _sqrt(radicand)
         * m_n
     )
+    return value, radicand, m_n
 
 
-def _xi_decimal(n: int, x: int, mp: MatrixElementParams) -> float:
-    """xi_{n,x} in 50-digit decimals on the exact q and theta, as
-    sign * sqrt(omega_x / h_n) * M_n with M_n from _qmeixner_decimal: no
-    factor over- or underflows."""
-    with localcontext(_DECIMAL):
-        theta = Decimal(mp.theta)
-        ratio = _weight_decimal(x, mp) / _norm_decimal(n, mp)
-        m_n = _qmeixner_decimal(n, x, mp.meixner_params(), theta * theta)
-        sign = (-1) ** x * (-1 if theta < 0 and (n + x) % 2 else 1)
-        return float(sign * ratio.sqrt() * m_n)
+def _sqrt(v):
+    """The square root in the scalar type of v: math.sqrt would round a
+    Decimal to a double without a word."""
+    return v.sqrt() if isinstance(v, Decimal) else math.sqrt(v)
 
 
 def duality_transform(

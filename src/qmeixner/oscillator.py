@@ -45,7 +45,6 @@ __all__ = [
     "sector_offset",
     "from_offset_blocks",
     "sector",
-    "ladder_power_action",
     "interior_indices",
 ]
 
@@ -226,57 +225,6 @@ def sector(t: FockTruncation, beta: int) -> SectorBasis:
     """Enumerate the beta sector inside the truncated product space."""
     _, idx = offset_block(t, sector_offset(t, beta))
     return SectorBasis(beta=beta, indices=tuple(idx.tolist()))
-
-
-def ladder_power_action(
-    which: str,
-    power: int,
-    state: tuple[int, int],
-    t: FockTruncation,
-    ctx: QContext,
-) -> tuple[float, tuple[int, int] | None]:
-    """Closed-form coefficient of (A-B-)^mu or (A+B+)^nu on |x>_beta.
-
-    lower:  (A-B-)^mu |x>_beta = (1-q)^-mu
-            sqrt( (q^-x;q)_mu (q^(1-x-beta);q)_mu q^(mu x - C(mu,2)) ) |x-mu>_beta
-    raise:  (A+B+)^nu |y>_beta = (1-q)^-nu
-            sqrt( (q^(y+1);q)_nu (q^(y+beta);q)_nu q^(-nu(y+beta) - C(nu,2)) ) |y+nu>_beta
-
-    The radicand is accumulated in positive per-step pairs, so no negative
-    intermediate products appear.  Lowering past the bottom returns
-    coefficient 0 with target None; raising past the truncation raises
-    OutOfTruncation.
-    """
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    x, beta = state
-    if x < 0 or beta < 1:
-        raise ValueError("state must have x >= 0 and beta >= 1")
-    q = ctx.q
-    if which == "lower":
-        if power > x:
-            return 0.0, None
-        target = x - power
-        steps = [
-            (1.0 - q ** (j - x)) * (1.0 - q ** (j + 1 - x - beta)) * q ** (x - j)
-            for j in range(power)
-        ]
-    elif which == "raise":
-        target = x + power
-        if target > t.n_a_max or target + beta - 1 > t.n_b_max:
-            raise OutOfTruncation(
-                f"(A+B+)^{power} from ({x}, beta={beta}) leaves the truncation"
-            )
-        steps = [
-            (1.0 - q ** (x + 1 + j)) * (1.0 - q ** (x + beta + j)) * q ** (-(x + beta) - j)
-            for j in range(power)
-        ]
-    else:
-        raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
-    rad = 1.0
-    for step in steps:
-        rad *= step
-    return float((1.0 - q) ** (-power) * np.sqrt(rad)), (target, beta)
 
 
 def interior_indices(

@@ -82,6 +82,17 @@ MAX_CANCELLATION = 2.0**16
 _DECIMAL = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
+def _retake(body: Callable[..., tuple], *args) -> float:
+    """body(*args)[0] in _DECIMAL on the exact Decimal of each float argument,
+    rounded to a double (inf above the double range).  A body is one formula
+    for float and Decimal: it uses only + - * / **, abs, comparisons,
+    integer signs and its scalar's one, q**0, so a stray double among the
+    decimals raises TypeError."""
+    with localcontext(_DECIMAL):
+        exact = [Decimal(a) if isinstance(a, float) else a for a in args]
+        return float(body(*exact)[0])
+
+
 @dataclass(frozen=True)
 class QContext:
     """Evaluation context: the base q, strictly inside (0, 1).
@@ -159,11 +170,22 @@ def q_pochhammer(a: float, n: int, ctx: QContext) -> float:
     """Finite product (a; q)_n."""
     if n < 0:
         raise ValueError("q_pochhammer order n must be >= 0")
-    q = ctx.q
-    prod = 1.0
-    for k in range(n):
-        prod *= 1.0 - a * q ** k
-    return prod
+    return _pochhammer(a, ctx.q)(n)
+
+
+def _pochhammer(a, q) -> Callable[[int], object]:
+    """n -> (a; q)_n in the scalar type of q (float or Decimal): the running
+    product of the factors 1 - a q^k, each prefix computed once."""
+    one = q**0
+    values = [one]
+
+    def at(n: int):
+        while n >= len(values):
+            k = len(values) - 1
+            values.append(values[k] * (one - a * q**k))
+        return values[n]
+
+    return at
 
 
 def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> SeriesValue:
@@ -173,19 +195,31 @@ def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> Serie
     |log prod_{k>=K} (1 - a q^k)| <= |a q^K| / (1 - q) to first order.
 
     A product that is neither a normal double nor exactly 0 is taken again
-    in 50-digit decimals on the exact a and q (its running product may have
-    left the double range on the way), and refused with OverflowError where
-    it exceeds the range.  With reciprocal=True the caller intends to divide
-    by the result: a factor vanishing within POLE_TOL raises PoleHit, and a
-    product beyond the range is returned as inf, whose reciprocal rounds to
-    0 like any double below the range.
+    by the same factor loop in 50-digit decimals on the exact a and q (its
+    running product may have left the double range on the way), and
+    refused with OverflowError where it exceeds the range.  With
+    reciprocal=True the caller intends to divide by the result: a factor
+    vanishing within POLE_TOL raises PoleHit, and a product beyond the range
+    is returned as inf, whose reciprocal rounds to 0 like any double below
+    the range.
     """
     q = ctx.q
-    prod = 1.0
-    term = a
-    k = 0
+    prod, term, k = _pochhammer_inf(a, q, reciprocal)
+    if prod != 0.0 and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
+        prod = _retake(_pochhammer_inf, a, q, reciprocal)
+        if math.isinf(prod) and not reciprocal:
+            raise OverflowError(f"(a; q)_oo at a = {a}, q = {q} exceeds the double range")
+    tail = abs(prod) * abs(term) / (1.0 - q)
+    return SeriesValue(prod, k, tail)
+
+
+def _pochhammer_inf(a, q, reciprocal: bool) -> tuple:
+    """The factor loop of q_pochhammer_inf in the scalar type of q (float or
+    Decimal): (product, first dropped a q^k, factors taken)."""
+    one = q**0
+    prod, term, k = one, a, 0
     while abs(term) >= TAIL_CUTOFF:
-        f = 1.0 - term
+        f = one - term
         if reciprocal and abs(f) < POLE_TOL:
             raise PoleHit(f"(a; q)_oo factor vanished at k={k} for a={a}")
         prod *= f
@@ -195,17 +229,7 @@ def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> Serie
             raise NonConvergent(
                 f"(a; q)_oo did not reach tail cutoff within {MAX_TERMS} factors"
             )
-    if prod != 0.0 and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
-        with localcontext(_DECIMAL):
-            dq, a_k, exact = Decimal(q), Decimal(a), Decimal(1)
-            for _ in range(k):
-                exact *= 1 - a_k
-                a_k *= dq
-        prod = float(exact)
-        if math.isinf(prod) and not reciprocal:
-            raise OverflowError(f"(a; q)_oo at a = {a}, q = {q} exceeds the double range")
-    tail = abs(prod) * abs(term) / (1.0 - q)
-    return SeriesValue(prod, k, tail)
+    return prod, term, k
 
 
 def q_binomial(n: int, k: int, ctx: QContext) -> float:
@@ -217,11 +241,16 @@ def q_binomial(n: int, k: int, ctx: QContext) -> float:
     """
     if k < 0 or k > n:
         return 0.0
-    q = ctx.q
+    return _binomial(n, k, ctx.q)
+
+
+def _binomial(n: int, k: int, q):
+    """[n, k]_q for 0 <= k <= n, in the scalar type of q (float or Decimal)."""
+    one = q**0
     k = min(k, n - k)
-    prod = 1.0
+    prod = one
     for i in range(1, k + 1):
-        prod *= (1.0 - q ** (n - k + i)) / (1.0 - q ** i)
+        prod *= (one - q ** (n - k + i)) / (one - q**i)
     return prod
 
 

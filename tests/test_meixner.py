@@ -1,5 +1,6 @@
 """Polynomials, weights, norms, overlaps: oracles and structural properties."""
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -27,6 +28,7 @@ from qmeixner.qseries import (
     QContext,
     QPower,
     basic_hypergeometric,
+    big_qexp,
     q_binomial,
     q_pochhammer,
 )
@@ -93,15 +95,14 @@ def general_2phi1(n: int, x: int, p: MeixnerParams) -> tuple[float, float]:
     reference its kernel must match bit for bit."""
     q = p.ctx.q
     bq = QPower(p.beta) if p.beta is not None else p.b * q
-    z = -(q ** (n + 1)) / p.c_effective
+    z = -(q ** (n + 1)) / (p.c * q**p.c_shift)
     sv = basic_hypergeometric([QPower(-n), QPower(-x)], [bq], z, p.ctx)
     return sv.value, sv.magnitude
 
 
 def kernel_2phi1(n: int, x: int, p: MeixnerParams) -> tuple[float, float]:
     q = p.ctx.q
-    z = -(q ** (n + 1)) / p.c_effective
-    return meixner._terminating_2phi1(q, n, x, p.beta, p.b, z)
+    return meixner._terminating_2phi1(q, p.c, p.b, n, x, p.beta, p.c_shift)[:2]
 
 
 def _outcome(f, *args):
@@ -366,6 +367,34 @@ def test_xi_table_matches_mpmath_where_the_radicand_underflows(q, beta, theta):
     ]
     worst = max(errors)
     assert worst[0] <= 1e-14, worst
+
+
+def decimal_path_outputs() -> list:
+    """Outputs where most values take the decimal path: the 61x61 beta = 1
+    xi table at (q, theta) = (0.1, 1.0), weight and norm_factor there up to
+    60, M_n(q^-x) at q = 0.1, c = 1, beta = 1 up to n = x = 27 (with the
+    exact zeros M_25(q^-25) and M_27(q^-27), whose values are noise), and an
+    E_q whose running product leaves the double range and comes back."""
+    ctx = QContext(q=0.1)
+    mp = MatrixElementParams(1.0, 1, ctx)
+    p = MeixnerParams.from_beta(1, 1.0, ctx)
+    return [
+        [xi(n, x, mp) for n in range(61) for x in range(61)],
+        [weight(k, mp) for k in range(61)],
+        [norm_factor(k, mp) for k in range(61)],
+        [qmeixner(n, x, p) for n in range(28) for x in range(28)],
+        big_qexp(-167.04980695166228, QContext(q=0.9835146630331925)),
+    ]
+
+
+# sha256 of repr(decimal_path_outputs()): repr pins every bit, and shows a
+# Decimal that leaked out of a public function
+_DECIMAL_PATH_SHA256 = "7008c2e2e977e8cdd892f854ed4678af99632141a4f19e769007ea7b8a10ef0c"
+
+
+def test_decimal_path_outputs_are_bit_identical():
+    digest = hashlib.sha256(repr(decimal_path_outputs()).encode()).hexdigest()
+    assert digest == _DECIMAL_PATH_SHA256
 
 
 def test_xi_row_orthonormality():

@@ -18,7 +18,6 @@ from qmeixner.oscillator import (
     from_offset_blocks,
     interior_indices,
     ladder_coefficients,
-    ladder_power_action,
     offset_block,
     sector,
     sector_offset,
@@ -147,6 +146,58 @@ def test_sector_invariance_under_J():
     for m in (j.j_plus.entries, j.j_minus.entries):
         rows, cols = np.nonzero(m)
         assert np.array_equal(delta[rows], delta[cols])
+
+
+def ladder_power_action(
+    which: str,
+    power: int,
+    state: tuple[int, int],
+    t: FockTruncation,
+    ctx: QContext,
+) -> tuple[float, tuple[int, int] | None]:
+    """Closed-form coefficient of (A-B-)^mu or (A+B+)^nu on |x>_beta, the
+    reference that build_oscillators' pair ladders are checked against.
+
+    lower:  (A-B-)^mu |x>_beta = (1-q)^-mu
+            sqrt( (q^-x;q)_mu (q^(1-x-beta);q)_mu q^(mu x - C(mu,2)) ) |x-mu>_beta
+    raise:  (A+B+)^nu |y>_beta = (1-q)^-nu
+            sqrt( (q^(y+1);q)_nu (q^(y+beta);q)_nu q^(-nu(y+beta) - C(nu,2)) ) |y+nu>_beta
+
+    The radicand is accumulated in positive per-step pairs, so no negative
+    intermediate products appear.  Lowering past the bottom returns
+    coefficient 0 with target None; raising past the truncation raises
+    OutOfTruncation.
+    """
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    x, beta = state
+    if x < 0 or beta < 1:
+        raise ValueError("state must have x >= 0 and beta >= 1")
+    q = ctx.q
+    if which == "lower":
+        if power > x:
+            return 0.0, None
+        target = x - power
+        steps = [
+            (1.0 - q ** (j - x)) * (1.0 - q ** (j + 1 - x - beta)) * q ** (x - j)
+            for j in range(power)
+        ]
+    elif which == "raise":
+        target = x + power
+        if target > t.n_a_max or target + beta - 1 > t.n_b_max:
+            raise OutOfTruncation(
+                f"(A+B+)^{power} from ({x}, beta={beta}) leaves the truncation"
+            )
+        steps = [
+            (1.0 - q ** (x + 1 + j)) * (1.0 - q ** (x + beta + j)) * q ** (-(x + beta) - j)
+            for j in range(power)
+        ]
+    else:
+        raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
+    rad = 1.0
+    for step in steps:
+        rad *= step
+    return float((1.0 - q) ** (-power) * np.sqrt(rad)), (target, beta)
 
 
 @pytest.mark.parametrize("which,power", [("lower", 0), ("lower", 2), ("raise", 3)])
