@@ -11,7 +11,6 @@ from .errors import (
     OutOfTruncation,
     PoleHit,
     ResidualFailure,
-    TruncationTooSmall,
     UnsupportedShape,
 )
 from .meixner import (

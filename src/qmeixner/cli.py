@@ -30,7 +30,6 @@ from .errors import (
     OutOfBlock,
     OutOfTruncation,
     PoleHit,
-    TruncationTooSmall,
 )
 from .meixner import (
     MatrixElementParams,
@@ -68,7 +67,6 @@ EXIT_NUMERIC = 3
 _USAGE_ERRORS = (ValueError, EmptyGrid)
 _NUMERIC_ERRORS = (
     NonConvergent,
-    TruncationTooSmall,
     OutOfBlock,
     OutOfTruncation,
     PoleHit,
@@ -169,7 +167,7 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_xi(args) -> int:
-    _refuse_negative_sizes(args, ("nmax", "xmax", "trunc"))
+    _refuse_negative_sizes(args, ("nmax", "xmax"))
     _required(args.q, "xi requires --q")
     _required(args.beta, "xi requires an integer --beta")
     c = _required(_resolve_c(args), "xi requires --theta or --c")
@@ -179,18 +177,10 @@ def cmd_xi(args) -> int:
     closed = args.source in ("closed", "both")
     operator = args.source in ("operator", "both")
     if operator:
-        # block beta - 1 of truncation T holds n, x <= T, and build_U needs
-        # two levels of it
-        m = max(args.nmax, args.xmax, 1)
-        if args.trunc is not None and args.trunc < m:
-            raise TruncationTooSmall(
-                f"--trunc {args.trunc} < {m} = max(nmax, xmax, 1); "
-                "the sector block cannot hold the requested elements"
-            )
-        trunc = m if args.trunc is None else args.trunc
-        # the B mode needs beta-1 extra levels to hold the sector offset;
-        # sector elements are exact finite sums, so no edge-weight gate here
-        u = build_U(mp, FockTruncation(trunc, trunc + args.beta - 1), edge_tol=math.inf)
+        # block beta - 1 holds n, x <= T at truncation T, and every entry is
+        # exact there; the B mode needs beta - 1 extra levels for the offset
+        trunc = max(args.nmax, args.xmax, 1)
+        u = build_U(mp, FockTruncation(trunc, trunc + args.beta - 1))
 
     if args.source == "both":
         columns = ["n", "x", "closed", "operator", "discrepancy"]
@@ -316,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["closed", "operator", "both"],
         default="closed",
         help="closed form, operator matrix element, or both plus discrepancy",
-    )
-    p.add_argument(
-        "--trunc",
-        type=int,
-        help="per-mode truncation for --source operator/both "
-        "(at least max(nmax, xmax, 1), which is also the default; every "
-        "element of the sector block is exact at any truncation that holds it)",
     )
     _add_format(p)
     p.set_defaults(fn=cmd_xi)

@@ -19,10 +19,6 @@ class UnsupportedShape(Exception):
     """Matrix arguments of qexp_split do not satisfy its premise XY = qYX."""
 
 
-class TruncationTooSmall(Exception):
-    """The Fock-space truncation is too small for the requested accuracy."""
-
-
 class OutOfTruncation(Exception):
     """A ladder action targets a state outside the truncated Fock space."""
 

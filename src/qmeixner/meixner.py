@@ -410,8 +410,8 @@ def classical_meixner(n: int, x: float, beta: float, c: float) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     if not (0.0 < c < 1.0):
         raise ValueError(f"classical c must lie in (0, 1), got {c}")
     w = 1.0 - 1.0 / c

@@ -138,13 +138,21 @@ def _ladders(
 
 def ladder_coefficients(t: FockTruncation, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode lowering coefficients <n-1|A-|n> and <n-1|B-|n>, equal to
-    the raising ones <n|A+|n-1> and <n|B+|n-1>, indexed by n - 1."""
+    the raising ones <n|A+|n-1> and <n|B+|n-1>, indexed by n - 1.
+    OverflowError naming the first level whose B coefficient (its q^-n)
+    exceeds the double range."""
     na_up = np.arange(1, t.n_a_max + 1, dtype=float)
     nb_up = np.arange(1, t.n_b_max + 1, dtype=float)
-    return (
-        np.sqrt((1.0 - q**na_up) / (1.0 - q)),
-        np.sqrt((q ** (-nb_up) - 1.0) / (1.0 - q)),
-    )
+    # an overflow is refused below, at the level it reached
+    with np.errstate(over="ignore"):
+        b_up = np.sqrt((q ** (-nb_up) - 1.0) / (1.0 - q))
+    finite = np.isfinite(b_up)
+    if not finite.all():
+        n = int(np.argmin(finite)) + 1
+        raise OverflowError(
+            f"q^-n of the B ladder at q = {q}, n = {n} exceeds the double range"
+        )
+    return np.sqrt((1.0 - q**na_up) / (1.0 - q)), b_up
 
 
 def build_oscillators(t: FockTruncation, ctx: QContext) -> Oscillators:

@@ -12,6 +12,8 @@ are diagonal, so U is real and block-diagonal over offsets; the block of
 offset d is the sector |n>_beta = |n, n+beta-1> with beta = d + 1.  On each
 block the two middle arguments are a single sub-diagonal and its negated
 transpose, whose q-exponentials are exact finite sums in closed form.
+So U depends on q, theta and the truncation alone, and one U serves every
+sector it holds: beta enters only when element() reads block beta - 1.
 build_U stores U that way, one dense block per offset of side at most
 N + 1, each built on first read; the dense product-space matrix and the
 ladder matrices only when UOperator.matrix or .oscillators is read.
@@ -74,10 +76,9 @@ from .errors import (
     NonConvergent,
     OutOfBlock,
     ResidualFailure,
-    TruncationTooSmall,
     UnsupportedShape,
 )
-from .meixner import MatrixElementParams, classical_c, weight
+from .meixner import MatrixElementParams, classical_c
 from .oscillator import (
     FockTruncation,
     OperatorMatrix,
@@ -347,9 +348,7 @@ def sector_interior(t: FockTruncation, beta: int) -> int:
     return min(_interior(t.n_a_max), _interior(t.n_b_max) - beta + 1)
 
 
-def build_U(
-    mp: MatrixElementParams, t: FockTruncation, edge_tol: float = 1e-6
-) -> UOperator:
+def build_U(mp: MatrixElementParams, t: FockTruncation) -> UOperator:
     """U(theta) on the truncated space, each offset block built on first read.
 
     On the block of offset d the raising factor's argument
@@ -358,23 +357,11 @@ def build_U(
     d1 * (e_q(L_d) E_q(-L_d^T)) * d4 with both q-exponentials in closed
     form (_bidiagonal_qexp), which UOperator.block(d) evaluates on first read.
 
-    Precondition: the truncation must hold the whole numerically relevant
-    support of the mp.beta sector, measured by the edge weight
-    sqrt(omega_edge) < edge_tol (the weight carries the decisive
-    q^(x(x-1)/2) decay).  Violations raise TruncationTooSmall.
+    U depends on q, theta and t alone: mp.beta is not read here, since every
+    sector lives in its own block and element() takes the beta it reads.
     """
     ctx = mp.ctx
     q = ctx.q
-    levels, _ = offset_block(t, mp.beta - 1)
-    if levels.size < 2:
-        raise TruncationTooSmall(f"no room for sector beta={mp.beta} under {t}")
-    w_edge = math.sqrt(weight(int(levels[-1]), mp))
-    if w_edge >= edge_tol:
-        raise TruncationTooSmall(
-            f"edge weight {w_edge:.3g} >= {edge_tol:.3g}; "
-            f"increase the truncation ({t})"
-        )
-
     t2 = mp.theta * mp.theta
     row_args = []
     for n in range(t.n_a_max + 1):

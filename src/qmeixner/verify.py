@@ -142,9 +142,12 @@ class RelationReport:
 
     @property
     def max_residual(self) -> float:
-        if not self.residuals:
-            return 0.0
-        return max(rel for _, rel in self.residuals)
+        """The largest relative residual, NaN if any is NaN (max alone keeps
+        a NaN only when it comes first), 0.0 over no residuals."""
+        rels = [rel for _, rel in self.residuals]
+        if any(math.isnan(rel) for rel in rels):
+            return math.nan
+        return max(rels, default=0.0)
 
     @property
     def passed(self) -> bool:

@@ -51,6 +51,14 @@ def test_tabulate_invalid_b_is_usage_error(capsys):
         capsys, "tabulate", "--q", "0.5", "--b", "1.5", "--theta", "0.5"
     )
     assert code == 2
+    # the classical family printed 1.0 everywhere for --b inf and a bogus
+    # overflow (exit 3) for --b nan
+    for b in ("inf", "nan"):
+        code, out, err = run(
+            capsys, "tabulate", "--family", "classical", "--b", b, "--c", "0.5"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: beta must be finite and positive, got {float(b)}\n"
 
 
 def test_csv_json_parity(capsys):
@@ -101,27 +109,33 @@ def test_xi_c_flag_equivalent_to_theta(capsys):
     assert via_theta == via_c
 
 
-def test_xi_trunc_too_small_is_numeric_error(capsys):
-    code, _, err = run(
-        capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.5",
-        "--nmax", "4", "--xmax", "4", "--source", "operator", "--trunc", "3",
-    )
-    assert code == 3
-    assert "trunc" in err.lower()
+def test_xi_trunc_is_an_unrecognised_argument(capsys):
+    # --trunc changed no output it accepted and was dropped: xi builds U at
+    # T = max(nmax, xmax, 1).  --trunc 3 was refused with exit 3 and -1 as a
+    # negative size; every value is now an unknown option, exit 2
+    for trunc in ("3", "-1", "8"):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.5",
+                "--nmax", "4", "--xmax", "4", "--source", "operator", "--trunc", trunc,
+            )
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --trunc" in captured.err
 
 
 def test_xi_trunc_needs_only_the_table(capsys):
     # block beta - 1 of truncation T holds n, x <= T, and each of its entries
     # is exact there, even where no quarter margin fits (beta = 20, T = 2)
-    for trunc in ("2", "3"):
-        code, out, err = run(
-            capsys, "xi", "--q", "0.5", "--beta", "20", "--theta", "0.3",
-            "--nmax", "2", "--xmax", "2", "--source", "both", "--trunc", trunc,
-        )
-        assert (code, err) == (0, "")
-        rows = parse_csv(out)
-        assert len(rows) == 9
-        assert max(float(r["discrepancy"]) for r in rows) <= 1e-15
+    code, out, err = run(
+        capsys, "xi", "--q", "0.5", "--beta", "20", "--theta", "0.3",
+        "--nmax", "2", "--xmax", "2", "--source", "both",
+    )
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) == 9
+    assert max(float(r["discrepancy"]) for r in rows) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -149,6 +163,20 @@ def test_tiny_q_ends_in_a_typed_refusal(capsys, argv):
         assert err.count("\n") == 1
     if argv[0] == "verify" and code == 3:
         assert f"{argv[-1]} at q = {argv[2]}, " in err
+
+
+def test_overflowing_b_ladder_is_one_typed_refusal(capsys):
+    # q^-n of the B ladder overflowed with a numpy RuntimeWarning before the
+    # element was refused as lost; under -W error that was a traceback
+    code, out, err = run(
+        capsys, "xi", "--q", "0.01", "--beta", "200", "--theta", "0.3",
+        "--source", "operator", "--nmax", "1", "--xmax", "1",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: overflow: q^-n of the B ladder at q = 0.01, n = 155 "
+        "exceeds the double range\n"
+    )
 
 
 def test_xi_negative_c_is_usage_error(capsys):
@@ -406,7 +434,7 @@ def test_tabulate_negative_size_is_usage_error(capsys, flag):
     assert out == ""
 
 
-@pytest.mark.parametrize("flag", ["--nmax", "--xmax", "--trunc"])
+@pytest.mark.parametrize("flag", ["--nmax", "--xmax"])
 def test_xi_negative_size_is_usage_error(capsys, flag):
     code, out, _ = run(
         capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.3",

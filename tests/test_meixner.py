@@ -459,6 +459,11 @@ def test_classical_meixner_validation():
         classical_meixner(-1, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         classical_meixner(1, 0.0, 1.0, 1.5)
+    # an infinite beta gave 1.0 at every degree, a NaN one a bogus overflow
+    for beta in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError) as exc:
+            classical_meixner(1, 0.0, beta, 0.5)
+        assert str(exc.value) == f"beta must be finite and positive, got {beta}"
     with pytest.raises(OverflowError):
         classical_meixner(3, 3, 1, 1e-300)  # the term w^g overflows: was NaN
 

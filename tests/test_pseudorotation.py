@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qmeixner import pseudorotation
+from qmeixner import pseudorotation, verify
 from qmeixner.errors import (
     EmptySector,
     NonConvergent,
     OutOfBlock,
     ResidualFailure,
-    TruncationTooSmall,
     UnsupportedShape,
 )
 from qmeixner.meixner import MatrixElementParams, xi
@@ -286,7 +285,7 @@ def test_blocked_U_matches_dense_reference(q, beta, cap):
     element read through element() equal to its entry of u.matrix."""
     mp = MatrixElementParams(0.3, beta, QContext(q=q))
     t = FockTruncation(cap, cap + beta - 1)
-    u = build_U(mp, t, edge_tol=math.inf)
+    u = build_U(mp, t)
     ref = dense_reference_U(mp, t)
     m = u.matrix.entries
     assert np.all(np.abs(m - ref) <= 1e-11 * np.maximum(np.abs(ref), 1.0))
@@ -300,7 +299,7 @@ def test_element_refuses_underflowed_outer_factor():
     # e_q(-theta^2 q^-n) underflows to 0 for n >= 49 at q = 0.5, theta = 0.3,
     # so those rows of U read 0 in place of xi_{n,x} ~ 1e-4
     mp = MatrixElementParams(0.3, 1, QContext(q=0.5))
-    u = build_U(mp, FockTruncation(100, 100), edge_tol=math.inf)
+    u = build_U(mp, FockTruncation(100, 100))
     assert u.row_factor[48] > 0.0 and u.row_factor[49] == 0.0
     # frozen from a 60-digit evaluation of the closed form
     assert element(u, 1, 48, 48) == pytest.approx(1.3008897093380785e-4, rel=1e-12)
@@ -367,16 +366,21 @@ def test_blocks_are_built_once_on_first_read(bidiagonal_calls):
 
 
 def test_truncation_gate_precedes_every_block(bidiagonal_calls):
-    with pytest.raises(TruncationTooSmall):
-        build_U(MatrixElementParams(3.0, 1, QContext(q=0.5)), FockTruncation(4, 4))
+    # build_U reads no beta: a sector the truncation cannot hold is refused
+    # when element() asks for its block, before any block is built
+    u = build_U(MatrixElementParams(0.5, 6, QContext(q=0.5)), FockTruncation(4, 4))
+    for n, x in ((0, 0), (2, 1)):
+        with pytest.raises(EmptySector):
+            element(u, 6, n, x)
     assert bidiagonal_calls == []
+    assert u.blocks == {}
 
 
 def test_block_outside_the_truncation_is_refused():
     # offsets run from -6 to 8 under this truncation; offset_block gives
     # no states outside, which a build would turn into a bogus 1x1 block
     t = FockTruncation(6, 8)
-    u = build_U(MatrixElementParams(0.5, 3, CTX), t, edge_tol=math.inf)
+    u = build_U(MatrixElementParams(0.5, 3, CTX), t)
     for op in (u, classical_U(0.5, t)):
         for d in (-7, 9):
             with pytest.raises(EmptySector):
@@ -390,7 +394,7 @@ def test_first_read_of_an_underflowed_row_is_silent():
     # meets inf and nan on its first read; they stay in the block without a
     # RuntimeWarning and element() refuses them
     mp = MatrixElementParams(0.3, 1, QContext(q=0.5))
-    u = build_U(mp, FockTruncation(100, 100), edge_tol=math.inf)
+    u = build_U(mp, FockTruncation(100, 100))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergent):
@@ -476,7 +480,7 @@ def test_block_entries_do_not_depend_on_the_truncation(q, theta, beta, trunc):
     mp = MatrixElementParams(theta, beta, QContext(q=q))
 
     def block(t):
-        u = build_U(mp, FockTruncation(t, t + beta - 1), edge_tol=math.inf)
+        u = build_U(mp, FockTruncation(t, t + beta - 1))
         return u.block(beta - 1)[: trunc + 1, : trunc + 1]
 
     small, large = block(trunc), block(3 * trunc)
@@ -487,22 +491,66 @@ def test_block_entries_do_not_depend_on_the_truncation(q, theta, beta, trunc):
 
 def test_truncation_gates():
     ctx = QContext(q=0.5)
-    with pytest.raises(TruncationTooSmall):
-        # no room for the sector at all
-        build_U(MatrixElementParams(0.5, 6, ctx), FockTruncation(4, 4))
-    with pytest.raises(TruncationTooSmall):
-        # edge weight far above the default gate
-        build_U(MatrixElementParams(3.0, 1, ctx), FockTruncation(4, 4))
+    # no room for the sector at all: refused where the sector is read
+    u = build_U(MatrixElementParams(0.5, 6, ctx), FockTruncation(4, 4))
+    with pytest.raises(EmptySector):
+        element(u, 6, 0, 0)
+    # an edge weight far above the old gate of 1e-6 builds, and its sector
+    # block is the one a truncation three times larger holds
+    mp = MatrixElementParams(3.0, 1, ctx)
+    small = build_U(mp, FockTruncation(4, 4)).block(0)
+    large = build_U(mp, FockTruncation(12, 12)).block(0)[:5, :5]
+    assert small.tobytes() == large.tobytes()
 
 
 def test_build_U_names_an_overflowing_row_power():
     # q^-n of the row factors overflowed with a bare (34, ...) at q = 1e-300
     mp = MatrixElementParams(0.3, 1, QContext(q=1e-300))
     with pytest.raises(OverflowError) as exc:
-        build_U(mp, FockTruncation(3, 3), edge_tol=math.inf)
+        build_U(mp, FockTruncation(3, 3))
     assert str(exc.value) == (
         "q^-n of the row factors at q = 1e-300, n = 2 exceeds the double range"
     )
+
+
+def test_build_U_names_an_overflowing_b_ladder():
+    # q^-n of the B ladder overflowed with a numpy RuntimeWarning and left
+    # inf in the blocks that read it
+    mp = MatrixElementParams(0.3, 200, QContext(q=0.01))
+    with pytest.raises(OverflowError) as exc:
+        build_U(mp, FockTruncation(1, 200))
+    assert str(exc.value) == (
+        "q^-n of the B ladder at q = 0.01, n = 155 exceeds the double range"
+    )
+
+
+@pytest.mark.parametrize("theta", verify._THETAS)
+@pytest.mark.parametrize("beta", verify._BETAS)
+@pytest.mark.parametrize("q", verify._QS)
+def test_registry_blocks_build_at_the_grid_size(q, beta, theta):
+    """The registry's n, x <= 8 at truncation 8: the edge-weight gate refused
+    10 of these 18 (q, beta, theta) builds, yet block beta - 1 is the one
+    truncation 24 holds, bit for bit, and reproduces xi."""
+    mp = MatrixElementParams(theta, beta, QContext(q=q))
+    u = build_U(mp, FockTruncation(8, 8 + beta - 1))
+    large = build_U(mp, FockTruncation(24, 24 + beta - 1)).block(beta - 1)[:9, :9]
+    assert u.block(beta - 1).tobytes() == large.tobytes()
+    for n in range(9):
+        for x in range(9):
+            assert abs(element(u, beta, n, x) - xi(n, x, mp)) <= 1e-13
+
+
+@pytest.mark.parametrize("theta", verify._THETAS)
+@pytest.mark.parametrize("q", verify._QS)
+def test_U_does_not_depend_on_beta(q, theta):
+    """One U per (q, theta) at T = (8, 11) serves beta = 1, 2 and 4: built
+    from parameters with beta = 1 and beta = 4 it is the same operator."""
+    t = FockTruncation(8, 11)
+    one, four = (
+        build_U(MatrixElementParams(theta, beta, QContext(q=q)), t) for beta in (1, 4)
+    )
+    for d in one.offsets:
+        assert one.block(d).tobytes() == four.block(d).tobytes()
 
 
 def test_unitarity_is_one_sided():
@@ -776,7 +824,7 @@ def test_sector_interior_formula(n_a, beta):
     na_keep = n_a - math.ceil(n_a / 4)
     nb_keep = t.n_b_max - math.ceil(t.n_b_max / 4)
     expected = min(na_keep, nb_keep - beta + 1)
-    u = build_U(MatrixElementParams(0.3, beta, QContext(q=0.5)), t, edge_tol=math.inf)
+    u = build_U(MatrixElementParams(0.3, beta, QContext(q=0.5)), t)
     assert sector_interior(t, beta) == u.sector_interior(beta) == expected
 
 

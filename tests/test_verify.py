@@ -284,6 +284,19 @@ def test_check_all_refuses_theta_before_any_point(monkeypatch, rid):
     assert evaluated == []
 
 
+def test_max_residual_is_nan_when_any_residual_is(monkeypatch):
+    # max() keeps a NaN only when it comes first: this report read 2e-12
+    # beside passed == False, and `qmeixner verify` printed that number
+    spec = verify._REGISTRY[RelationId.BACKWARD]
+    residuals = iter([1e-12, math.nan, 2e-12])
+    spy = dataclasses.replace(spec, evaluate=lambda pt, cache: (next(residuals), 0.0, 1.0))
+    monkeypatch.setitem(verify._REGISTRY, RelationId.BACKWARD, spy)
+    report = check("backward", default_grid("backward")[:3])
+    assert [rel for _, rel in report.residuals][::2] == [1e-12, 2e-12]
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+
+
 def test_limit_xi_errors_name_tau():
     refusals = {**TAU_REFUSALS, 0.0: "tau 0.0 gives theta = sinh(tau) = 0, which is no theta"}
     for tau, message in refusals.items():
