@@ -17,11 +17,15 @@ sector it holds: beta enters only when element() reads block beta - 1.
 build_U stores U that way, one dense block per offset of side at most
 N + 1, each built on first read; the dense product-space matrix and the
 ladder matrices only when UOperator.matrix or .oscillators is read.
-Entry (n, x) of block d, d1[n] sum_{k <= min(n, x)} e_q(L_d)[n, k]
-E_q(-L_d^T)[k, x] d4[x + d], is a finite sum that never reaches the
-truncation edge, so it is the same at every truncation that holds it; the
-sector elements <n|_beta U |x>_beta reproduce xi_{n,x} up to the rounding
-and cancellation of that sum (2.8e-9 near n, x = 60 at q = 0.9).
+Both outer factors are values of F(m) = (-theta^2 q^m; q)_oo, whose
+neighbours differ by one factor 1 + theta^2 q^m, so a build takes one
+infinite product, F(0), and walks from it one factor per level: d1[n] =
+F(-n)^(-1/2) and d4[n] = F(n+1)^(1/2).  Entry (n, x) of block d,
+d1[n] sum_{k <= min(n, x)} e_q(L_d)[n, k] E_q(-L_d^T)[k, x] d4[x + d], is a
+finite sum that never reaches the truncation edge, so it is the same at
+every truncation that holds it; the sector elements <n|_beta U |x>_beta
+reproduce xi_{n,x} up to the rounding and cancellation of that sum (2.8e-9
+near n, x = 60 at q = 0.9).
 
 The operator functions behind the identities work the same way.  Every
 generator they take leaves small blocks of states invariant (an offset
@@ -91,7 +95,15 @@ from .oscillator import (
     sector_offset,
     su11_generators,
 )
-from .qseries import MAX_TERMS, TAIL_CUTOFF, TAIL_STREAK, QContext, big_qexp, little_qexp
+from .qseries import (
+    MAX_TERMS,
+    TAIL_CUTOFF,
+    TAIL_STREAK,
+    QContext,
+    big_qexp,
+    little_qexp,
+    q_pochhammer_inf,
+)
 
 np = NumpyOnFirstUse(globals())
 
@@ -297,8 +309,9 @@ class UOperator(_OffsetBlocks):
     block(d) is U restricted to the states |m, m+d>, d = n_B - n_A, with m
     running upward from max(0, -d), built on first read; U has no entries
     between blocks.  row_factor[n_A] and col_factor[n_B] are the diagonal
-    outer factors e_q^(1/2)(-theta^2 q^-n_A) and E_q^(1/2)(theta^2 q^(n_B+1))
-    folded into the blocks, a_up[n], b_up[n] are <n+1|A+|n>, <n+1|B+|n>.
+    outer factors e_q^(1/2)(-theta^2 q^-n_A) and E_q^(1/2)(theta^2 q^(n_B+1)),
+    walked by build_U from one infinite product and folded into the blocks;
+    a_up[n], b_up[n] are <n+1|A+|n>, <n+1|B+|n>.
     oscillators are the ladder matrices of the truncation, built on first use.
     """
 
@@ -357,24 +370,39 @@ def build_U(mp: MatrixElementParams, t: FockTruncation) -> UOperator:
     d1 * (e_q(L_d) E_q(-L_d^T)) * d4 with both q-exponentials in closed
     form (_bidiagonal_qexp), which UOperator.block(d) evaluates on first read.
 
+    The outer factors are values of one function, F(m) = (-theta^2 q^m; q)_oo:
+    d1[n] = F(-n)^(-1/2) and d4[n] = F(n+1)^(1/2).  F(0) is the one infinite
+    product of the build (q_pochhammer_inf, with its decimal re-take and
+    its NonConvergent at MAX_TERMS factors); the walk from it takes one
+    factor per level, F(-n) = (1 + theta^2 q^-n) F(-n+1) down the rows and
+    F(m+1) = F(m) / (1 + theta^2 q^m) along the columns.  Anchored at m = 0,
+    each factor depends on q, theta and its level alone, so it is the same
+    at every truncation that holds the level.  A row product beyond the
+    double range is inf and its factor 0, which element() refuses; a q^-n
+    beyond the range raises OverflowError naming the level.
+
     U depends on q, theta and t alone: mp.beta is not read here, since every
     sector lives in its own block and element() takes the beta it reads.
     """
     ctx = mp.ctx
     q = ctx.q
     t2 = mp.theta * mp.theta
-    row_args = []
-    for n in range(t.n_a_max + 1):
+    f0 = q_pochhammer_inf(-t2, ctx).value
+    rows = [f0]
+    for n in range(1, t.n_a_max + 1):
         try:
-            row_args.append(-t2 * q ** (-n))
+            power = q ** (-n)
         except OverflowError:
             raise OverflowError(
                 f"q^-n of the row factors at q = {q}, n = {n} exceeds the double range"
             ) from None
-    row_factor = np.sqrt(np.array([little_qexp(z, ctx).value for z in row_args]))
-    col_factor = np.sqrt(
-        np.array([big_qexp(t2 * q ** (n + 1), ctx).value for n in range(t.n_b_max + 1)])
-    )
+        rows.append(rows[-1] * (1.0 + t2 * power))
+    cols = [f0]
+    for m in range(t.n_b_max + 1):
+        cols.append(cols[-1] / (1.0 + t2 * q**m))
+    # 1 / inf is 0: a row product beyond the range gives a factor of 0
+    row_factor = np.sqrt(1.0 / np.array(rows))
+    col_factor = np.sqrt(np.array(cols[1:]))
     a_up, b_up = ladder_coefficients(t, q)
     return UOperator(row_factor, col_factor, a_up, b_up, mp.theta, t, ctx)
 
@@ -384,7 +412,7 @@ def _sector_entry(u: _OffsetBlocks, beta: int, n: int, x: int) -> float:
     block = u.block(sector_offset(u.truncation, beta))
     if n < 0 or x < 0 or n >= len(block) or x >= len(block):
         raise OutOfBlock(f"(n={n}, x={x}) outside sector of size {len(block)}")
-    return float(block[n, x])
+    return block.item(n, x)
 
 
 def element(u: UOperator, beta: int, n: int, x: int) -> float:
@@ -397,19 +425,15 @@ def element(u: UOperator, beta: int, n: int, x: int) -> float:
     element and NonConvergent is raised; so it is for a non-finite element.
     """
     value = _sector_entry(u, beta, n, x)
-    d1 = float(u.row_factor[n])
-    d4 = float(u.col_factor[x + beta - 1])
-    if not (_normal(d1) and _normal(d4) and math.isfinite(value)):
+    d1 = u.row_factor.item(n)
+    d4 = u.col_factor.item(x + beta - 1)
+    low, high = sys.float_info.min, sys.float_info.max
+    if not (low <= abs(d1) <= high and low <= abs(d4) <= high and math.isfinite(value)):
         raise NonConvergent(
             f"<{n}|U|{x}> in sector beta={beta} is lost in double precision: "
             f"outer factors {d1:.3g} and {d4:.3g}, element {value:.3g}"
         )
     return value
-
-
-def _normal(v: float) -> bool:
-    """Finite and at least the smallest normal double in magnitude."""
-    return math.isfinite(v) and abs(v) >= sys.float_info.min
 
 
 def unitarity_residual(u: UOperator) -> float:

@@ -1,4 +1,5 @@
-"""Overlap coefficients xi_{n,x} in mpmath, for the accuracy tests.
+"""Overlap coefficients xi_{n,x} and the outer factors of U(theta) in
+mpmath, for the accuracy tests.
 
 Sums the closed form of qmeixner.meixner.xi at 50 digits on the exact
 values of the float arguments, without any code of the package.  A whole
@@ -51,3 +52,26 @@ def xi_table(q: float, beta: int, theta: float, nmax: int, xmax: int):
                 row.append(float(value))
             rows.append(row)
         return rows
+
+
+def outer_factors(q: float, theta: float, nmax: int):
+    """(rows, cols) for n <= nmax at 50 digits: rows[n] = F(-n)^(-1/2) and
+    cols[n] = F(n+1)^(1/2), F(m) = (-theta^2 q^m; q)_oo.
+
+    Each F(m) is its own finite product down to level nmax + 2, times the
+    shared infinite tail from there, taken until its factors differ from 1
+    by less than 1e-55."""
+    with mpmath.workdps(50):
+        q, t2 = mpmath.mpf(q), mpmath.mpf(theta) ** 2
+        top = nmax + 2
+        tail, a = mpmath.mpf(1), t2 * q**top
+        while a >= mpmath.mpf(10) ** -55:
+            tail *= 1 + a
+            a *= q
+
+        def F(m):
+            return mpmath.fprod(1 + t2 * q**k for k in range(m, top)) * tail
+
+        rows = [1 / mpmath.sqrt(F(-n)) for n in range(nmax + 1)]
+        cols = [mpmath.sqrt(F(n + 1)) for n in range(nmax + 1)]
+        return rows, cols

@@ -3,6 +3,7 @@ identities behind the four-factor assembly."""
 
 import hashlib
 import math
+import sys
 import warnings
 
 import mpmath
@@ -49,6 +50,7 @@ from qmeixner.pseudorotation import (
 )
 from qmeixner.qseries import TAIL_CUTOFF, QContext, big_qexp, little_qexp, q_pochhammer
 
+import mp_reference
 from test_meixner import TAU_REFUSALS
 from test_oscillator import build_classical
 
@@ -307,6 +309,50 @@ def test_element_refuses_underflowed_outer_factor():
         element(u, 1, 49, 0)
 
 
+@pytest.mark.parametrize("theta", [0.3, 2.0])
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+def test_outer_factors_match_a_50_digit_product(q, theta):
+    """row_factor and col_factor against 50-digit products at N = 60 (the
+    walk measured at most 8.1e-15; one direct product per level, 4.8e-14).
+    A row factor is 0 exactly where its product leaves the double range."""
+    u = build_U(MatrixElementParams(theta, 1, QContext(q=q)), FockTruncation(60, 60))
+    rows, cols = mp_reference.outer_factors(q, theta, 60)
+    for got, ref in zip(u.row_factor, rows):
+        if got == 0.0:
+            assert ref**-2 > sys.float_info.max
+        else:
+            assert abs(got - ref) <= 2e-14 * ref
+    for got, ref in zip(u.col_factor, cols):
+        assert abs(got - ref) <= 2e-14 * ref
+
+
+def test_build_U_takes_one_infinite_product(monkeypatch):
+    calls = []
+    original = pseudorotation.q_pochhammer_inf
+
+    def counting(a, ctx, *args, **kwargs):
+        calls.append(a)
+        return original(a, ctx, *args, **kwargs)
+
+    monkeypatch.setattr(pseudorotation, "q_pochhammer_inf", counting)
+    mp = MatrixElementParams(0.3, 1, QContext(q=0.9))
+    for cap in (8, 40):
+        build_U(mp, FockTruncation(cap, cap + 3))
+    assert calls == [-0.09, -0.09]
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.0])
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+def test_outer_factors_do_not_depend_on_the_truncation(q, theta):
+    # the walk starts at level 0, so each factor is the same at every
+    # truncation that holds its level
+    mp = MatrixElementParams(theta, 1, QContext(q=q))
+    small = build_U(mp, FockTruncation(8, 8))
+    large = build_U(mp, FockTruncation(40, 40))
+    assert small.row_factor.tobytes() == large.row_factor[:9].tobytes()
+    assert small.col_factor.tobytes() == large.col_factor[:9].tobytes()
+
+
 # --- offset blocks built on first read -----------------------------------------
 
 
@@ -317,17 +363,20 @@ def sha256(a):
 @pytest.mark.parametrize(
     "q, beta, cap, interior_sha, matrix_sha",
     [
-        (0.5, 1, 40, "9bcf43e9ab8073d402702e1dcbcb5d72f4771dbdab10f91124aa9d9afc311bcf",
-         "78ad6638064dbf996253389e9c52d7a18e1f9f74a7530dbf464f787d6b1bafaa"),
-        (0.9, 2, 40, "ecfde6186b82f026746fbed1e6c87b79b65fa235529f06b9cffd15a58fa4dbe2",
-         "c6d3538cdc84d672e1812b4bf2aa4d7b1aa29254291043cf575b1b8cc8eb5345"),
-        (0.9, 1, 24, "35b4311a39d5e402ba758d064f5b647199055cade174a8270aa2802f16561ccb",
-         "7c6a11cca243acbcef83fe1ffcc965e1eebd1dfc085fe5f9c3bd9eac11e5b103"),
+        (0.5, 1, 40, "74c9a3b30aaaecd38d11dad484f105b7ebd389df658fbad7b4a7f1eba53fd563",
+         "61e4be1370cb78631f5b2bcbfa0d8e0935fff1a15150c91ede5eefb87dac2e90"),
+        (0.9, 2, 40, "6ab7c4005044fe397fea96e8e4f4b69d03fe391e5c1e27860accf494e22b149a",
+         "ae35bbcaf1d7ed180d8ce0a8aaf141e539d97e1763b362febd8f72e3000a25e2"),
+        (0.9, 1, 24, "d4f6b5d922b3092a2d72ba6a6e965573d94d6c4bd1aae3ca019d07d1e2f88e5a",
+         "dde875fa13d8d4ff88b4d26d7e0c1c1aea4cbd557ee774196cf353b4e4645f6d"),
     ],
+    ids=["0.5-1-40", "0.9-2-40", "0.9-1-24"],
 )
 def test_lazy_blocks_are_bit_identical(q, beta, cap, interior_sha, matrix_sha):
     # frozen from the build that assembled every offset block eagerly: the
-    # interior sector read through element() on a fresh U, and u.matrix
+    # interior sector read through element() on a fresh U, and u.matrix;
+    # re-recorded when the outer factors became one walked product, which
+    # moved 795, 835 and 333 cells by at most 8.9e-16
     mp = MatrixElementParams(0.3, beta, QContext(q=q))
     t = FockTruncation(cap, cap + beta - 1)
     u = build_U(mp, t)
@@ -511,6 +560,17 @@ def test_build_U_names_an_overflowing_row_power():
     assert str(exc.value) == (
         "q^-n of the row factors at q = 1e-300, n = 2 exceeds the double range"
     )
+
+
+def test_row_argument_beyond_the_range_is_refused_by_element():
+    # theta^2 q^-3 = 1e100 * 1e300 overflows to inf while q^-3 does not: the
+    # walked row product is inf, its factor 0, and element() refuses the row
+    # (one direct product per level ran to MAX_TERMS inside build_U instead)
+    mp = MatrixElementParams(1e50, 1, QContext(q=1e-100))
+    u = build_U(mp, FockTruncation(3, 3))
+    assert u.row_factor[2] == u.row_factor[3] == 0.0
+    with pytest.raises(NonConvergent, match="outer factors 0 and"):
+        element(u, 1, 3, 0)
 
 
 def test_build_U_names_an_overflowing_b_ladder():
