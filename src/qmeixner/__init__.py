@@ -2,17 +2,7 @@
 unitary q-pseudorotation operator, with a registry that numerically
 certifies every identity the family satisfies."""
 
-from .errors import (
-    DenominatorPole,
-    EmptyGrid,
-    EmptySector,
-    NonConvergent,
-    OutOfBlock,
-    OutOfTruncation,
-    PoleHit,
-    ResidualFailure,
-    UnsupportedShape,
-)
+from .errors import NonConvergent, OutOfTruncation, PoleHit, ResidualFailure
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
@@ -29,7 +19,6 @@ from .oscillator import (
     FockTruncation,
     OperatorMatrix,
     ProductBasis,
-    SectorBasis,
     build_J,
     build_oscillators,
     interior_indices,

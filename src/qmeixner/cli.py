@@ -23,14 +23,7 @@ import math
 import sys
 from functools import partial
 
-from .errors import (
-    DenominatorPole,
-    EmptyGrid,
-    NonConvergent,
-    OutOfBlock,
-    OutOfTruncation,
-    PoleHit,
-)
+from .errors import NonConvergent, OutOfTruncation, PoleHit
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
@@ -64,14 +57,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 # the exit-code table: commands raise, main maps what they raise to a code
-_USAGE_ERRORS = (ValueError, EmptyGrid)
-_NUMERIC_ERRORS = (
-    NonConvergent,
-    OutOfBlock,
-    OutOfTruncation,
-    PoleHit,
-    DenominatorPole,
-)
+_NUMERIC_ERRORS = (NonConvergent, OutOfTruncation, PoleHit)
 
 
 def _cell(v) -> str:
@@ -351,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     # error leaves stdout empty
     try:
         return args.fn(args)
-    except _USAGE_ERRORS as exc:
+    except ValueError as exc:
         code, message = EXIT_USAGE, str(exc)
     except OverflowError as exc:
         code, message = EXIT_NUMERIC, f"overflow: {exc}"

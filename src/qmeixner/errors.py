@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per kind of numeric
+refusal.  A bad argument (an empty grid, matrices off a premise, a beta
+below 1) is a plain ValueError."""
 
 from __future__ import annotations
 
@@ -8,31 +10,13 @@ class NonConvergent(Exception):
 
 
 class PoleHit(Exception):
-    """An argument landed on (or within tolerance of) a pole of the function."""
-
-
-class DenominatorPole(Exception):
-    """A denominator Pochhammer factor vanished before the series terminated."""
-
-
-class UnsupportedShape(Exception):
-    """Matrix arguments of qexp_split do not satisfy its premise XY = qYX."""
+    """An argument landed on (or within tolerance of) a pole of the function,
+    or a denominator factor of a series vanished."""
 
 
 class OutOfTruncation(Exception):
-    """A ladder action targets a state outside the truncated Fock space."""
-
-
-class OutOfBlock(Exception):
-    """A matrix element was requested outside its sector block."""
-
-
-class EmptySector(Exception):
-    """No basis states exist for the requested sector label."""
-
-
-class EmptyGrid(Exception):
-    """A verification grid contains no admissible points."""
+    """A state, sector or matrix element lies outside the truncated Fock
+    space or outside its sector block."""
 
 
 class ResidualFailure(Exception):

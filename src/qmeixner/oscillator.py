@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import NumpyOnFirstUse
-from .errors import EmptySector, OutOfTruncation
+from .errors import OutOfTruncation
+from .meixner import admissible_beta
 from .qseries import QContext
 
 np = NumpyOnFirstUse(globals())
@@ -36,7 +37,6 @@ __all__ = [
     "OperatorMatrix",
     "Oscillators",
     "JOperators",
-    "SectorBasis",
     "build_oscillators",
     "build_J",
     "ladder_coefficients",
@@ -199,10 +199,11 @@ def offset_block(t: FockTruncation, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sector_offset(t: FockTruncation, beta: int) -> int:
-    """Offset d = beta - 1 of the sector |n>_beta = |n, n+beta-1>; raises
-    EmptySector when beta < 1 or t holds none of its states."""
-    if beta < 1 or beta - 1 > t.n_b_max:
-        raise EmptySector(f"beta={beta} has no states under truncation {t}")
+    """Offset d = beta - 1 of the sector |n>_beta = |n, n+beta-1>; beta is
+    refused by admissible_beta's rule, and OutOfTruncation is raised when t
+    holds none of the sector's states."""
+    if admissible_beta(beta) - 1 > t.n_b_max:
+        raise OutOfTruncation(f"beta={beta} has no states under truncation {t}")
     return beta - 1
 
 
@@ -217,22 +218,9 @@ def from_offset_blocks(t: FockTruncation, blocks: dict[int, np.ndarray]) -> Oper
     return OperatorMatrix(dense, basis)
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Indices of the sector |n>_beta = |n, n+beta-1>, ordered by n."""
-
-    beta: int
-    indices: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-def sector(t: FockTruncation, beta: int) -> SectorBasis:
-    """Enumerate the beta sector inside the truncated product space."""
-    _, idx = offset_block(t, sector_offset(t, beta))
-    return SectorBasis(beta=beta, indices=tuple(idx.tolist()))
+def sector(t: FockTruncation, beta: int) -> np.ndarray:
+    """Product-space indices of the sector |n>_beta = |n, n+beta-1>, by n."""
+    return offset_block(t, sector_offset(t, beta))[1]
 
 
 def interior_indices(

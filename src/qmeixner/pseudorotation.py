@@ -75,13 +75,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._lazy import NumpyOnFirstUse
-from .errors import (
-    EmptySector,
-    NonConvergent,
-    OutOfBlock,
-    ResidualFailure,
-    UnsupportedShape,
-)
+from .errors import NonConvergent, OutOfTruncation, ResidualFailure
 from .meixner import MatrixElementParams, classical_c
 from .oscillator import (
     FockTruncation,
@@ -293,7 +287,7 @@ class _OffsetBlocks:
     def block(self, d: int) -> np.ndarray:
         if d not in self.blocks:
             if d not in self.offsets:
-                raise EmptySector(f"offset {d} has no states under {self.truncation}")
+                raise OutOfTruncation(f"offset {d} has no states under {self.truncation}")
             self.blocks[d] = self._build(d)
         return self.blocks[d]
 
@@ -408,10 +402,12 @@ def build_U(mp: MatrixElementParams, t: FockTruncation) -> UOperator:
 
 
 def _sector_entry(u: _OffsetBlocks, beta: int, n: int, x: int) -> float:
-    """Entry (n, x) of block beta - 1 of u; OutOfBlock outside that block."""
+    """Entry (n, x) of block beta - 1 of u: ValueError for a beta below 1,
+    OutOfTruncation for a sector u's truncation holds no state of or an
+    (n, x) outside the block."""
     block = u.block(sector_offset(u.truncation, beta))
     if n < 0 or x < 0 or n >= len(block) or x >= len(block):
-        raise OutOfBlock(f"(n={n}, x={x}) outside sector of size {len(block)}")
+        raise OutOfTruncation(f"(n={n}, x={x}) outside sector of size {len(block)}")
     return block.item(n, x)
 
 
@@ -419,10 +415,12 @@ def element(u: UOperator, beta: int, n: int, x: int) -> float:
     """Sector matrix element <n|_beta U |x>_beta, read from block beta-1.
 
     Every entry of the block is exact at the truncation u was built with
-    (the module docstring says why), so OutOfBlock is raised only outside
-    the block.  Where an outer factor of the element underflows to zero or
-    a subnormal, or is not finite, the four-factor product has lost the
-    element and NonConvergent is raised; so it is for a non-finite element.
+    (the module docstring says why), so OutOfTruncation is raised only for
+    a sector the truncation holds no state of or an (n, x) outside the
+    block; a beta below 1 is a ValueError.  Where an outer factor of the
+    element underflows to zero or a subnormal, or is not finite, the
+    four-factor product has lost the element and NonConvergent is raised;
+    so it is for a non-finite element.
     """
     value = _sector_entry(u, beta, n, x)
     d1 = u.row_factor.item(n)
@@ -691,7 +689,7 @@ def qexp_split(
 
     For XY = qYX the little kind satisfies e_q(X+Y) = e_q(Y) e_q(X) and the
     big kind E_q(X+Y) = E_q(X) E_q(Y).  The premise is validated first
-    (UnsupportedShape when violated); returns (combined, split).
+    (ValueError when violated); returns (combined, split).
 
     X, Y, their products and both factors of split leave the joint invariant
     blocks of X and Y invariant, so every product is formed on those blocks.
@@ -702,7 +700,7 @@ def qexp_split(
     yx = [y_blk @ x_blk for _, _, (x_blk, y_blk) in blocks]
     scale = max(max(np.abs(p).max() for p in xy + yx), 1.0)
     if max(np.abs(a - ctx.q * b).max() for a, b in zip(xy, yx)) > _COMM_TOL * scale:
-        raise UnsupportedShape("arguments do not satisfy XY = qYX")
+        raise ValueError("arguments do not satisfy XY = qYX")
     combined = matrix_qexp(x + y, kind, ctx)
     first, second = (y, x) if kind == "little" else (x, y)
     e_first = matrix_qexp(first, kind, ctx).ravel()
@@ -837,5 +835,6 @@ def classical_U(tau: float, t: FockTruncation) -> ClassicalU:
 
 def classical_element(u: ClassicalU, beta: int, n: int, x: int) -> float:
     """Sector element <n|_beta exp(tau(J~+ - J~-)) |x>_beta, read from block
-    beta - 1 of u's truncation; OutOfBlock for n or x outside that block."""
+    beta - 1 of u's truncation; refused as element refuses outside the
+    block."""
     return _sector_entry(u, beta, n, x)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import Callable, Sequence, Union
 
-from .errors import DenominatorPole, NonConvergent, PoleHit
+from .errors import NonConvergent, PoleHit
 
 __all__ = [
     "QContext",
@@ -167,7 +167,9 @@ def _factor(p: Param, q: float, k: int) -> float:
 
 
 def q_pochhammer(a: float, n: int, ctx: QContext) -> float:
-    """Finite product (a; q)_n."""
+    """Finite product (a; q)_n; ValueError for an a that is not finite."""
+    if not math.isfinite(a):
+        raise ValueError(f"(a; q)_n requires a finite a, got {a}")
     if n < 0:
         raise ValueError("q_pochhammer order n must be >= 0")
     return _pochhammer(a, ctx.q)(n)
@@ -201,8 +203,10 @@ def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> Serie
     reciprocal=True the caller intends to divide by the result: a factor
     vanishing within POLE_TOL raises PoleHit, and a product beyond the range
     is returned as inf, whose reciprocal rounds to 0 like any double below
-    the range.
+    the range.  An a that is not finite is refused with ValueError.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"(a; q)_oo requires a finite a, got {a}")
     q = ctx.q
     prod, term, k = _pochhammer_inf(a, q, reciprocal)
     if prod != 0.0 and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
@@ -270,8 +274,7 @@ def little_qexp(z: float, ctx: QContext) -> SeriesValue:
 
 def big_qexp(z: float, ctx: QContext) -> SeriesValue:
     """E_q(z) = (-z; q)_oo, entire in z; satisfies e_q(z) E_q(-z) = 1."""
-    pinf = q_pochhammer_inf(-z, ctx)
-    return SeriesValue(pinf.value, pinf.terms_used, pinf.tail_estimate)
+    return q_pochhammer_inf(-z, ctx)
 
 
 def basic_hypergeometric(
@@ -287,8 +290,9 @@ def basic_hypergeometric(
     a marker the series must converge: any z when r <= s, |z| < 1 when
     r == s + 1, otherwise NonConvergent, and it ends by the tail rule, its
     tail_estimate the geometric bound of the last term ratio; NonConvergent
-    too where it lost more than 16 bits to cancellation.  Terms are
-    accumulated in increasing order with compensated summation.
+    too where it lost more than 16 bits to cancellation.  A denominator
+    factor of exactly 0 raises PoleHit.  Terms are accumulated in
+    increasing order with compensated summation.
     """
     q = ctx.q
     r = len(numerators)
@@ -317,9 +321,7 @@ def basic_hypergeometric(
         for b in denominators:
             f = _factor(b, q, n)
             if f == 0.0:
-                raise DenominatorPole(
-                    f"denominator parameter hit a pole at term {n + 1}"
-                )
+                raise PoleHit(f"denominator parameter hit a pole at term {n + 1}")
             den *= f
         extra = sign_p * q ** (n * p) if p != 0 else 1.0
         return term * (num / den) * z * extra
@@ -334,13 +336,17 @@ def basic_hypergeometric(
             raise NonConvergent(f"series terms stopped decreasing (ratio {ratio:.3g})")
         tail = last * ratio / (1.0 - ratio)
     else:
-        # a term of 0 ends the sum early: a numerator factor vanished
         acc = CompensatedSum()
         used = 0
-        while used <= terminate_at and term(used) != 0.0:
+        while used <= terminate_at:
+            t = term(used)
+            if t == 0.0:  # a numerator factor vanished: the sum ends early
+                break
             if used == MAX_TERMS:
                 raise NonConvergent(f"{label} exceeded the term budget")
-            acc.add(term(used))
+            if not math.isfinite(t):
+                raise NonConvergent(f"{label} term {used} is not finite")
+            acc.add(t)
             used += 1
         total, tail = acc.total, 0.0
     magnitude = sum(abs(term(k)) for k in range(used))

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import EmptyGrid
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
@@ -504,6 +503,11 @@ def _genfun_coefficient(q: float, b: int, z: float) -> Callable[[int], float]:
 def _eval_genfun_degree(pt: GridPoint, c: _Cache):
     q, b, th, x, z = pt.q, pt.beta, pt.theta, pt.x, pt.aux
     t2 = th * th
+    # the right side first: where both sides leave the double range, its
+    # OverflowError names the point, the 1phi1's NonConvergent does not
+    coef = _genfun_coefficient(q, b, z)
+    row = c.row(q, t2, b, 0, x)
+    rhs, _ = adaptive_sum(lambda n: coef(n) * row(n), "degree generating function")
     lhs = (
         c.qexp(little_qexp, q, z)
         * c.qexp(big_qexp, q, -z * q**b)
@@ -511,9 +515,6 @@ def _eval_genfun_degree(pt: GridPoint, c: _Cache):
             [QPower(-x)], [z * q**b], -z * q / t2, c.context(q)
         ).value
     )
-    coef = _genfun_coefficient(q, b, z)
-    row = c.row(q, t2, b, 0, x)
-    rhs, _ = adaptive_sum(lambda n: coef(n) * row(n), "degree generating function")
     return lhs, rhs, None
 
 
@@ -530,13 +531,14 @@ def _eval_genfun_variable(pt: GridPoint, c: _Cache):
     q, b, th, n, z = pt.q, pt.beta, pt.theta, pt.n, pt.aux
     ctx = c.context(q)
     t2 = th * th
-    lhs = basic_hypergeometric(
-        [QPower(-n), 0.0], [q / z], -(q ** (n + 1)) / t2, ctx
-    ).value / q_pochhammer(z, b, ctx)
+    # the right side first, as in _eval_genfun_degree
     coef = _genfun_coefficient(q, b, z)
     rhs, _ = adaptive_sum(
         lambda x: coef(x) * c.meixner(q, t2, b, 0, n, x), "variable generating function"
     )
+    lhs = basic_hypergeometric(
+        [QPower(-n), 0.0], [q / z], -(q ** (n + 1)) / t2, ctx
+    ).value / q_pochhammer(z, b, ctx)
     return lhs, rhs, None
 
 
@@ -715,7 +717,7 @@ def check(
     """Evaluate one relation over a grid (default: the registry grid).
 
     Points outside the relation's domain are recorded in report.skipped.
-    Raises EmptyGrid when nothing remains to evaluate.
+    Raises ValueError when nothing remains to evaluate.
     """
     rid = RelationId(relation)
     points = list(grid) if grid is not None else default_grid(rid)
@@ -763,7 +765,7 @@ def _check(
         if not ok:
             report.failures.append(pt)
     if not report.grid:
-        raise EmptyGrid(f"no evaluable grid points for {rid.value}")
+        raise ValueError(f"no evaluable grid points for {rid.value}")
     return report
 
 
@@ -780,7 +782,7 @@ def check_all(
 
     One evaluation cache serves every relation of the call, so a value that
     several relations read is computed once; it is dropped on return.
-    Raises EmptyGrid when no relation is selected, or for the first
+    Raises ValueError when no relation is selected, or for the first
     relation with nothing left to evaluate.
     """
     if relations is None:
@@ -788,7 +790,7 @@ def check_all(
     else:
         selected = [RelationId(r) for r in relations]
         if not selected:
-            raise EmptyGrid("no relations selected")
+            raise ValueError("no relations selected")
     cache = _Cache()
     return [
         _check(r, default_grid(r, qs, betas, thetas), tol, cache) for r in selected

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qmeixner import cli, verify
 from qmeixner.cli import main
-from qmeixner.errors import DenominatorPole, NonConvergent, OutOfTruncation, PoleHit
+from qmeixner.errors import NonConvergent, OutOfTruncation, PoleHit
 from qmeixner.pseudorotation import ClassicalU
 
 import mp_reference
@@ -549,7 +549,6 @@ def test_limit_table_is_the_max_of_the_companion_errors(capsys, kind, errors_at,
         (OverflowError("math range error"), 3, "error: overflow: math range error\n"),
         (NonConvergent("lost"), 3, "error: lost\n"),
         (PoleHit("pole"), 3, "error: pole\n"),
-        (DenominatorPole("den"), 3, "error: den\n"),
         (OutOfTruncation("edge"), 3, "error: edge\n"),
         (MemoryError(), 3, "error: out of memory: allocation failed\n"),
     ],

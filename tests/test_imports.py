@@ -6,6 +6,7 @@ finds them in sys.modules), whose global `np` becomes numpy itself on that
 first operator call, and every function the tracer wraps still exists under
 its name."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +14,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+
+sys.path.insert(0, ROOT)  # for bench.layers
+from bench import layers  # noqa: E402
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -175,6 +179,19 @@ def test_first_operator_call_binds_numpy_itself():
     assert command["numpy"] is True
     assert command["scipy"] == []
     assert command["np_is_numpy"] == {"oscillator": True, "pseudorotation": True}
+
+
+def test_every_name_the_benchmark_rebinds_exists():
+    # the tracer rebinds these names in the package; a removed or renamed
+    # one is named here, with no benchmark run
+    names = [(m, f) for m, f, _ in layers._TRACED]
+    names += [("pseudorotation", "build_U"), ("verify", "check")]
+    missing = [
+        f"{m}.{f}"
+        for m, f in names
+        if not callable(getattr(importlib.import_module(f"qmeixner.{m}"), f, None))
+    ]
+    assert missing == []
 
 
 def test_benchmark_tracer_wraps_every_traced_function():

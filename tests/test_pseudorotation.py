@@ -12,13 +12,7 @@ import pytest
 import scipy.linalg
 
 from qmeixner import pseudorotation, verify
-from qmeixner.errors import (
-    EmptySector,
-    NonConvergent,
-    OutOfBlock,
-    ResidualFailure,
-    UnsupportedShape,
-)
+from qmeixner.errors import NonConvergent, OutOfTruncation, ResidualFailure
 from qmeixner.meixner import MatrixElementParams, xi
 from qmeixner.oscillator import (
     FockTruncation,
@@ -165,6 +159,12 @@ def test_qexp_diagonal_uses_scalar_forms():
     assert np.count_nonzero(out - np.diag(np.diagonal(out))) == 0
 
 
+def test_qexp_diagonal_refuses_an_entry_that_is_not_finite():
+    # the NaN slot came back as 1.0
+    with pytest.raises(ValueError, match=r"requires a finite a, got nan"):
+        matrix_qexp(np.diag([float("nan"), 0.5]), "little", CTX)
+
+
 def test_qexp_rejects_mixed_shape():
     # the terms of the A+ + A- blocks grow until they overflow: refused at
     # the first non-finite term, with no overflow warning on the way
@@ -291,7 +291,7 @@ def test_blocked_U_matches_dense_reference(q, beta, cap):
     ref = dense_reference_U(mp, t)
     m = u.matrix.entries
     assert np.all(np.abs(m - ref) <= 1e-11 * np.maximum(np.abs(ref), 1.0))
-    sec = sector(t, beta).indices
+    sec = sector(t, beta)
     for n in range(u.sector_interior(beta) + 1):
         for x in range(u.sector_interior(beta) + 1):
             assert element(u, beta, n, x) == m[sec[n], sec[x]]
@@ -419,7 +419,7 @@ def test_truncation_gate_precedes_every_block(bidiagonal_calls):
     # when element() asks for its block, before any block is built
     u = build_U(MatrixElementParams(0.5, 6, QContext(q=0.5)), FockTruncation(4, 4))
     for n, x in ((0, 0), (2, 1)):
-        with pytest.raises(EmptySector):
+        with pytest.raises(OutOfTruncation, match="beta=6 has no states"):
             element(u, 6, n, x)
     assert bidiagonal_calls == []
     assert u.blocks == {}
@@ -432,7 +432,7 @@ def test_block_outside_the_truncation_is_refused():
     u = build_U(MatrixElementParams(0.5, 3, CTX), t)
     for op in (u, classical_U(0.5, t)):
         for d in (-7, 9):
-            with pytest.raises(EmptySector):
+            with pytest.raises(OutOfTruncation, match=f"offset {d} has no states"):
                 op.block(d)
         assert op.blocks == {}
         assert op.block(-6).shape == op.block(8).shape == (1, 1)
@@ -511,9 +511,9 @@ def test_out_of_block_contract():
     size = len(u.block(0))
     assert size == 13
     assert element(u, 1, size - 1, size - 1) == u.block(0)[12, 12]
-    with pytest.raises(OutOfBlock):
+    with pytest.raises(OutOfTruncation, match="outside sector of size 13"):
         element(u, 1, size, 0)
-    with pytest.raises(OutOfBlock):
+    with pytest.raises(OutOfTruncation, match="outside sector of size 13"):
         element(u, 1, 0, -1)
 
 
@@ -542,7 +542,7 @@ def test_truncation_gates():
     ctx = QContext(q=0.5)
     # no room for the sector at all: refused where the sector is read
     u = build_U(MatrixElementParams(0.5, 6, ctx), FockTruncation(4, 4))
-    with pytest.raises(EmptySector):
+    with pytest.raises(OutOfTruncation, match="beta=6 has no states"):
         element(u, 6, 0, 0)
     # an edge weight far above the old gate of 1e-6 builds, and its sector
     # block is the one a truncation three times larger holds
@@ -730,7 +730,7 @@ def test_qbch_series_validation():
 
 def test_qexp_split_requires_q_commutation():
     osc, ctx = small_osc()
-    with pytest.raises(UnsupportedShape):
+    with pytest.raises(ValueError, match="do not satisfy XY = qYX"):
         qexp_split(osc.a_plus.entries, osc.a_minus.entries, "little", ctx)
 
 
@@ -873,7 +873,7 @@ def test_classical_element_out_of_block():
     # a negative index would read the far end of the block
     u = classical_U(0.3, FockTruncation(6, 6))
     for n, x in ((7, 0), (-1, 0), (0, -1)):
-        with pytest.raises(OutOfBlock):
+        with pytest.raises(OutOfTruncation, match="outside sector of size 7"):
             classical_element(u, 1, n, x)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmeixner.errors import DenominatorPole, NonConvergent, PoleHit
+from qmeixner.errors import NonConvergent, PoleHit
 from qmeixner.pseudorotation import _block_series
 from qmeixner.qseries import (
     MAX_TERMS,
@@ -227,6 +227,28 @@ def test_little_qexp_pole():
         little_qexp(1.0, CTX)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "product, args, text",
+    [
+        # each took no factor for a NaN and returned 1.0
+        (q_pochhammer_inf, (NAN,), "(a; q)_oo requires a finite a, got nan"),
+        (little_qexp, (NAN,), "(a; q)_oo requires a finite a, got nan"),
+        (big_qexp, (NAN,), "(a; q)_oo requires a finite a, got nan"),
+        # ran MAX_TERMS factors, then raised NonConvergent
+        (big_qexp, (INF,), "(a; q)_oo requires a finite a, got -inf"),
+        # returned nan
+        (q_pochhammer, (NAN, 3), "(a; q)_n requires a finite a, got nan"),
+    ],
+)
+def test_q_products_refuse_an_argument_that_is_not_finite(product, args, text):
+    with pytest.raises(ValueError) as exc:
+        product(*args, CTX)
+    assert str(exc.value) == text
+
+
 @given(z=safe_z, q=qs)
 @settings(max_examples=200)
 def test_qexp_inverse_identity(z, q):
@@ -300,8 +322,26 @@ def test_phi_divergent_without_termination():
 
 
 def test_phi_denominator_pole():
-    with pytest.raises(DenominatorPole):
+    with pytest.raises(PoleHit, match="denominator parameter hit a pole at term 3"):
         basic_hypergeometric([QPower(-5)], [QPower(-2)], 0.3, CTX)
+
+
+@pytest.mark.parametrize(
+    "numerators, denominators, z, term",
+    [
+        ([QPower(-50)], [], 1e300, 1),
+        ([QPower(-400)], [0.3], -1e10, 3),
+        ([QPower(-5), 2.0], [0.25], 1e308, 1),
+    ],
+)
+def test_terminating_phi_refuses_a_term_that_is_not_finite(
+    numerators, denominators, z, term
+):
+    # each sum returned value=nan
+    label = f"{len(numerators)}_phi_{len(denominators)} series"
+    with pytest.raises(NonConvergent) as exc:
+        basic_hypergeometric(numerators, denominators, z, CTX)
+    assert str(exc.value) == f"{label} term {term} is not finite"
 
 
 def test_phi_refuses_a_converging_sum_lost_to_cancellation():
