@@ -18,7 +18,6 @@ from .meixner import (
 from .oscillator import (
     FockTruncation,
     OperatorMatrix,
-    ProductBasis,
     build_J,
     build_oscillators,
     interior_indices,

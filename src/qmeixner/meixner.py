@@ -340,7 +340,8 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
 
 def _xi(q, theta, n: int, x: int, beta: int, prefixes: dict):
     """(xi_{n,x}, its radicand, M_n) in the scalar type of q; M_n takes the
-    precision rule of its own on doubles, at c = theta^2."""
+    precision rule of its own on doubles, at c = theta^2, and is not summed
+    (NaN, with the value) where the double radicand is not normal."""
     one = q**0
     t2 = theta * theta
     prod = one
@@ -348,6 +349,10 @@ def _xi(q, theta, n: int, x: int, beta: int, prefixes: dict):
         prod *= one + q**m / t2
     poch = prefixes.setdefault(type(q), _pochhammer(-t2, q))(x + beta)
     radicand = q ** (x * (x - 1) // 2 + n) / (poch * prod)
+    if not isinstance(q, Decimal) and not radicand >= _TINY:
+        # the radicand alone refuses the doubles, so M_n is left to the
+        # decimal re-take rather than summed here first
+        return math.nan, radicand, math.nan
     m_n = _qmeixner(q, t2, None, n, x, beta, 0)
     sign = (-1) ** x * (-1 if (theta < 0 and (n + x) % 2) else 1)
     value = (

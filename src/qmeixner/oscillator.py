@@ -10,6 +10,10 @@ so that A-A+ - qA+A- = 1, [A-, A+] = q^A0 and qB-B+ - B+B- = 1,
 [B-, B+] = q^(-B0-1).  Raising operators annihilate the top level of the
 truncated space, which corrupts commutation relations only in the last
 rows/columns; algebra checks therefore restrict to an interior block.
+FockTruncation is that space and the one description of it: its caps, the
+row-major enumeration of its states, and its interior, all but the top
+quarter of the levels of each mode.  Every OperatorMatrix is indexed by the
+states of a FockTruncation, which it carries as its basis.
 
 The combination
 
@@ -21,7 +25,9 @@ each sector spanned by |n>_beta = |n, n+beta-1>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from ._lazy import NumpyOnFirstUse
@@ -33,7 +39,6 @@ np = NumpyOnFirstUse(globals())
 
 __all__ = [
     "FockTruncation",
-    "ProductBasis",
     "OperatorMatrix",
     "Oscillators",
     "JOperators",
@@ -51,7 +56,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Caps on the two oscillator occupation numbers (inclusive)."""
+    """The truncated product space: the states |n_A, n_B> with 0 <= n_A <=
+    n_a_max and 0 <= n_B <= n_b_max (both caps inclusive), enumerated
+    row-major, index = n_A*(n_b_max+1) + n_B."""
 
     n_a_max: int
     n_b_max: int
@@ -64,34 +71,36 @@ class FockTruncation:
     def dim(self) -> int:
         return (self.n_a_max + 1) * (self.n_b_max + 1)
 
+    @cached_property
+    def na(self) -> np.ndarray:
+        """n_A of every state, by index."""
+        return np.arange(self.dim) // (self.n_b_max + 1)
 
-class ProductBasis:
-    """Row-major enumeration of |n_A, n_B>: index = n_A*(n_b_max+1) + n_B."""
+    @cached_property
+    def nb(self) -> np.ndarray:
+        """n_B of every state, by index."""
+        return np.arange(self.dim) % (self.n_b_max + 1)
 
-    def __init__(self, trunc: FockTruncation):
-        self.trunc = trunc
-        self.dim = trunc.dim
-        nb_span = trunc.n_b_max + 1
-        self._nb_span = nb_span
-        idx = np.arange(self.dim)
-        self.na = idx // nb_span
-        self.nb = idx % nb_span
+    @property
+    def interior(self) -> tuple[int, int]:
+        """Top interior level of each mode: all but the top quarter."""
+        return tuple(cap - math.ceil(cap / 4) for cap in (self.n_a_max, self.n_b_max))
 
     def index(self, n_a: int, n_b: int) -> int:
-        if not (0 <= n_a <= self.trunc.n_a_max and 0 <= n_b <= self.trunc.n_b_max):
+        if not (0 <= n_a <= self.n_a_max and 0 <= n_b <= self.n_b_max):
             raise OutOfTruncation(f"state ({n_a}, {n_b}) outside truncation")
-        return n_a * self._nb_span + n_b
+        return n_a * (self.n_b_max + 1) + n_b
 
     def state(self, i: int) -> tuple[int, int]:
-        return divmod(i, self._nb_span)
+        return divmod(i, self.n_b_max + 1)
 
 
 @dataclass
 class OperatorMatrix:
-    """Dense real matrix over a ProductBasis."""
+    """Dense real matrix over the states of a truncation, in its order."""
 
     entries: np.ndarray
-    basis: ProductBasis
+    basis: FockTruncation
 
 
 class Oscillators(NamedTuple):
@@ -115,14 +124,13 @@ def _ladders(
     """Number and ladder operators of both modes on the product space (as
     kron products), given the per-mode lowering coefficients <n-1|L|n>
     indexed by n - 1; each raising matrix is its lowering transpose."""
-    basis = ProductBasis(t)
     a_lower = np.diag(a_coeff, k=1)
     b_lower = np.diag(b_coeff, k=1)
     eye_a = np.eye(t.n_a_max + 1)
     eye_b = np.eye(t.n_b_max + 1)
 
     def om(m: np.ndarray) -> OperatorMatrix:
-        return OperatorMatrix(m, basis)
+        return OperatorMatrix(m, t)
 
     # the raising factors are contiguous copies: np.kron of the transposed
     # view raised the peak RSS of `qmeixner limit --kind operator` by 3 MB
@@ -163,15 +171,15 @@ def build_oscillators(t: FockTruncation, ctx: QContext) -> Oscillators:
 def su11_generators(osc: Oscillators, pref=1.0) -> JOperators:
     """J0 = (A0 + B0 + 1)/2 and the pair ladders J+- = pref * A+-B+-.
 
-    pref is a diagonal over the product basis (or a scalar) evaluated on the
-    output state; it commutes with A+-B+- because both shift n_A and n_B
-    together."""
-    basis = osc.a0.basis
+    pref is a diagonal over the states of the truncation (or a scalar),
+    evaluated on the output state; it commutes with A+-B+- because both
+    shift n_A and n_B together."""
+    t = osc.a0.basis
     pref = np.reshape(pref, (-1, 1))
     return JOperators(
-        OperatorMatrix((osc.a0.entries + osc.b0.entries + np.eye(basis.dim)) / 2.0, basis),
-        OperatorMatrix(pref * _shift_product(osc.a_plus.entries, osc.b_plus.entries), basis),
-        OperatorMatrix(pref * _shift_product(osc.a_minus.entries, osc.b_minus.entries), basis),
+        OperatorMatrix((osc.a0.entries + osc.b0.entries + np.eye(t.dim)) / 2.0, t),
+        OperatorMatrix(pref * _shift_product(osc.a_plus.entries, osc.b_plus.entries), t),
+        OperatorMatrix(pref * _shift_product(osc.a_minus.entries, osc.b_minus.entries), t),
     )
 
 
@@ -185,9 +193,8 @@ def _shift_product(shift: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def build_J(t: FockTruncation, ctx: QContext) -> JOperators:
     """J0 and J+- assembled from freshly built oscillators on t."""
-    osc = build_oscillators(t, ctx)
-    offset = (osc.a0.basis.nb - osc.a0.basis.na).astype(float)
-    return su11_generators(osc, ctx.q ** ((offset + 2.0) / 2.0))
+    offset = (t.nb - t.na).astype(float)
+    return su11_generators(build_oscillators(t, ctx), ctx.q ** ((offset + 2.0) / 2.0))
 
 
 def offset_block(t: FockTruncation, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,12 +217,11 @@ def sector_offset(t: FockTruncation, beta: int) -> int:
 def from_offset_blocks(t: FockTruncation, blocks: dict[int, np.ndarray]) -> OperatorMatrix:
     """Dense product-space matrix holding blocks[d] on the states of offset
     d (ordered as offset_block orders them) and zeros between offsets."""
-    basis = ProductBasis(t)
-    dense = np.zeros((basis.dim, basis.dim))
+    dense = np.zeros((t.dim, t.dim))
     for d, block in blocks.items():
         _, idx = offset_block(t, d)
         dense[np.ix_(idx, idx)] = block
-    return OperatorMatrix(dense, basis)
+    return OperatorMatrix(dense, t)
 
 
 def sector(t: FockTruncation, beta: int) -> np.ndarray:
@@ -223,8 +229,6 @@ def sector(t: FockTruncation, beta: int) -> np.ndarray:
     return offset_block(t, sector_offset(t, beta))[1]
 
 
-def interior_indices(
-    basis: ProductBasis, na_keep: int, nb_keep: int
-) -> np.ndarray:
+def interior_indices(t: FockTruncation, na_keep: int, nb_keep: int) -> np.ndarray:
     """Boolean mask selecting states with n_A <= na_keep and n_B <= nb_keep."""
-    return (basis.na <= na_keep) & (basis.nb <= nb_keep)
+    return (t.na <= na_keep) & (t.nb <= nb_keep)

@@ -58,8 +58,9 @@ Numerical facts that shape the rest of the module:
 * Consequently the conjugation identities are certified in multiplied-through
   form (A- U(theta) = U(theta') R and U X = R U) rather than as sandwiches
   U^T (.) U, which pick up the column defect.  The multiplied-through forms
-  are entry-local and exact at finite truncation; the returned operator is
-  the closed-form right-hand side R.
+  are entry-local and exact at finite truncation, and are judged on the
+  interior of the truncation (FockTruncation.interior, as unitarity_residual
+  is); the returned operator is the closed-form right-hand side R.
 * The exponential reordering identities behind the four-factor assembly hold
   analytically only while |a*b| q^{-n} stays below 1 over the levels n that
   contribute, and their truncation-edge breakage decays slowly with the
@@ -122,7 +123,6 @@ __all__ = [
     "exp_reorder_mixed",
     "classical_U",
     "classical_element",
-    "sector_interior",
 ]
 
 
@@ -307,6 +307,8 @@ class UOperator(_OffsetBlocks):
     walked by build_U from one infinite product and folded into the blocks;
     a_up[n], b_up[n] are <n+1|A+|n>, <n+1|B+|n>.
     oscillators are the ladder matrices of the truncation, built on first use.
+    The interior that the identities are judged on is truncation.interior;
+    sector_interior(beta) is the top sector index inside it.
     """
 
     row_factor: np.ndarray
@@ -332,27 +334,11 @@ class UOperator(_OffsetBlocks):
     def oscillators(self) -> Oscillators:
         return build_oscillators(self.truncation, self.ctx)
 
-    @property
-    def na_interior(self) -> int:
-        return _interior(self.truncation.n_a_max)
-
-    @property
-    def nb_interior(self) -> int:
-        return _interior(self.truncation.n_b_max)
-
     def sector_interior(self, beta: int) -> int:
-        return sector_interior(self.truncation, beta)
-
-
-def _interior(cap: int) -> int:
-    """Top interior level of one oscillator: all but the top quarter."""
-    return cap - math.ceil(cap / 4)
-
-
-def sector_interior(t: FockTruncation, beta: int) -> int:
-    """Largest sector index n with both legs of |n, n+beta-1> inside the
-    interior of the truncation t."""
-    return min(_interior(t.n_a_max), _interior(t.n_b_max) - beta + 1)
+        """Largest sector index n with both legs of |n, n+beta-1> inside the
+        interior of the truncation."""
+        na_top, nb_top = self.truncation.interior
+        return min(na_top, nb_top - beta + 1)
 
 
 def build_U(mp: MatrixElementParams, t: FockTruncation) -> UOperator:
@@ -445,11 +431,12 @@ def unitarity_residual(u: UOperator) -> float:
     block-diagonal over offsets like U, so they are formed block by block.
     """
     t = u.truncation
+    na_top, nb_top = t.interior
     worst = []
     for d in u.offsets:
         block = u.block(d)
         na, _ = offset_block(t, d)
-        keep = (na <= u.na_interior) & (na + d <= u.nb_interior)
+        keep = (na <= na_top) & (na + d <= nb_top)
         if not keep.any():
             continue
         eye = np.eye(block.shape[0])
@@ -462,15 +449,16 @@ def unitarity_residual(u: UOperator) -> float:
 def interior_residual(
     lhs: np.ndarray,
     rhs: np.ndarray,
-    basis,
+    basis: FockTruncation,
     na_keep: int,
     nb_keep: int,
 ) -> float:
     """Relative max deviation of two operators on an interior block.
 
-    Restricts both matrices to product states with n_A <= na_keep and
-    n_B <= nb_keep, then returns max|lhs-rhs| / max(|lhs|, |rhs|, 1) over
-    that block.
+    Both matrices are over the states of the truncation basis (an
+    operator's OperatorMatrix.basis).  Restricts them to the states with
+    n_A <= na_keep and n_B <= nb_keep, then returns
+    max|lhs-rhs| / max(|lhs|, |rhs|, 1) over that block.
     """
     mask = interior_indices(basis, na_keep, nb_keep)
     sub = np.ix_(mask, mask)
@@ -503,8 +491,7 @@ def _certify(
     """The gate of the conjugation identities: the residual of lhs = rhs on the
     interior block of u, ResidualFailure unless it is at most tol (a NaN
     residual fails).  Returns (closed, residual)."""
-    basis = u.oscillators.a0.basis
-    residual = interior_residual(lhs, rhs, basis, u.na_interior, u.nb_interior)
+    residual = interior_residual(lhs, rhs, u.truncation, *u.truncation.interior)
     if not (residual <= tol):
         raise ResidualFailure(f"{name} residual {residual:.3g} > {tol:.3g}", residual)
     return closed, residual
@@ -530,9 +517,8 @@ def _times_u(m: np.ndarray, u: UOperator) -> np.ndarray:
 
 def _levels(u: UOperator) -> tuple[Oscillators, float, float, np.ndarray, np.ndarray]:
     """(ladders, q, theta, n_A, n_B) of the product space u acts on."""
-    osc = u.oscillators
-    basis = osc.a0.basis
-    return osc, u.ctx.q, u.theta, basis.na.astype(float), basis.nb.astype(float)
+    t = u.truncation
+    return u.oscillators, u.ctx.q, u.theta, t.na.astype(float), t.nb.astype(float)
 
 
 def conjugated_lowering(

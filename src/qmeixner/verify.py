@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
+from .errors import NonConvergent, PoleHit
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
@@ -503,8 +504,9 @@ def _genfun_coefficient(q: float, b: int, z: float) -> Callable[[int], float]:
 def _eval_genfun_degree(pt: GridPoint, c: _Cache):
     q, b, th, x, z = pt.q, pt.beta, pt.theta, pt.x, pt.aux
     t2 = th * th
-    # the right side first: where both sides leave the double range, its
-    # OverflowError names the point, the 1phi1's NonConvergent does not
+    # the right side first: where both sides leave the double range, the
+    # refusal is its OverflowError, not the 1phi1's NonConvergent (_check
+    # names the point of either)
     coef = _genfun_coefficient(q, b, z)
     row = c.row(q, t2, b, 0, x)
     rhs, _ = adaptive_sum(lambda n: coef(n) * row(n), "degree generating function")
@@ -741,14 +743,16 @@ def _check(
             continue
         try:
             result = spec.evaluate(pt, cache)
-        except (OverflowError, ZeroDivisionError) as exc:
-            # a value left the double range: refused, naming the relation and
-            # the point unless the refusal names the point already
-            # (_scale_root); float ** says only errno ERANGE and its text
+        except (OverflowError, ZeroDivisionError, NonConvergent, PoleHit) as exc:
+            # a numeric refusal names the relation and the point unless it
+            # names the point already (_scale_root); a value that left the
+            # double range is an OverflowError, and float ** says only errno
+            # ERANGE and its text
             text = str(exc.args[-1])
             if _where(pt) in text:
                 raise
-            raise OverflowError(f"{rid.value} {_where(pt)}: {text}") from None
+            kind = OverflowError if isinstance(exc, ArithmeticError) else type(exc)
+            raise kind(f"{rid.value} {_where(pt)}: {text}") from None
         if spec.judge == "monotone":
             errs, classical = result
             residual = (errs[-1], errs[-1] / max(abs(classical), 1.0))

@@ -308,6 +308,18 @@ def test_verify_overflowing_theta_is_numeric_error(capsys, relation):
     assert err == "error: overflow: c = theta^2 at theta = 1e+200\n"
 
 
+def test_verify_names_the_point_of_a_series_refusal(capsys):
+    code, out, err = run(
+        capsys, "verify", "--relation", "genfun_degree", "--q", "1e-4", "--theta", "1e-30"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: genfun_degree at q = 0.0001, theta = 1e-30, beta = 1, (0, 5): "
+        "1_phi_1 series term 5 is not finite\n"
+    )
+
+
 def main_quiet(*argv):
     """main() with stdout and stderr captured; usable inside @given."""
     out, err = io.StringIO(), io.StringIO()

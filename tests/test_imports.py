@@ -194,6 +194,25 @@ def test_every_name_the_benchmark_rebinds_exists():
     assert missing == []
 
 
+def test_what_the_benchmark_reads_from_an_operator_exists():
+    # bench/ reads these off an operator by duck typing: the level arrays of
+    # its basis (layers.operator_bytes), the sector interior of U, and the
+    # basis that interior_residual takes
+    from qmeixner.meixner import MatrixElementParams
+    from qmeixner.oscillator import FockTruncation, build_oscillators
+    from qmeixner.pseudorotation import build_U, interior_residual
+    from qmeixner.qseries import QContext
+
+    ctx, t = QContext(q=0.5), FockTruncation(4, 4)
+    u = build_U(MatrixElementParams(0.3, 1, ctx), t)
+    size = layers.operator_bytes(u)
+    assert isinstance(size, int) and size > 0
+    assert u.sector_interior(1) == 3
+    osc = build_oscillators(t, ctx)
+    lhs = osc.a_plus.entries
+    assert interior_residual(lhs, lhs.copy(), osc.a0.basis, 2, 2) == 0.0
+
+
 def test_benchmark_tracer_wraps_every_traced_function():
     # a traced function renamed or removed in the package would otherwise
     # surface only when the benchmark runs with tracing on

@@ -403,6 +403,22 @@ def test_decimal_path_outputs_are_bit_identical():
     assert digest == _DECIMAL_PATH_SHA256
 
 
+def test_xi_leaves_m_n_to_the_decimal_path_where_the_radicand_underflows(monkeypatch):
+    # the radicand q^(C(30,2)+10) / (...) = 1e-445 sends the cell to the
+    # decimal re-take; the double attempt summed M_n there first all the same
+    kinds = []
+    kernel = meixner._terminating_2phi1
+
+    def spy(q, *args):
+        kinds.append(type(q))
+        return kernel(q, *args)
+
+    monkeypatch.setattr(meixner, "_terminating_2phi1", spy)
+    value = xi(10, 30, MatrixElementParams(1.0, 1, QContext(q=0.1)))
+    assert float not in kinds and kinds
+    assert value.hex() == "0x1.b4ee7402509bep-76"
+
+
 def test_xi_row_orthonormality():
     mp = MatrixElementParams(0.7, 2, QContext(q=0.6))
     for n, n2 in [(0, 0), (2, 2), (0, 3), (1, 2)]:

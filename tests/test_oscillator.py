@@ -11,7 +11,6 @@ from qmeixner.oscillator import (
     JOperators,
     OperatorMatrix,
     Oscillators,
-    ProductBasis,
     _ladders,
     build_J,
     build_oscillators,
@@ -46,10 +45,8 @@ def build_classical(t: FockTruncation) -> ClassicalOperators:
     return ClassicalOperators(*osc, *su11_generators(osc))
 
 
-def interior_block(m: np.ndarray, basis: ProductBasis, margin: int) -> np.ndarray:
-    mask = interior_indices(
-        basis, basis.trunc.n_a_max - margin, basis.trunc.n_b_max - margin
-    )
+def interior_block(m: np.ndarray, basis: FockTruncation, margin: int) -> np.ndarray:
+    mask = interior_indices(basis, basis.n_a_max - margin, basis.n_b_max - margin)
     return m[np.ix_(mask, mask)]
 
 
@@ -59,7 +56,7 @@ def test_truncation_validation():
 
 
 def test_basis_enumeration_roundtrip():
-    basis = ProductBasis(FockTruncation(3, 5))
+    basis = FockTruncation(3, 5)
     for na in range(4):
         for nb in range(6):
             assert basis.state(basis.index(na, nb)) == (na, nb)
@@ -128,7 +125,7 @@ def test_j_commutation_relation(q):
 
 def test_sector_enumeration():
     sec = sector(FockTruncation(2, 4), 3)
-    basis = ProductBasis(FockTruncation(2, 4))
+    basis = FockTruncation(2, 4)
     assert [basis.state(i) for i in sec] == [(0, 2), (1, 3), (2, 4)]
 
 
@@ -264,13 +261,12 @@ def test_classical_su11_commutator():
 
 @pytest.mark.parametrize("t", [FockTruncation(3, 5), FockTruncation(5, 2), FockTruncation(1, 1)])
 def test_offset_blocks_partition_the_product_basis(t):
-    basis = ProductBasis(t)
     seen = []
     for d in range(-t.n_a_max - 1, t.n_b_max + 2):
         levels, idx = offset_block(t, d)
-        assert [basis.state(i) for i in idx] == [(m, m + d) for m in levels]
+        assert [t.state(i) for i in idx] == [(m, m + d) for m in levels]
         seen += idx.tolist()
-    assert sorted(seen) == list(range(basis.dim))
+    assert sorted(seen) == list(range(t.dim))
 
 
 def test_sector_offset_is_the_one_empty_sector_rule():

@@ -37,7 +37,6 @@ from qmeixner.pseudorotation import (
     matrix_qexp,
     matrix_qexp_series,
     qbch_conjugate,
-    sector_interior,
     qbch_series,
     qexp_split,
     unitarity_residual,
@@ -238,7 +237,7 @@ def test_qexp_series_matches_nilpotent_path():
     osc, ctx = small_osc()
     x = 0.3 * (osc.a_plus.entries @ osc.b_plus.entries)
     got = matrix_qexp(x, "little", ctx)
-    t = osc.a0.basis.trunc
+    t = osc.a0.basis
     for d in range(-t.n_a_max, t.n_b_max + 1):
         _, idx = offset_block(t, d)
         block = np.ix_(idx, idx)
@@ -885,7 +884,8 @@ def test_sector_interior_formula(n_a, beta):
     nb_keep = t.n_b_max - math.ceil(t.n_b_max / 4)
     expected = min(na_keep, nb_keep - beta + 1)
     u = build_U(MatrixElementParams(0.3, beta, QContext(q=0.5)), t)
-    assert sector_interior(t, beta) == u.sector_interior(beta) == expected
+    assert t.interior == (na_keep, nb_keep)
+    assert u.sector_interior(beta) == expected
 
 
 def test_classical_U_refuses_tau_by_the_tau_rule():

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from qmeixner import dual_orthogonality_sum, orthogonality_sum, verify
+from qmeixner.errors import NonConvergent, PoleHit
 from qmeixner.meixner import MatrixElementParams, MeixnerParams, norm_factor
 from qmeixner.qseries import QContext
 from qmeixner.verify import (
@@ -416,6 +417,30 @@ def test_ortho_variable_refuses_a_scale_beyond_the_double_range():
     assert str(exc.value) == (
         "sqrt(omega_x omega_x2) = 0.0 at q = 0.4, theta = 1e+100, beta = 2, (0, 0): "
         "the scale or its reciprocal exceeds the double range"
+    )
+
+
+def test_a_series_refusal_names_the_relation_and_the_point():
+    # the 1phi1 of the degree generating function refused with no word of
+    # the relation or the point it was evaluated at
+    with pytest.raises(NonConvergent) as exc:
+        check_all([RelationId.GENFUN_DEGREE], qs=[1e-4], thetas=[1e-30])
+    assert str(exc.value) == (
+        "genfun_degree at q = 0.0001, theta = 1e-30, beta = 1, (0, 5): "
+        "1_phi_1 series term 5 is not finite"
+    )
+
+
+def test_a_pole_refusal_keeps_its_type_and_names_the_point(monkeypatch):
+    def pole(*args):
+        raise PoleHit("denominator parameter hit a pole at term 1")
+
+    monkeypatch.setattr(verify, "basic_hypergeometric", pole)
+    with pytest.raises(PoleHit) as exc:
+        check(RelationId.GENFUN_DEGREE, grid=[GridPoint(0.5, 1, 0.3, 0, 2, 0.1)])
+    assert str(exc.value) == (
+        "genfun_degree at q = 0.5, theta = 0.3, beta = 1, (0, 2): "
+        "denominator parameter hit a pole at term 1"
     )
 
 
