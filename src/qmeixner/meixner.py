@@ -269,12 +269,21 @@ def weight(x: int, mp: MatrixElementParams) -> float:
     )
 
 
+def _prefix(prefixes: dict, q, t2) -> Callable[[int], object]:
+    """k -> (-t2; q)_k in the scalar type of q, from prefixes, the
+    MatrixElementParams' dict, where it is built on the first request."""
+    prefix = prefixes.get(type(q))
+    if prefix is None:
+        prefix = prefixes[type(q)] = _pochhammer(-t2, q)
+    return prefix
+
+
 def _weight(q, theta, x: int, beta: int, prefixes: dict):
     """(omega_x, theta^(2x), q^(C(x,2))) in the scalar type of q."""
     t2 = theta * theta
     t2x = t2**x
     qc = q ** (x * (x - 1) // 2)
-    poch = prefixes.setdefault(type(q), _pochhammer(-t2, q))(x + beta)
+    poch = _prefix(prefixes, q, t2)(x + beta)
     w = t2x * _binomial(x + beta - 1, x, q) * qc / poch
     return w, t2x, qc
 
@@ -347,7 +356,7 @@ def _xi(q, theta, n: int, x: int, beta: int, prefixes: dict):
     prod = one
     for m in range(1, n + 1):
         prod *= one + q**m / t2
-    poch = prefixes.setdefault(type(q), _pochhammer(-t2, q))(x + beta)
+    poch = _prefix(prefixes, q, t2)(x + beta)
     radicand = q ** (x * (x - 1) // 2 + n) / (poch * prod)
     if not isinstance(q, Decimal) and not radicand >= _TINY:
         # the radicand alone refuses the doubles, so M_n is left to the

@@ -26,6 +26,7 @@ each sector spanned by |n>_beta = |n, n+beta-1>.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -64,8 +65,16 @@ class FockTruncation:
     n_b_max: int
 
     def __post_init__(self):
-        if self.n_a_max < 1 or self.n_b_max < 1:
-            raise ValueError("truncation caps must be >= 1")
+        # operator.index admits ints and numpy integers, not floats or strings
+        try:
+            admissible = min(map(operator.index, (self.n_a_max, self.n_b_max))) >= 1
+        except TypeError:
+            admissible = False
+        if not admissible:
+            raise ValueError(
+                "truncation caps must be integers >= 1, "
+                f"got {self.n_a_max!r} and {self.n_b_max!r}"
+            )
 
     @property
     def dim(self) -> int:

@@ -177,17 +177,9 @@ def q_pochhammer(a: float, n: int, ctx: QContext) -> float:
 
 def _pochhammer(a, q) -> Callable[[int], object]:
     """n -> (a; q)_n in the scalar type of q (float or Decimal): the running
-    product of the factors 1 - a q^k, each prefix computed once."""
+    product of the factors 1 - a q^k, a ratio_sequence from one = q**0."""
     one = q**0
-    values = [one]
-
-    def at(n: int):
-        while n >= len(values):
-            k = len(values) - 1
-            values.append(values[k] * (one - a * q**k))
-        return values[n]
-
-    return at
+    return ratio_sequence(lambda prod, k: prod * (one - a * q**k), one)
 
 
 def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> SeriesValue:
@@ -355,13 +347,17 @@ def basic_hypergeometric(
     return SeriesValue(total, used, tail, magnitude)
 
 
-def ratio_sequence(step: Callable[[float, int], float]) -> Callable[[int], float]:
-    """Memoised sequence s(0) = 1, s(k + 1) = step(s(k), k).
+def ratio_sequence(
+    step: Callable[[float, int], float], start: float = 1.0
+) -> Callable[[int], float]:
+    """Memoised sequence s(0) = start, s(k + 1) = step(s(k), k), each term
+    computed once, on first request.
 
     Carries a series coefficient by its term ratio instead of by the
-    products it stands for, which stay tame while their factors do not.
+    products it stands for, which stay tame while their factors do not.  A
+    running product in Decimal starts from its scalar's one (_pochhammer).
     """
-    values = [1.0]
+    values = [start]
 
     def at(n: int) -> float:
         while n >= len(values):

@@ -181,83 +181,58 @@ class _Row:
         return value
 
 
+class _Memo(dict):
+    """A memo table: a dict that fills a missing key with make(*key) once,
+    so a hit is a plain dict lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.make(*key)
+        return value
+
+
 class _Cache:
-    """Memoizes polynomial values, weights, norms, dual-degree factors and
-    q-exponentials for one check() or one check_all() call.
+    """Memo tables of block parameters, rows of M_n values, weights and
+    norms, q-exponentials and dual-degree factors for one check() or one
+    check_all() call.  A call site indexes a table by the arguments of what
+    it holds, c.rows[q, t2, beta, shift, x](n) or c.by_theta[weight, q,
+    theta, beta, k]; fn in a key (weight or norm_factor, little_qexp or
+    big_qexp) is the function the table calls.
 
     The relations revisit the same (n, x) under shifted parameters, the
     orthogonality sums revisit the same lattice values for every degree
     pair, and the relations of one check_all() share most of their values.
-    M_n(q^-x; beta, c q^shift) is held by lattice row: one _Row per
-    (q, c, beta, shift, x) holds an array of doubles indexed by n and the
-    one MeixnerParams of its (q, c, beta, shift) block, built with the row;
-    c is theta * theta, and shift is the integer k of an exact c q^k.  A sum
-    over n at fixed x takes its row's reader from row() once and calls it
-    per term; meixner() reads one value through the same reader.
+    c is theta * theta, and shift is the integer k of an exact c q^k.  rows
+    holds the reader of one _Row per (q, c, beta, shift, x), so a sum over
+    n at fixed x takes its reader once and calls it per term.  A table's
+    make reads other tables, never the cache, so a dropped cache is freed
+    by reference counting alone.
     """
 
-    __slots__ = ("_ctx", "_rows", "_mp", "_dual")
+    __slots__ = ("params", "rows", "element_params", "by_theta", "qexp", "dual_factor")
 
     def __init__(self) -> None:
-        self._ctx: dict[float, QContext] = {}
-        self._rows: dict[tuple, _Row] = {}
-        self._mp: dict[tuple, object] = {}
-        self._dual: dict[tuple, Callable[[int], float]] = {}
-
-    def context(self, q: float) -> QContext:
-        if q not in self._ctx:
-            self._ctx[q] = QContext(q=q)
-        return self._ctx[q]
-
-    def params(self, q: float, c: float, beta: int, shift: int) -> MeixnerParams:
-        """The MeixnerParams of one (q, c, beta, shift) block."""
-        key = (MeixnerParams, q, c, beta, shift)
-        if key not in self._mp:
-            self._mp[key] = MeixnerParams.from_beta(
-                beta, c, self.context(q), c_shift=shift
+        self.params = params = _Memo(
+            lambda q, c, beta, shift: MeixnerParams.from_beta(
+                beta, c, QContext(q), c_shift=shift
             )
-        return self._mp[key]
-
-    def row(
-        self, q: float, c: float, beta: int, shift: int, x: int
-    ) -> Callable[[int], float]:
-        """n -> M_n(q^-x; beta, c q^shift), computing each degree once."""
-        key = (q, c, beta, shift, x)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = _Row(x, self.params(q, c, beta, shift))
-        return row.at
-
-    def meixner(
-        self, q: float, c: float, beta: int, shift: int, n: int, x: int
-    ) -> float:
-        return self.row(q, c, beta, shift, x)(n)
-
-    def element_params(self, q: float, theta: float, beta: int) -> MatrixElementParams:
-        key = (MatrixElementParams, q, theta, beta)
-        if key not in self._mp:
-            self._mp[key] = MatrixElementParams(theta, beta, self.context(q))
-        return self._mp[key]
-
-    def by_theta(self, fn: Callable, q: float, theta: float, beta: int, k: int) -> float:
-        """fn(k, element_params(q, theta, beta)), fn weight or norm_factor."""
-        key = (fn, q, theta, beta, k)
-        if key not in self._mp:
-            self._mp[key] = fn(k, self.element_params(q, theta, beta))
-        return self._mp[key]
-
-    def qexp(self, fn: Callable, q: float, z: float) -> float:
-        """fn(z).value at q, fn little_qexp or big_qexp."""
-        key = (fn, q, z)
-        if key not in self._mp:
-            self._mp[key] = fn(z, self.context(q)).value
-        return self._mp[key]
-
-    def dual_factor(self, q: float, t2: float, beta: int) -> Callable[[int], float]:
-        key = (q, t2, beta)
-        if key not in self._dual:
-            self._dual[key] = dual_degree_factor(t2, beta, q)
-        return self._dual[key]
+        )
+        self.rows = _Memo(
+            lambda q, c, beta, shift, x: _Row(x, params[q, c, beta, shift]).at
+        )
+        self.element_params = element_params = _Memo(
+            lambda q, theta, beta: MatrixElementParams(theta, beta, QContext(q))
+        )
+        self.by_theta = _Memo(
+            lambda fn, q, theta, beta, k: fn(k, element_params[q, theta, beta])
+        )
+        self.qexp = _Memo(lambda fn, q, z: fn(z, QContext(q)).value)
+        self.dual_factor = _Memo(dual_degree_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +348,8 @@ def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
             n, x = pt.n + dn, pt.x + dx
             if n < 0 or x < 0:
                 continue
-            total += coefficient(pt.q, t2, pt.beta, pt.n, pt.x) * c.meixner(
-                pt.q, t2, pt.beta + db, shift, n, x
-            )
+            row = c.rows[pt.q, t2, pt.beta + db, shift, x]
+            total += coefficient(pt.q, t2, pt.beta, pt.n, pt.x) * row(n)
         return total
 
     def evaluate(pt: GridPoint, c: _Cache):
@@ -389,15 +363,15 @@ def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
 # duality, orthogonality, generating functions
 
 def _eval_duality(pt: GridPoint, c: _Cache):
-    p = c.params(pt.q, pt.theta * pt.theta, pt.beta, 0)
+    p = c.params[pt.q, pt.theta * pt.theta, pt.beta, 0]
     xd, nd, pd = duality_transform(pt.n, pt.x, p)
-    lhs = c.meixner(pt.q, p.c, p.beta, p.c_shift, pt.n, pt.x)
-    rhs = c.meixner(pt.q, pd.c, pd.beta, pd.c_shift, xd, nd)
+    lhs = c.rows[pt.q, p.c, p.beta, p.c_shift, pt.x](pt.n)
+    rhs = c.rows[pt.q, pd.c, pd.beta, pd.c_shift, nd](xd)
     return lhs, rhs, None
 
 
 def _eval_duality_xi(pt: GridPoint, c: _Cache):
-    mp = c.element_params(pt.q, pt.theta, pt.beta)
+    mp = c.element_params[pt.q, pt.theta, pt.beta]
     lhs = xi(pt.n, pt.x, mp)
     pref, xd, nd, mpd = xi_dual(pt.n, pt.x, mp)
     rhs = pref * xi(xd, nd, mpd)
@@ -410,8 +384,8 @@ def _orthogonality_sum(pt: GridPoint, c: _Cache) -> tuple[float, int]:
     t2 = th * th
 
     def term(x):
-        row = c.row(q, t2, b, 0, x)
-        return c.by_theta(weight, q, th, b, x) * row(n) * row(n2)
+        row = c.rows[q, t2, b, 0, x]
+        return c.by_theta[weight, q, th, b, x] * row(n) * row(n2)
 
     return adaptive_sum(term, "orthogonality sum")
 
@@ -419,8 +393,8 @@ def _orthogonality_sum(pt: GridPoint, c: _Cache) -> tuple[float, int]:
 def _dual_orthogonality_sum(pt: GridPoint, c: _Cache) -> tuple[float, int]:
     q, b = pt.q, pt.beta
     t2 = pt.theta * pt.theta
-    factor = c.dual_factor(q, t2, b)
-    row, row2 = c.row(q, t2, b, 0, pt.n), c.row(q, t2, b, 0, pt.x)
+    factor = c.dual_factor[t2, b, q]
+    row, row2 = c.rows[q, t2, b, 0, pt.n], c.rows[q, t2, b, 0, pt.x]
     return adaptive_sum(lambda n: factor(n) * row(n) * row2(n), "dual orthogonality sum")
 
 
@@ -477,16 +451,16 @@ def _where(pt: GridPoint) -> str:
 
 def _eval_ortho_degree(pt: GridPoint, c: _Cache):
     lhs, _ = _orthogonality_sum(pt, c)
-    nfn = c.by_theta(norm_factor, pt.q, pt.theta, pt.beta, pt.n)
-    nfn2 = c.by_theta(norm_factor, pt.q, pt.theta, pt.beta, pt.x)
+    nfn = c.by_theta[norm_factor, pt.q, pt.theta, pt.beta, pt.n]
+    nfn2 = c.by_theta[norm_factor, pt.q, pt.theta, pt.beta, pt.x]
     rhs = nfn if pt.n == pt.x else 0.0
     return lhs, rhs, _scale_root(pt, "sqrt(h_n h_n2)", nfn, nfn2)
 
 
 def _eval_ortho_variable(pt: GridPoint, c: _Cache):
     lhs, _ = _dual_orthogonality_sum(pt, c)
-    wx = c.by_theta(weight, pt.q, pt.theta, pt.beta, pt.n)
-    wx2 = c.by_theta(weight, pt.q, pt.theta, pt.beta, pt.x)
+    wx = c.by_theta[weight, pt.q, pt.theta, pt.beta, pt.n]
+    wx2 = c.by_theta[weight, pt.q, pt.theta, pt.beta, pt.x]
     # at x = x2 the root is omega_x, so 1/omega_x is checked with it
     root = _scale_root(pt, "sqrt(omega_x omega_x2)", wx, wx2)
     rhs = 1.0 / wx if pt.n == pt.x else 0.0
@@ -508,13 +482,13 @@ def _eval_genfun_degree(pt: GridPoint, c: _Cache):
     # refusal is its OverflowError, not the 1phi1's NonConvergent (_check
     # names the point of either)
     coef = _genfun_coefficient(q, b, z)
-    row = c.row(q, t2, b, 0, x)
+    row = c.rows[q, t2, b, 0, x]
     rhs, _ = adaptive_sum(lambda n: coef(n) * row(n), "degree generating function")
     lhs = (
-        c.qexp(little_qexp, q, z)
-        * c.qexp(big_qexp, q, -z * q**b)
+        c.qexp[little_qexp, q, z]
+        * c.qexp[big_qexp, q, -z * q**b]
         * basic_hypergeometric(
-            [QPower(-x)], [z * q**b], -z * q / t2, c.context(q)
+            [QPower(-x)], [z * q**b], -z * q / t2, QContext(q)
         ).value
     )
     return lhs, rhs, None
@@ -531,12 +505,12 @@ def _genfun_variable_domain(pt: GridPoint) -> bool:
 
 def _eval_genfun_variable(pt: GridPoint, c: _Cache):
     q, b, th, n, z = pt.q, pt.beta, pt.theta, pt.n, pt.aux
-    ctx = c.context(q)
+    ctx = QContext(q)
     t2 = th * th
     # the right side first, as in _eval_genfun_degree
     coef = _genfun_coefficient(q, b, z)
     rhs, _ = adaptive_sum(
-        lambda x: coef(x) * c.meixner(q, t2, b, 0, n, x), "variable generating function"
+        lambda x: coef(x) * c.rows[q, t2, b, 0, x](n), "variable generating function"
     )
     lhs = basic_hypergeometric(
         [QPower(-n), 0.0], [q / z], -(q ** (n + 1)) / t2, ctx
@@ -575,7 +549,7 @@ def limit_q(k: int) -> float:
 def _eval_limit_poly(pt: GridPoint, c: _Cache, ks: Iterable[int] = LIMIT_KS):
     classical = classical_meixner(pt.n, pt.x, admissible_beta(pt.beta), pt.aux)
     cq = pt.aux / (1.0 - pt.aux)
-    values = (c.meixner(limit_q(k), cq, pt.beta, 0, pt.n, pt.x) for k in ks)
+    values = (c.rows[limit_q(k), cq, pt.beta, 0, pt.x](pt.n) for k in ks)
     return [abs(v - classical) for v in values], classical
 
 
@@ -598,7 +572,7 @@ def limit_xi_theta(tau: float) -> float:
 def _eval_limit_xi(pt: GridPoint, c: _Cache, ks: Iterable[int] = LIMIT_KS):
     theta = limit_xi_theta(pt.aux)
     classical = classical_xi_limit(pt.n, pt.x, pt.beta, pt.aux)
-    mps = (c.element_params(limit_q(k), theta, pt.beta) for k in ks)
+    mps = (c.element_params[limit_q(k), theta, pt.beta] for k in ks)
     return [abs(xi(pt.n, pt.x, mp) - classical) for mp in mps], classical
 
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 
 import pytest
@@ -670,3 +671,17 @@ def test_verify_at_an_extreme_theta_ends_in_an_exit_code(capsys, theta):
         assert err.startswith("error: overflow: sqrt(omega_x omega_x2) = 0.0 at q = 0.4, ")
     else:
         assert err == "" and len(out.splitlines()) == 21
+
+
+def test_a_non_finite_cell_is_refused_before_any_output(capsys, monkeypatch):
+    # the library refuses such a value first, so only a stand-in xi reaches
+    # the CLI's own guard: one error line naming the column, n and x
+    def xi(n, x, mp):
+        return math.nan if (n, x) == (1, 0) else 0.5
+
+    monkeypatch.setattr(cli, "xi", xi)
+    code, out, err = run(
+        capsys, "xi", "--q", "0.5", "--beta", "1", "--theta", "0.3", "--nmax", "1", "--xmax", "1"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: value at (n=1, x=0) is nan, not a finite number\n"

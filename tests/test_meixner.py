@@ -206,6 +206,18 @@ def test_params_validation():
         MatrixElementParams(-1e200, 1, CTX)  # theta^2 overflows
 
 
+def test_negative_lattice_indices_are_refused():
+    mp = MatrixElementParams(0.5, 1, CTX)
+    for value in (
+        lambda: weight(-1, mp),
+        lambda: norm_factor(-1, mp),
+        lambda: xi(-1, 0, mp),
+        lambda: classical_xi_limit(-1, 0, 1, 0.5),
+    ):
+        with pytest.raises(ValueError, match=">= 0"):
+            value()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite(bad):
     with pytest.raises(ValueError):

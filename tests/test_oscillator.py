@@ -51,8 +51,11 @@ def interior_block(m: np.ndarray, basis: FockTruncation, margin: int) -> np.ndar
 
 
 def test_truncation_validation():
-    with pytest.raises(ValueError):
-        FockTruncation(0, 4)
+    # a cap that is not an integer is refused here, not by a later range()
+    for caps in [(0, 4), (float("nan"), 2), (3.5, 3), (3, 2.0), ("3", 3)]:
+        with pytest.raises(ValueError, match="truncation caps"):
+            FockTruncation(*caps)
+    assert FockTruncation(np.int64(3), np.int32(2)).dim == 12
 
 
 def test_basis_enumeration_roundtrip():

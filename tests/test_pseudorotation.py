@@ -177,6 +177,14 @@ def test_qexp_rejects_mixed_shape():
         matrix_qexp(osc.a0.entries, "huge", ctx)
 
 
+def test_qexp_of_a_block_that_does_not_settle_is_refused():
+    # a unipotent block: its terms stay finite, X^k / (q; q)_k, but their
+    # norm grows with k and never meets the tail rule
+    x = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(NonConvergent, match="series did not settle in 10000 terms"):
+        matrix_qexp(x, "little", QContext(q=0.9))
+
+
 @pytest.mark.parametrize("cap", [8, 12, 20])
 @pytest.mark.parametrize("q", [0.5, 0.9])
 @pytest.mark.parametrize("kind", ["little", "big"])
@@ -654,6 +662,14 @@ def test_conjugations_certify_small_residuals():
         _, res = fn(u, tol=1e-11)
         assert res <= 1e-12
         assert "matrix" not in u.__dict__
+
+
+def test_conjugation_pair_must_share_one_truncation():
+    ctx = QContext(q=0.5)
+    u = build_U(MatrixElementParams(0.5, 1, ctx), FockTruncation(6, 6))
+    u_shift = build_U(MatrixElementParams(0.5 * 0.5**-0.5, 1, ctx), FockTruncation(6, 7))
+    with pytest.raises(ValueError, match="operators must share one truncation"):
+        conjugated_lowering(u, u_shift)
 
 
 def test_conjugated_lowering_closed_form_shape():

@@ -319,6 +319,11 @@ def test_phi_float_near_power_is_not_terminating():
 def test_phi_divergent_without_termination():
     with pytest.raises(NonConvergent):
         basic_hypergeometric([0.5, 0.5], [], 1.5, CTX)
+    # r > s + 1 with no QPower numerator diverges at every z != 0
+    with pytest.raises(
+        NonConvergent, match="3_phi_0 with no terminating numerator parameter diverges"
+    ):
+        basic_hypergeometric([0.5, 0.5, 0.5], [], 0.1, QContext(0.9))
 
 
 def test_phi_denominator_pole():

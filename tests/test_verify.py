@@ -1,6 +1,7 @@
 """Relation registry behavior: grids, domains, judgments, known defects."""
 
 import dataclasses
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -262,6 +263,20 @@ def test_check_all_computes_each_polynomial_value_once(counted_check_all):
 def test_check_all_cache_ends_with_the_call(counted_check_all):
     first, second = counted_check_all[1]
     assert len(second) == len(first)
+
+
+def test_a_dropped_cache_is_freed_without_the_collector():
+    # each table's make reads other tables, never the cache: a make bound
+    # to the cache would form a cycle that kept the previous call's rows
+    # alive until the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        check_all()
+        alive = [o for o in gc.get_objects() if isinstance(o, (verify._Row, verify._Memo))]
+    finally:
+        gc.enable()
+    assert alive == []
 
 
 # one relation of each evaluator family
