@@ -6,6 +6,10 @@ column.  The scan prints both, plus the limiting defect at the vacuum
 column, so the asymmetry is visible at a glance:
 
     python3 scripts/unitarity_scan.py --q 0.5 --theta 0.3 --max-trunc 28
+
+A truncation whose Gram is not finite (a row of the block whose outer
+factor underflowed holds inf or nan) ends the scan: the rows before it are
+written, then one error line on stderr, and the exit code is 3.
 """
 
 import argparse
@@ -14,6 +18,7 @@ import sys
 
 import numpy as np
 
+from qmeixner.errors import NonConvergent
 from qmeixner.meixner import MatrixElementParams
 from qmeixner.oscillator import FockTruncation
 from qmeixner.pseudorotation import build_U
@@ -25,13 +30,16 @@ def gram_residuals(u, beta, window=8):
 
     The window stays put as the truncation grows, so the scan separates the
     two behaviours instead of mixing in edge rows whose lattice support is
-    cut off."""
+    cut off.  NonConvergent where a Gram is not finite: its products sum
+    over the whole block, rows lost to underflow included."""
     s = u.block(beta - 1)
     w = min(window + 1, s.shape[0])
     eye = np.eye(s.shape[0])
     rows = np.abs(s @ s.T - eye)[:w, :w].max()
     cols = np.abs(s.T @ s - eye)[:w, :w].max()
     vacuum_defect = 1.0 - float(s[:, 0] @ s[:, 0])
+    if not np.isfinite([rows, cols, vacuum_defect]).all():
+        raise NonConvergent(f"the Gram of offset {beta - 1} is not finite")
     return rows, cols, vacuum_defect
 
 
@@ -56,7 +64,11 @@ def main(argv=None):
         w.writerow(["trunc", "rows_residual", "cols_residual", "vacuum_defect"])
         for trunc in range(args.min_trunc, args.max_trunc + 1, args.step):
             u = build_U(mp, FockTruncation(trunc, trunc + args.beta - 1))
-            rows, cols, defect = gram_residuals(u, args.beta, args.window)
+            try:
+                rows, cols, defect = gram_residuals(u, args.beta, args.window)
+            except NonConvergent as exc:
+                print(f"error: trunc {trunc}: {exc}", file=sys.stderr)
+                return 3
             w.writerow(
                 [trunc, f"{rows:.6e}", f"{cols:.6e}", f"{defect:.10e}"]
             )

@@ -82,13 +82,13 @@ from .oscillator import (
     FockTruncation,
     OperatorMatrix,
     Oscillators,
+    _shift_product,
     build_oscillators,
     from_offset_blocks,
     interior_indices,
     ladder_coefficients,
     offset_block,
     sector_offset,
-    su11_generators,
 )
 from .qseries import (
     MAX_TERMS,
@@ -429,6 +429,8 @@ def unitarity_residual(u: UOperator) -> float:
     honest measure of how far the truncated matrix is from two-sided
     unitarity, not of the truncation quality alone.  Both Gram matrices are
     block-diagonal over offsets like U, so they are formed block by block.
+    A Gram sums over whole blocks, so a row lost to underflow (which
+    element() refuses) can make it not finite: NonConvergent names its offset.
     """
     t = u.truncation
     na_top, nb_top = t.interior
@@ -441,8 +443,11 @@ def unitarity_residual(u: UOperator) -> float:
             continue
         eye = np.eye(block.shape[0])
         sub = np.ix_(keep, keep)
-        worst.append(np.abs((block @ block.T - eye)[sub]).max())
-        worst.append(np.abs((block.T @ block - eye)[sub]).max())
+        for gram in (block @ block.T, block.T @ block):
+            deviation = np.abs((gram - eye)[sub])
+            if not np.isfinite(deviation).all():
+                raise NonConvergent(f"the Gram of offset {d} is not finite")
+            worst.append(deviation.max())
     return float(np.max(worst))
 
 
@@ -703,13 +708,14 @@ def _scaled_ladders(
     osc: Oscillators, ctx: QContext
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Boost-scaled pair ladders K± = (1-q) q^((B0-A0+1)/2) A± B±, with
-    the level arrays n_A and n_B."""
+    the level arrays n_A and n_B (su11_generators' K±, without its J0)."""
     basis = osc.a0.basis
     na = basis.na.astype(float)
     nb = basis.nb.astype(float)
-    pref = (1.0 - ctx.q) * ctx.q ** ((nb - na + 1.0) / 2.0)
-    _, k_plus, k_minus = su11_generators(osc, pref)
-    return k_plus.entries, k_minus.entries, na, nb
+    pref = ((1.0 - ctx.q) * ctx.q ** ((nb - na + 1.0) / 2.0))[:, None]
+    k_plus = pref * _shift_product(osc.a_plus.entries, osc.b_plus.entries)
+    k_minus = pref * _shift_product(osc.a_minus.entries, osc.b_minus.entries)
+    return k_plus, k_minus, na, nb
 
 
 def _diag_qexp(kind: str, args: np.ndarray, ctx: QContext) -> np.ndarray:

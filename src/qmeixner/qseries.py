@@ -35,6 +35,10 @@ the package (the matrix series of pseudorotation included):
 A sum is refused, with NonConvergent, at its first term that is not finite
 (for a matrix term, whose norm is not).
 
+A product (q_pochhammer, q_pochhammer_inf) that is neither a normal double
+nor exactly 0 is taken again in 50-digit decimals on its exact arguments
+(_retake), and refused with OverflowError beyond the double range.
+
 MAX_CANCELLATION (2^16) is the precision rule of the meixner module
 docstring, which states it once: a non-terminating basic_hypergeometric
 whose sum of |terms| exceeds this times |sum| has lost more than 16 bits
@@ -167,12 +171,19 @@ def _factor(p: Param, q: float, k: int) -> float:
 
 
 def q_pochhammer(a: float, n: int, ctx: QContext) -> float:
-    """Finite product (a; q)_n; ValueError for an a that is not finite."""
+    """Finite product (a; q)_n, re-taken or refused by the module's rule for
+    products; ValueError for an a that is not finite."""
     if not math.isfinite(a):
         raise ValueError(f"(a; q)_n requires a finite a, got {a}")
     if n < 0:
         raise ValueError("q_pochhammer order n must be >= 0")
-    return _pochhammer(a, ctx.q)(n)
+    q = ctx.q
+    prod = _pochhammer(a, q)(n)
+    if prod != 0.0 and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
+        prod = _retake(lambda a, q: (_pochhammer(a, q)(n),), a, q)
+        if math.isinf(prod):
+            raise OverflowError(f"(a; q)_n at a = {a}, n = {n}, q = {q} exceeds the double range")
+    return prod
 
 
 def _pochhammer(a, q) -> Callable[[int], object]:
@@ -188,14 +199,12 @@ def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> Serie
     The tail estimate bounds the error from dropped factors:
     |log prod_{k>=K} (1 - a q^k)| <= |a q^K| / (1 - q) to first order.
 
-    A product that is neither a normal double nor exactly 0 is taken again
-    by the same factor loop in 50-digit decimals on the exact a and q (its
-    running product may have left the double range on the way), and
-    refused with OverflowError where it exceeds the range.  With
-    reciprocal=True the caller intends to divide by the result: a factor
-    vanishing within POLE_TOL raises PoleHit, and a product beyond the range
-    is returned as inf, whose reciprocal rounds to 0 like any double below
-    the range.  An a that is not finite is refused with ValueError.
+    A product that is not a normal double is re-taken or refused by the
+    module's rule for products.  With reciprocal=True the caller intends
+    to divide by the result: a factor vanishing within POLE_TOL raises
+    PoleHit, and a product beyond the range is returned as inf, whose
+    reciprocal rounds to 0 like any double below the range.  An a that is
+    not finite is refused with ValueError.
     """
     if not math.isfinite(a):
         raise ValueError(f"(a; q)_oo requires a finite a, got {a}")
@@ -233,11 +242,15 @@ def q_binomial(n: int, k: int, ctx: QContext) -> float:
 
     Computed as prod_{i=1}^{k} (1 - q^{n-k+i}) / (1 - q^i) with k replaced
     by min(k, n - k) first, so [n, k]_q == [n, n-k]_q follows the same
-    product path and the symmetry holds exactly.
+    product path and the symmetry holds exactly.  Every factor exceeds 1,
+    so an inf product is a true overflow, refused with OverflowError.
     """
     if k < 0 or k > n:
         return 0.0
-    return _binomial(n, k, ctx.q)
+    prod = _binomial(n, k, ctx.q)
+    if math.isinf(prod):
+        raise OverflowError(f"[n, k]_q at n = {n}, k = {k}, q = {ctx.q} exceeds the double range")
+    return prod
 
 
 def _binomial(n: int, k: int, q):

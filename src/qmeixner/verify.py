@@ -244,45 +244,14 @@ class _Cache:
 # theta^2 q^c_shift).  The dual relations drag theta^2 through integer
 # powers of q, carried exactly as c_shift.  A term whose shifted n or x is
 # negative carries a vanishing factor (1 - q^0) and is skipped, so M is
-# never requested at n = -1 or x = -1.
+# never requested at n = -1 or x = -1.  A three-term row (difference equation,
+# recurrence and their duals) marks its diagonal DIAGONAL: the diagonal
+# coefficient is minus the sum of the side's two others, at every point even
+# where their terms are skipped, and _structure_evaluator derives it once.
 
-Term = tuple[Callable[[float, float, int, int, int], float], int, int, int, int]
+DIAGONAL = None
+Term = tuple[Callable[[float, float, int, int, int], float] | None, int, int, int, int]
 
-
-# coefficients that enter one relation twice, alone and in a sum
-def _up(q, t2, b, n, x):  # difference equation
-    return (1.0 - q**x) * (1.0 + t2 * q ** (x + b - 1))
-
-
-def _down(q, t2, b, n, x):
-    return t2 * q**x * (1.0 - q ** (x + b))
-
-
-def _lo(q, t2, b, n, x):  # recurrence
-    return q * (1.0 - q**n) * (q**n + t2)
-
-
-def _hi(q, t2, b, n, x):
-    return t2 * (1.0 - q ** (n + b))
-
-
-def _dual_up(q, t2, b, n, x):
-    return (1.0 - q**n) * (1.0 + t2 * q ** (x + b - 1))
-
-
-def _dual_down(q, t2, b, n, x):
-    return t2 * q**x * (1.0 - q ** (n + b))
-
-
-def _dual_lo(q, t2, b, n, x):
-    return q * (1.0 - q**x) * (q**n + t2)
-
-
-def _dual_hi(q, t2, b, n, x):
-    return t2 * (1.0 - q ** (x + b))
-
-
-# relation: ([LHS terms], [RHS terms]), term = (coefficient, dn, dx, dbeta, c_shift)
 _STRUCTURE: dict[RelationId, tuple[list[Term], list[Term]]] = {
     RelationId.BACKWARD: (
         [(lambda q, t2, b, n, x: t2 * (1.0 - q**b), 1, 0, 0, 0)],
@@ -294,9 +263,9 @@ _STRUCTURE: dict[RelationId, tuple[list[Term], list[Term]]] = {
         [(lambda *a: 1.0, 0, 0, 0, 0), (lambda *a: -1.0, 0, 1, 0, 0)]),
     RelationId.DIFFERENCE: (
         [(lambda q, t2, b, n, x: 1.0 - q**n, 0, 0, 0, 0)],
-        [(lambda *a: -_down(*a), 0, 1, 0, 0),
-         (lambda *a: _up(*a) + _down(*a), 0, 0, 0, 0),
-         (lambda *a: -_up(*a), 0, -1, 0, 0)]),
+        [(lambda q, t2, b, n, x: -(t2 * q**x * (1.0 - q ** (x + b))), 0, 1, 0, 0),
+         (DIAGONAL, 0, 0, 0, 0),
+         (lambda q, t2, b, n, x: -((1.0 - q**x) * (1.0 + t2 * q ** (x + b - 1))), 0, -1, 0, 0)]),
     RelationId.COMP_BACKWARD: (
         [(lambda q, t2, b, n, x: (q ** (n + 1) / t2)
           * (1.0 - q ** (-x)) / (1.0 - q ** (b - 1)), 0, -1, 0, 0)],
@@ -307,9 +276,9 @@ _STRUCTURE: dict[RelationId, tuple[list[Term], list[Term]]] = {
          (lambda q, t2, b, n, x: -((q**n + t2) * (1.0 - q**n)), -1, 0, 1, 0)]),
     RelationId.RECURRENCE: (
         [(lambda q, t2, b, n, x: q ** (2 * n + 1) * (1.0 - q ** (-x)), 0, 0, 0, 0)],
-        [(lambda *a: -(_lo(*a) + _hi(*a)), 0, 0, 0, 0),
-         (_hi, 1, 0, 0, 0),
-         (_lo, -1, 0, 0, 0)]),
+        [(DIAGONAL, 0, 0, 0, 0),
+         (lambda q, t2, b, n, x: t2 * (1.0 - q ** (n + b)), 1, 0, 0, 0),
+         (lambda q, t2, b, n, x: q * (1.0 - q**n) * (q**n + t2), -1, 0, 0, 0)]),
     RelationId.DUAL_BACKWARD: (
         [(lambda q, t2, b, n, x: t2 * q ** (x + 1) * (1.0 - q**b), 0, 1, 0, 0)],
         [(lambda q, t2, b, n, x: t2 * q ** (x + 1) * (1.0 - q ** (n + b)), 0, 0, 1, 0),
@@ -320,9 +289,9 @@ _STRUCTURE: dict[RelationId, tuple[list[Term], list[Term]]] = {
         [(lambda *a: 1.0, 1, 0, 0, 1), (lambda *a: -1.0, 0, 0, 0, 0)]),
     RelationId.DUAL_DIFFERENCE: (
         [(lambda q, t2, b, n, x: 1.0 - q**x, 0, 0, 0, 0)],
-        [(lambda *a: _dual_up(*a) + _dual_down(*a), 0, 0, 0, 0),
-         (lambda *a: -_dual_down(*a), 1, 0, 0, 1),
-         (lambda *a: -_dual_up(*a), -1, 0, 0, -1)]),
+        [(DIAGONAL, 0, 0, 0, 0),
+         (lambda q, t2, b, n, x: -(t2 * q**x * (1.0 - q ** (n + b))), 1, 0, 0, 1),
+         (lambda q, t2, b, n, x: -((1.0 - q**n) * (1.0 + t2 * q ** (x + b - 1))), -1, 0, 0, -1)]),
     RelationId.DUAL_COMP_BACKWARD: (
         [(lambda q, t2, b, n, x: (q / t2) * (1.0 - q**n) / (1.0 - q ** (b - 1)),
           -1, 0, 0, -1)],
@@ -333,14 +302,25 @@ _STRUCTURE: dict[RelationId, tuple[list[Term], list[Term]]] = {
          (lambda q, t2, b, n, x: -((q**n + t2) * (1.0 - q**x)), 0, -1, 1, 1)]),
     RelationId.DUAL_RECURRENCE: (
         [(lambda q, t2, b, n, x: q ** (x + 1) * (1.0 - q**n), 0, 0, 0, 0)],
-        [(lambda *a: _dual_lo(*a) + _dual_hi(*a), 0, 0, 0, 0),
-         (lambda *a: -_dual_hi(*a), 0, 1, 0, -1),
-         (lambda *a: -_dual_lo(*a), 0, -1, 0, 1)]),
+        [(DIAGONAL, 0, 0, 0, 0),
+         (lambda q, t2, b, n, x: -(t2 * (1.0 - q ** (x + b))), 0, 1, 0, -1),
+         (lambda q, t2, b, n, x: -(q * (1.0 - q**x) * (q**n + t2)), 0, -1, 0, 1)]),
 }
 
 
 def _structure_evaluator(lhs: list[Term], rhs: list[Term]) -> Callable:
-    """The evaluate() of a structure relation given by its term table."""
+    """The evaluate() of a structure relation given by its term table, each
+    DIAGONAL made minus the sum of its side's two other coefficients."""
+
+    def derive(terms: list[Term]) -> list[Term]:
+        others = [t[0] for t in terms if t[0] is not DIAGONAL]
+        if len(others) == len(terms):
+            return terms
+        f, g = others
+        diagonal = lambda *a: -(f(*a) + g(*a))
+        return [(diagonal if t[0] is DIAGONAL else t[0], *t[1:]) for t in terms]
+
+    lhs, rhs = derive(lhs), derive(rhs)
 
     def side(terms: list[Term], pt: GridPoint, c: _Cache, t2: float) -> float:
         total = 0.0

@@ -640,6 +640,15 @@ def test_unitarity_is_one_sided():
     assert unitarity_residual(u) >= 1.0 - cols[0, 0]
 
 
+def test_unitarity_residual_refuses_a_gram_lost_to_underflow():
+    # from T = 68 the top row of 41 offset blocks holds nan (an outer factor
+    # of 0 times overflowing middle entries), and the column Gram sums over
+    # it: the residual was returned as nan
+    assert unitarity_residual(build(0.5, 0.3, 1, 67)) == 1.0
+    with pytest.raises(NonConvergent, match=r"the Gram of offset -?\d+ is not finite"):
+        unitarity_residual(build(0.5, 0.3, 1, 68))
+
+
 # --- conjugation identities --------------------------------------------------
 
 

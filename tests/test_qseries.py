@@ -118,6 +118,12 @@ def test_adaptive_sum_budget_is_nonconvergent():
     with pytest.raises(NonConvergent, match="flat sum exceeded the term budget"):
         adaptive_sum(flat, "flat sum")
     assert len(calls) == MAX_TERMS
+    # an infinite product has the same budget in factors: |a q^k| stays
+    # above TAIL_CUTOFF for k < 10000 at q = 0.998
+    with pytest.raises(
+        NonConvergent, match=r"\(a; q\)_oo did not reach tail cutoff within 10000 factors"
+    ):
+        q_pochhammer_inf(-0.25, QContext(q=0.998))
 
 
 def test_adaptive_sum_starts_its_tail_rule_at_the_first_nonzero_term():
@@ -324,6 +330,17 @@ def test_phi_divergent_without_termination():
         NonConvergent, match="3_phi_0 with no terminating numerator parameter diverges"
     ):
         basic_hypergeometric([0.5, 0.5, 0.5], [], 0.1, QContext(0.9))
+    # r == s + 1 converges only for |z| < 1
+    with pytest.raises(
+        NonConvergent, match=r"1_phi_0 requires \|z\| < 1 without termination, got 1\.5"
+    ):
+        basic_hypergeometric([0.5], [], 1.5, QContext(0.9))
+    # both numerator factors fall to about 1e-16 at k = 3, so the tail rule
+    # ends the sum on tiny terms that still grow
+    with pytest.raises(NonConvergent, match=r"series terms stopped decreasing \(ratio 1.37\)"):
+        basic_hypergeometric(
+            [8.000000000000002, 8.000000000000002], [20.0], 0.9, QContext(0.5)
+        )
 
 
 def test_phi_denominator_pole():
@@ -396,6 +413,15 @@ def _mp_pochhammer_inf(a, q):
         return prod * mpmath.exp(log_tail)
 
 
+def _mp_pochhammer(a, q, n):
+    """(a; q)_n in 60-digit mpmath on the exact a and q."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        a, q = mpmath.mpf(a), mpmath.mpf(q)
+        return mpmath.fprod(1 - a * q**k for k in range(n))
+
+
 def test_pochhammer_inf_whose_running_product_overflows_on_the_way():
     # the running product of this E_q peaks near 1e322 and comes back into
     # the double range; the double product stayed at inf
@@ -403,12 +429,28 @@ def test_pochhammer_inf_whose_running_product_overflows_on_the_way():
     value = big_qexp(z, QContext(q=q)).value
     assert value == pytest.approx(float(_mp_pochhammer_inf(-z, q)), rel=1e-12)
     assert value == pytest.approx(1.9153e257, rel=1e-4)
+    # the finite product (0.07^-23; 0.07)_30 overflowed to inf and met the
+    # factor 1 - a q^23, which is 0 in doubles; it was returned as nan
+    a, q = 0.07**-23, 0.07
+    value = q_pochhammer(a, 30, QContext(q=q))
+    assert value == pytest.approx(float(_mp_pochhammer(a, q, 30)), rel=1e-15)
+    assert value == pytest.approx(6.885911203687872e301, rel=1e-15)
 
 
 def test_pochhammer_inf_beyond_the_double_range_is_refused():
     # (1e5; 0.99)_oo is about 1e2724 in magnitude; it was returned as inf
     with pytest.raises(OverflowError, match="exceeds the double range"):
         q_pochhammer_inf(1e5, QContext(q=0.99))
+    # so are the finite products: (1e200; 0.5)_3 was returned as -inf, and
+    # [3000, 1500]_q at q = 0.9999, about 10^853.6, as inf
+    with pytest.raises(
+        OverflowError, match=r"\(a; q\)_n at a = 1e\+200, n = 3, q = 0.5 exceeds"
+    ):
+        q_pochhammer(1e200, 3, CTX)
+    with pytest.raises(
+        OverflowError, match=r"\[n, k\]_q at n = 3000, k = 1500, q = 0.9999 exceeds"
+    ):
+        q_binomial(3000, 1500, QContext(q=0.9999))
     # e_q = 1 / (z; q)_oo of such a product lies below the range and
     # rounds to 0 like any double there, and so does its tail
     assert little_qexp(-0.09 * 2.0**100, CTX).value == 0.0
