@@ -9,15 +9,18 @@ column, so the asymmetry is visible at a glance:
 
 A truncation whose Gram is not finite (a row of the block whose outer
 factor underflowed holds inf or nan) ends the scan: the rows before it are
-written, then one error line on stderr, and the exit code is 3.
+written, then one error line on stderr, and the exit code is 3.  A bad
+argument writes nothing and exits 2 with one error line.
 """
 
 import argparse
 import csv
 import sys
+from functools import partial
 
 import numpy as np
 
+from qmeixner.cli import run
 from qmeixner.errors import NonConvergent
 from qmeixner.meixner import MatrixElementParams
 from qmeixner.oscillator import FockTruncation
@@ -43,18 +46,14 @@ def gram_residuals(u, beta, window=8):
     return rows, cols, vacuum_defect
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--q", type=float, default=0.5)
-    ap.add_argument("--theta", type=float, default=0.3)
-    ap.add_argument("--beta", type=int, default=1)
-    ap.add_argument("--min-trunc", type=int, default=8)
-    ap.add_argument("--max-trunc", type=int, default=28)
-    ap.add_argument("--step", type=int, default=4)
-    ap.add_argument("--window", type=int, default=8, help="fixed Gram probe window")
-    ap.add_argument("--out", default="-", help="output CSV path, - for stdout")
-    args = ap.parse_args(argv)
-
+def scan(args):
+    for option, value, least in [
+        ("--min-trunc", args.min_trunc, 1),
+        ("--step", args.step, 1),
+        ("--window", args.window, 0),
+    ]:
+        if value < least:
+            raise ValueError(f"{option} must be >= {least}, got {value}")
     ctx = QContext(q=args.q)
     mp = MatrixElementParams(args.theta, args.beta, ctx)
 
@@ -67,8 +66,7 @@ def main(argv=None):
             try:
                 rows, cols, defect = gram_residuals(u, args.beta, args.window)
             except NonConvergent as exc:
-                print(f"error: trunc {trunc}: {exc}", file=sys.stderr)
-                return 3
+                raise NonConvergent(f"trunc {trunc}: {exc}") from None
             w.writerow(
                 [trunc, f"{rows:.6e}", f"{cols:.6e}", f"{defect:.10e}"]
             )
@@ -76,6 +74,19 @@ def main(argv=None):
         if handle is not sys.stdout:
             handle.close()
     return 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--q", type=float, default=0.5)
+    ap.add_argument("--theta", type=float, default=0.3)
+    ap.add_argument("--beta", type=int, default=1)
+    ap.add_argument("--min-trunc", type=int, default=8)
+    ap.add_argument("--max-trunc", type=int, default=28)
+    ap.add_argument("--step", type=int, default=4)
+    ap.add_argument("--window", type=int, default=8, help="fixed Gram probe window")
+    ap.add_argument("--out", default="-", help="output CSV path, - for stdout")
+    return run(partial(scan, ap.parse_args(argv)))
 
 
 if __name__ == "__main__":

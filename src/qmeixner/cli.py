@@ -22,8 +22,9 @@ import json
 import math
 import sys
 from functools import partial
+from typing import Callable
 
-from .errors import NonConvergent, OutOfTruncation, PoleHit
+from .errors import NonConvergent, OutOfTruncation, PoleHit, ResidualFailure
 from .meixner import (
     MatrixElementParams,
     MeixnerParams,
@@ -49,15 +50,15 @@ from .verify import (
     limit_xi_theta,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# the exit-code table: commands raise, main maps what they raise to a code
-_NUMERIC_ERRORS = (NonConvergent, OutOfTruncation, PoleHit)
+# the exit-code table: commands raise, run maps what they raise to a code
+_NUMERIC_ERRORS = (NonConvergent, OutOfTruncation, PoleHit, ResidualFailure)
 
 
 def _cell(v) -> str:
@@ -330,13 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # every command writes its output only after the last value, so an
-    # error leaves stdout empty
+def run(command: Callable[[], int]) -> int:
+    """command()'s exit code, or the code of what it raises after one error
+    line on stderr: EXIT_USAGE for a ValueError, EXIT_NUMERIC for a numeric
+    refusal.  The experiment scripts map their refusals through it too."""
     try:
-        return args.fn(args)
+        return command()
     except ValueError as exc:
         code, message = EXIT_USAGE, str(exc)
     except OverflowError as exc:
@@ -347,6 +347,13 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_NUMERIC, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    # every command writes its output only after the last value, so an
+    # error leaves stdout empty
+    return run(partial(args.fn, args))
 
 
 if __name__ == "__main__":

@@ -244,7 +244,10 @@ def q_binomial(n: int, k: int, ctx: QContext) -> float:
     by min(k, n - k) first, so [n, k]_q == [n, n-k]_q follows the same
     product path and the symmetry holds exactly.  Every factor exceeds 1,
     so an inf product is a true overflow, refused with OverflowError.
+    ValueError for n < 0; a k outside [0, n] gives 0.
     """
+    if n < 0:
+        raise ValueError("q_binomial n must be >= 0")
     if k < 0 or k > n:
         return 0.0
     prod = _binomial(n, k, ctx.q)

@@ -34,6 +34,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import NonConvergent, PoleHit
@@ -111,10 +112,11 @@ class RelationId(str, Enum):
 
 
 class GridPoint(NamedTuple):
-    """One parameter tuple.  For pointwise relations all of (q, beta, theta,
-    n, x) are set; generating functions carry z in aux; the limit relations
-    carry tau (LIMIT_XI) or classical c (LIMIT_POLY) in aux with q/theta
-    unused (the q sequence is fixed to 1 - 10^-k, k in LIMIT_KS)."""
+    """One parameter tuple: a (q, beta, theta) of the grid's axes and an
+    (n, x, aux) cell of the relation's record.  Pointwise relations leave aux
+    None; generating functions carry z in aux; the limit relations carry tau
+    (LIMIT_XI) or classical c (LIMIT_POLY) in aux with q = theta = None (the
+    q sequence is fixed to 1 - 10^-k, k in LIMIT_KS)."""
 
     q: float | None
     beta: int
@@ -576,67 +578,49 @@ _TAUS = (0.3, 0.6)
 _CLASSICAL_CS = (0.3, 0.6)
 _LIMIT_DEGREES = tuple(range(5))
 
-
-def _grid(cells: list[tuple[int, int, float | None]]) -> Callable[..., list[GridPoint]]:
-    """Grid builder: every (n, x, aux) cell at every (q, beta, theta)."""
-
-    def build(qs, betas, thetas) -> list[GridPoint]:
-        return [
-            GridPoint(q, b, th, n, x, aux)
-            for q in qs
-            for b in betas
-            for th in thetas
-            for n, x, aux in cells
-        ]
-
-    return build
-
-
-_grid_pointwise = _grid([(n, x, None) for n in _DEGREES for x in _DEGREES])
+_POINTWISE = tuple(product(_DEGREES, _DEGREES, (None,)))
 # symmetric sums: only pairs with x >= n (n carries the first index)
-_grid_pairs = _grid([(n, x, None) for n in _DEGREES for x in _DEGREES if x >= n])
-_grid_genfun_degree = _grid([(0, x, z) for x in _DEGREES for z in _ZS])
-_grid_genfun_variable = _grid([(n, 0, z) for n in _DEGREES for z in _ZS])
+_PAIRS = tuple((n, x, None) for n in _DEGREES for x in _DEGREES if x >= n)
 
 
-def _grid_limit(aux_values) -> Callable[..., list[GridPoint]]:
-    # the q sequence of a limit check is fixed; only beta is overridable
-    build = _grid(
-        [(n, x, a) for a in aux_values for n in _LIMIT_DEGREES for x in _LIMIT_DEGREES]
-    )
-    return lambda qs, betas, thetas: build((None,), betas, (None,))
+def _limit_cells(auxes: tuple[float, ...]) -> tuple[tuple[int, int, float], ...]:
+    return tuple((n, x, a) for a in auxes for n in _LIMIT_DEGREES for x in _LIMIT_DEGREES)
 
 
+# One registry record is data: the (n, x, aux) cells that default_grid takes
+# at every (q, beta, theta), the evaluator (pt, cache) -> (lhs, rhs, scale),
+# or a limit's (errors, classical), the domain of evaluable points (None for
+# all), and the judge, "tol" or "monotone" (a q -> 1 limit).
 @dataclass(frozen=True)
 class _Relation:
-    grid: Callable[..., list[GridPoint]]  # (qs, betas, thetas) -> points
-    evaluate: Callable  # (pt, cache) -> (lhs, rhs, scale), or a limit's (errors, classical)
+    cells: tuple[tuple[int, int, float | None], ...]
+    evaluate: Callable
     domain: Callable[[GridPoint], bool] | None = None
-    judge: str = "tol"  # or "monotone"
+    judge: str = "tol"
 
 
 _REGISTRY: dict[RelationId, _Relation] = {
     **{
         rid: _Relation(
-            _grid_pointwise,
+            _POINTWISE,
             _structure_evaluator(lhs, rhs),
             # the complementary relations lower beta by one
             domain=(lambda pt: pt.beta >= 2) if any(t[3] < 0 for t in lhs + rhs) else None,
         )
         for rid, (lhs, rhs) in _STRUCTURE.items()
     },
-    RelationId.ORTHO_DEGREE: _Relation(_grid_pairs, _eval_ortho_degree),
-    RelationId.ORTHO_VARIABLE: _Relation(_grid_pairs, _eval_ortho_variable),
-    RelationId.DUALITY: _Relation(_grid_pointwise, _eval_duality),
-    RelationId.DUALITY_XI: _Relation(_grid_pointwise, _eval_duality_xi),
-    RelationId.GENFUN_DEGREE: _Relation(_grid_genfun_degree, _eval_genfun_degree),
+    RelationId.ORTHO_DEGREE: _Relation(_PAIRS, _eval_ortho_degree),
+    RelationId.ORTHO_VARIABLE: _Relation(_PAIRS, _eval_ortho_variable),
+    RelationId.DUALITY: _Relation(_POINTWISE, _eval_duality),
+    RelationId.DUALITY_XI: _Relation(_POINTWISE, _eval_duality_xi),
+    RelationId.GENFUN_DEGREE: _Relation(tuple(product((0,), _DEGREES, _ZS)), _eval_genfun_degree),
     RelationId.GENFUN_VARIABLE: _Relation(
-        _grid_genfun_variable, _eval_genfun_variable, domain=_genfun_variable_domain
+        tuple(product(_DEGREES, (0,), _ZS)), _eval_genfun_variable, _genfun_variable_domain
     ),
     RelationId.LIMIT_POLY: _Relation(
-        _grid_limit(_CLASSICAL_CS), _eval_limit_poly, judge="monotone"
+        _limit_cells(_CLASSICAL_CS), _eval_limit_poly, judge="monotone"
     ),
-    RelationId.LIMIT_XI: _Relation(_grid_limit(_TAUS), _eval_limit_xi, judge="monotone"),
+    RelationId.LIMIT_XI: _Relation(_limit_cells(_TAUS), _eval_limit_xi, judge="monotone"),
 }
 
 IDENTITY_RELATIONS: tuple[RelationId, ...] = tuple(
@@ -653,16 +637,19 @@ def default_grid(
     betas: Iterable[int] | None = None,
     thetas: Iterable[float] | None = None,
 ) -> list[GridPoint]:
-    """The registry's grid for one relation, in deterministic order.
+    """The registry's grid for one relation: every (n, x, aux) cell of its
+    record at every (q, beta, theta), q slowest and the cells fastest.
 
-    Any of the q/beta/theta axes can be overridden; the n, x (and z/tau/c)
-    axes are fixed by the registry.
+    Any of the q/beta/theta axes can be overridden by an iterable.  A limit
+    relation ignores the q and theta axes: its points carry q = theta = None,
+    its q sequence being 1 - 10^-k, k in LIMIT_KS.
     """
-    return _REGISTRY[RelationId(relation)].grid(
-        tuple(qs) if qs is not None else _QS,
-        tuple(betas) if betas is not None else _BETAS,
-        tuple(thetas) if thetas is not None else _THETAS,
-    )
+    spec = _REGISTRY[RelationId(relation)]
+    if spec.judge == "monotone":
+        qs = thetas = (None,)
+    axes = product(_QS if qs is None else qs, _BETAS if betas is None else betas,
+                   _THETAS if thetas is None else thetas)
+    return [GridPoint(q, b, th, n, x, aux) for q, b, th in axes for n, x, aux in spec.cells]
 
 
 def check(
@@ -736,7 +723,8 @@ def check_all(
 ) -> list[RelationReport]:
     """check() every relation (or the given subset, in the given order) over
     its default grid, with the q/beta/theta axes overridable as in
-    default_grid; registry order by default.
+    default_grid; registry order by default.  Each override axis is read
+    once per call, so a generator serves every relation.
 
     One evaluation cache serves every relation of the call, so a value that
     several relations read is computed once; it is dropped on return.
@@ -749,6 +737,7 @@ def check_all(
         selected = [RelationId(r) for r in relations]
         if not selected:
             raise ValueError("no relations selected")
+    qs, betas, thetas = (None if a is None else tuple(a) for a in (qs, betas, thetas))
     cache = _Cache()
     return [
         _check(r, default_grid(r, qs, betas, thetas), tol, cache) for r in selected

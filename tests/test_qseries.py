@@ -75,6 +75,9 @@ def test_qbinomial_hand_value():
 def test_qbinomial_out_of_range_is_zero():
     assert q_binomial(3, -1, CTX) == 0.0
     assert q_binomial(3, 4, CTX) == 0.0
+    # [-1, 0]_q is an empty product, 1, not 0: a negative n is refused
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        q_binomial(-1, 0, CTX)
 
 
 @given(q=qs, n=st.integers(0, 20), k=st.integers(0, 20))

@@ -1,6 +1,7 @@
 """Smoke test of the experiment scripts: each runs as its own process,
 exits 0 and writes its CSV header first, or ends a scan it cannot finish
-with one error line and exit code 3."""
+with one error line and exit code 3, or refuses with one error line and no
+traceback: exit code 2 for a bad argument, 3 for a numeric refusal."""
 
 import os
 import subprocess
@@ -38,7 +39,7 @@ def run_script(script, args):
         ),
         (
             "xi_sweep.py",
-            ["--cells", "40"],
+            ["--cells", "50", "--seed", "1"],
             "q_from,q_to,cells,refusals,non_finite,max_abs_error,worst_cell",
         ),
     ],
@@ -66,3 +67,50 @@ def test_unitarity_scan_ends_at_a_gram_lost_to_underflow():
     assert proc.stderr.splitlines() == [
         "error: trunc 68: the Gram of offset 0 is not finite"
     ]
+
+
+@pytest.mark.parametrize(
+    "script, args, code, error",
+    [
+        # the conjugation gate at tol = inf refuses a NaN residual
+        (
+            "residual_sweep.py",
+            ["--q", "0.01", "--trunc", "30"],
+            3,
+            "error: conj_lowering: conjugated lowering residual nan > inf",
+        ),
+        (
+            "residual_sweep.py",
+            ["--q", "0.01", "--trunc", "24"],
+            3,
+            "error: reorder_little: term 9 of the series is not finite",
+        ),
+        (
+            "residual_sweep.py",
+            ["--q", "0.02", "--trunc", "20"],
+            3,
+            "error: overflow: reorder_big: (a; q)_oo at a = -8.583068847656245e+32, "
+            "q = 0.02 exceeds the double range",
+        ),
+        (
+            "residual_sweep.py",
+            ["--trunc", "0"],
+            2,
+            "error: truncation caps must be integers >= 1, got 0 and 0",
+        ),
+        ("unitarity_scan.py", ["--step", "0"], 2, "error: --step must be >= 1, got 0"),
+        (
+            "unitarity_scan.py",
+            ["--min-trunc", "0"],
+            2,
+            "error: --min-trunc must be >= 1, got 0",
+        ),
+        ("unitarity_scan.py", ["--window", "-1"], 2, "error: --window must be >= 0, got -1"),
+    ],
+    ids=["nan_residual", "series", "overflow", "trunc", "step", "min_trunc", "window"],
+)
+def test_script_refusal_is_one_error_line_and_no_table(script, args, code, error):
+    proc = run_script(script, args)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [error]

@@ -121,6 +121,14 @@ def test_single_relation_filter():
     assert reports[0].passed
 
 
+def test_check_all_reads_an_override_axis_once_per_call():
+    # a generator q axis served the first relation and left none for the second
+    reports = check_all(
+        ["backward", "forward"], qs=(q for q in [0.5]), betas=[1], thetas=[0.3]
+    )
+    assert [len(r.grid) for r in reports] == [81, 81]
+
+
 def test_genfun_variable_domain_guard():
     # z beyond 0.9 q^n diverges and must be skipped, not failed
     pts = [GridPoint(0.5, 1, 0.7, 4, 0, 0.6), GridPoint(0.5, 1, 0.7, 0, 0, 0.6)]
