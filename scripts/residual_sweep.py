@@ -7,9 +7,10 @@ the little-exponential one keeps a visible floor at moderate arguments.
 
     python3 scripts/residual_sweep.py --q 0.9 --trunc 20 --a 0.3 --b 0.3
 
-Every residual is computed before the first line is written.  A refusal
-writes no table: a bad argument exits 2, a numeric refusal exits 3, each
-with one error line on stderr, a refusal of an identity naming it.
+The CSV goes to stdout (a file is a shell redirect, `> path`).  Every
+residual is computed before the first line is written, so a refusal writes
+no table: a bad argument exits 2, a numeric refusal exits 3, each with one
+error line on stderr, a refusal of an identity naming it.
 """
 
 import argparse
@@ -84,16 +85,9 @@ def reorder_rows(args, ctx):
 def sweep(args):
     ctx = QContext(q=args.q)
     rows = list(conjugation_rows(args, ctx)) + list(reorder_rows(args, ctx))
-
-    handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    try:
-        w = csv.writer(handle)
-        w.writerow(["identity", "keep", "residual"])
-        for name, keep, res in rows:
-            w.writerow([name, keep, f"{res:.6e}"])
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    w = csv.writer(sys.stdout)
+    w.writerow(["identity", "keep", "residual"])
+    w.writerows([name, keep, f"{res:.6e}"] for name, keep, res in rows)
     return 0
 
 
@@ -105,7 +99,6 @@ def main(argv=None):
     ap.add_argument("--trunc", type=int, default=20)
     ap.add_argument("--a", type=float, default=0.3, help="left reorder coefficient")
     ap.add_argument("--b", type=float, default=0.3, help="right reorder coefficient")
-    ap.add_argument("--out", default="-", help="output CSV path, - for stdout")
     return run(partial(sweep, ap.parse_args(argv)))
 
 

@@ -7,10 +7,14 @@ column, so the asymmetry is visible at a glance:
 
     python3 scripts/unitarity_scan.py --q 0.5 --theta 0.3 --max-trunc 28
 
-A truncation whose Gram is not finite (a row of the block whose outer
-factor underflowed holds inf or nan) ends the scan: the rows before it are
-written, then one error line on stderr, and the exit code is 3.  A bad
-argument writes nothing and exits 2 with one error line.
+Both Gram directions are pseudorotation.gram_deviations over the first
+window + 1 states of the beta sector block, the check unitarity_residual
+makes over the whole interior.  The CSV goes to stdout (a file is a shell
+redirect, `> path`).  A truncation whose Gram is not finite (a row of the
+block whose outer factor underflowed holds inf or nan) ends the scan: the
+rows before it are written, then one error line on stderr, and the exit
+code is 3.  A bad argument, a --max-trunc below --min-trunc among them,
+writes nothing and exits 2 with one error line.
 """
 
 import argparse
@@ -18,32 +22,12 @@ import csv
 import sys
 from functools import partial
 
-import numpy as np
-
 from qmeixner.cli import run
 from qmeixner.errors import NonConvergent
 from qmeixner.meixner import MatrixElementParams
 from qmeixner.oscillator import FockTruncation
-from qmeixner.pseudorotation import build_U
+from qmeixner.pseudorotation import build_U, gram_deviations
 from qmeixner.qseries import QContext
-
-
-def gram_residuals(u, beta, window=8):
-    """Both Gram directions of the beta sector block over a fixed window.
-
-    The window stays put as the truncation grows, so the scan separates the
-    two behaviours instead of mixing in edge rows whose lattice support is
-    cut off.  NonConvergent where a Gram is not finite: its products sum
-    over the whole block, rows lost to underflow included."""
-    s = u.block(beta - 1)
-    w = min(window + 1, s.shape[0])
-    eye = np.eye(s.shape[0])
-    rows = np.abs(s @ s.T - eye)[:w, :w].max()
-    cols = np.abs(s.T @ s - eye)[:w, :w].max()
-    vacuum_defect = 1.0 - float(s[:, 0] @ s[:, 0])
-    if not np.isfinite([rows, cols, vacuum_defect]).all():
-        raise NonConvergent(f"the Gram of offset {beta - 1} is not finite")
-    return rows, cols, vacuum_defect
 
 
 def scan(args):
@@ -51,28 +35,26 @@ def scan(args):
         ("--min-trunc", args.min_trunc, 1),
         ("--step", args.step, 1),
         ("--window", args.window, 0),
+        ("--max-trunc", args.max_trunc, args.min_trunc),
     ]:
         if value < least:
             raise ValueError(f"{option} must be >= {least}, got {value}")
     ctx = QContext(q=args.q)
     mp = MatrixElementParams(args.theta, args.beta, ctx)
-
-    handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    try:
-        w = csv.writer(handle)
-        w.writerow(["trunc", "rows_residual", "cols_residual", "vacuum_defect"])
-        for trunc in range(args.min_trunc, args.max_trunc + 1, args.step):
-            u = build_U(mp, FockTruncation(trunc, trunc + args.beta - 1))
-            try:
-                rows, cols, defect = gram_residuals(u, args.beta, args.window)
-            except NonConvergent as exc:
-                raise NonConvergent(f"trunc {trunc}: {exc}") from None
-            w.writerow(
-                [trunc, f"{rows:.6e}", f"{cols:.6e}", f"{defect:.10e}"]
-            )
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    w = csv.writer(sys.stdout)
+    w.writerow(["trunc", "rows_residual", "cols_residual", "vacuum_defect"])
+    for trunc in range(args.min_trunc, args.max_trunc + 1, args.step):
+        u = build_U(mp, FockTruncation(trunc, trunc + args.beta - 1))
+        # the window stays put as the truncation grows, so the scan separates
+        # the two directions instead of mixing in edge rows whose lattice
+        # support is cut off
+        try:
+            rows, cols = gram_deviations(u, args.beta - 1, args.window + 1)
+        except NonConvergent as exc:
+            raise NonConvergent(f"trunc {trunc}: {exc}") from None
+        s = u.block(args.beta - 1)
+        defect = 1.0 - float(s[:, 0] @ s[:, 0])
+        w.writerow([trunc, f"{rows:.6e}", f"{cols:.6e}", f"{defect:.10e}"])
     return 0
 
 
@@ -85,7 +67,6 @@ def main(argv=None):
     ap.add_argument("--max-trunc", type=int, default=28)
     ap.add_argument("--step", type=int, default=4)
     ap.add_argument("--window", type=int, default=8, help="fixed Gram probe window")
-    ap.add_argument("--out", default="-", help="output CSV path, - for stdout")
     return run(partial(scan, ap.parse_args(argv)))
 
 

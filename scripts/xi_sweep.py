@@ -7,6 +7,10 @@ bench/oracle.py.  One row per q band: cells drawn, refusals by error type,
 non-finite values returned, and the worst absolute error with its cell.
 
     python3 scripts/xi_sweep.py --cells 3000 --seed 20261019
+
+The CSV goes to stdout (a file is a shell redirect, `> path`) once every
+cell is evaluated.  A --cells below 1 writes nothing and exits 2 with one
+error line on stderr, through the refusal contract of qmeixner.cli.run.
 """
 
 import argparse
@@ -15,11 +19,13 @@ import math
 import random
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for bench.oracle
 
 from bench import oracle  # noqa: E402
+from qmeixner.cli import run  # noqa: E402
 from qmeixner.meixner import MatrixElementParams, xi  # noqa: E402
 from qmeixner.qseries import QContext  # noqa: E402
 
@@ -63,27 +69,24 @@ def band_rows(cells):
         )
 
 
+def sweep(args):
+    if args.cells < 1:
+        raise ValueError(f"--cells must be >= 1, got {args.cells}")
+    rng = random.Random(args.seed)
+    rows = list(band_rows([draw(rng) for _ in range(args.cells)]))
+    w = csv.writer(sys.stdout)
+    w.writerow(
+        ["q_from", "q_to", "cells", "refusals", "non_finite", "max_abs_error", "worst_cell"]
+    )
+    w.writerows(rows)
+    return 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cells", type=int, default=3000)
     ap.add_argument("--seed", type=int, default=20261019)
-    ap.add_argument("--out", default="-", help="output CSV path, - for stdout")
-    args = ap.parse_args(argv)
-
-    rng = random.Random(args.seed)
-    rows = list(band_rows([draw(rng) for _ in range(args.cells)]))
-
-    handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    try:
-        w = csv.writer(handle)
-        w.writerow(
-            ["q_from", "q_to", "cells", "refusals", "non_finite", "max_abs_error", "worst_cell"]
-        )
-        w.writerows(rows)
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
-    return 0
+    return run(partial(sweep, ap.parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -109,6 +109,7 @@ __all__ = [
     "ClassicalU",
     "build_U",
     "element",
+    "gram_deviations",
     "unitarity_residual",
     "interior_residual",
     "conjugated_lowering",
@@ -420,8 +421,21 @@ def element(u: UOperator, beta: int, n: int, x: int) -> float:
     return value
 
 
+def gram_deviations(u: UOperator, d: int, size: int) -> tuple[float, float]:
+    """max |(U_d U_d^T - I)_ij| and max |(U_d^T U_d - I)_ij| over the first
+    size states of the offset-d block.  A Gram sums over the whole block, so
+    a row lost to underflow (which element() refuses) can make it not
+    finite: NonConvergent names the offset."""
+    block = u.block(d)
+    eye = np.eye(block.shape[0])
+    rows, cols = (np.abs((g - eye)[:size, :size]).max() for g in (block @ block.T, block.T @ block))
+    if not np.isfinite([rows, cols]).all():
+        raise NonConvergent(f"the Gram of offset {d} is not finite")
+    return float(rows), float(cols)
+
+
 def unitarity_residual(u: UOperator) -> float:
-    """max |(UU^T - 1)_ij| and |(U^T U - 1)_ij| over the interior block.
+    """The max of gram_deviations over the interior block of each offset.
 
     The two directions behave very differently: the row Gram matrix UU^T
     converges to the identity, the column Gram U^T U to a projector with
@@ -429,26 +443,16 @@ def unitarity_residual(u: UOperator) -> float:
     honest measure of how far the truncated matrix is from two-sided
     unitarity, not of the truncation quality alone.  Both Gram matrices are
     block-diagonal over offsets like U, so they are formed block by block.
-    A Gram sums over whole blocks, so a row lost to underflow (which
-    element() refuses) can make it not finite: NonConvergent names its offset.
+    The interior of offset d is a prefix of its block: n_A <= na_top and
+    n_A + d <= nb_top.
     """
-    t = u.truncation
-    na_top, nb_top = t.interior
+    na_top, nb_top = u.truncation.interior
     worst = []
     for d in u.offsets:
-        block = u.block(d)
-        na, _ = offset_block(t, d)
-        keep = (na <= na_top) & (na + d <= nb_top)
-        if not keep.any():
-            continue
-        eye = np.eye(block.shape[0])
-        sub = np.ix_(keep, keep)
-        for gram in (block @ block.T, block.T @ block):
-            deviation = np.abs((gram - eye)[sub])
-            if not np.isfinite(deviation).all():
-                raise NonConvergent(f"the Gram of offset {d} is not finite")
-            worst.append(deviation.max())
-    return float(np.max(worst))
+        size = min(na_top, nb_top - d) - max(0, -d) + 1
+        if size > 0:
+            worst.extend(gram_deviations(u, d, size))
+    return max(worst)
 
 
 def interior_residual(

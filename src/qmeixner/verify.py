@@ -409,7 +409,7 @@ def dual_orthogonality_sum(x: int, x2: int, mp: MatrixElementParams) -> tuple[fl
     return _dual_orthogonality_sum(GridPoint(mp.ctx.q, mp.beta, mp.theta, x, x2), _Cache())
 
 
-def _scale_root(pt: GridPoint, name: str, a: float, b: float) -> float:
+def _scale_root(name: str, a: float, b: float) -> float:
     """sqrt(a b) of an orthogonality scale: the root of the double product
     where that is a normal double, else sqrt(a) sqrt(b).  OverflowError
     where the root or its reciprocal exceeds the double range."""
@@ -420,15 +420,9 @@ def _scale_root(pt: GridPoint, name: str, a: float, b: float) -> float:
         root = math.sqrt(a) * math.sqrt(b)
     if not 1.0 / sys.float_info.max <= root <= sys.float_info.max:
         raise OverflowError(
-            f"{name} = {root!r} {_where(pt)}: "
-            "the scale or its reciprocal exceeds the double range"
+            f"{name} = {root!r}: the scale or its reciprocal exceeds the double range"
         )
     return root
-
-
-def _where(pt: GridPoint) -> str:
-    """The point in an error message."""
-    return f"at q = {pt.q}, theta = {pt.theta}, beta = {pt.beta}, ({pt.n}, {pt.x})"
 
 
 def _eval_ortho_degree(pt: GridPoint, c: _Cache):
@@ -436,7 +430,7 @@ def _eval_ortho_degree(pt: GridPoint, c: _Cache):
     nfn = c.by_theta[norm_factor, pt.q, pt.theta, pt.beta, pt.n]
     nfn2 = c.by_theta[norm_factor, pt.q, pt.theta, pt.beta, pt.x]
     rhs = nfn if pt.n == pt.x else 0.0
-    return lhs, rhs, _scale_root(pt, "sqrt(h_n h_n2)", nfn, nfn2)
+    return lhs, rhs, _scale_root("sqrt(h_n h_n2)", nfn, nfn2)
 
 
 def _eval_ortho_variable(pt: GridPoint, c: _Cache):
@@ -444,7 +438,7 @@ def _eval_ortho_variable(pt: GridPoint, c: _Cache):
     wx = c.by_theta[weight, pt.q, pt.theta, pt.beta, pt.n]
     wx2 = c.by_theta[weight, pt.q, pt.theta, pt.beta, pt.x]
     # at x = x2 the root is omega_x, so 1/omega_x is checked with it
-    root = _scale_root(pt, "sqrt(omega_x omega_x2)", wx, wx2)
+    root = _scale_root("sqrt(omega_x omega_x2)", wx, wx2)
     rhs = 1.0 / wx if pt.n == pt.x else 0.0
     return lhs, rhs, 1.0 / root
 
@@ -685,15 +679,13 @@ def _check(
         try:
             result = spec.evaluate(pt, cache)
         except (OverflowError, ZeroDivisionError, NonConvergent, PoleHit) as exc:
-            # a numeric refusal names the relation and the point unless it
-            # names the point already (_scale_root); a value that left the
-            # double range is an OverflowError, and float ** says only errno
-            # ERANGE and its text
+            # a numeric refusal names the relation and the point; a value
+            # that left the double range is an OverflowError, and float **
+            # says only errno ERANGE and its text
             text = str(exc.args[-1])
-            if _where(pt) in text:
-                raise
             kind = OverflowError if isinstance(exc, ArithmeticError) else type(exc)
-            raise kind(f"{rid.value} {_where(pt)}: {text}") from None
+            where = f"at q = {pt.q}, theta = {pt.theta}, beta = {pt.beta}, ({pt.n}, {pt.x})"
+            raise kind(f"{rid.value} {where}: {text}") from None
         if spec.judge == "monotone":
             errs, classical = result
             residual = (errs[-1], errs[-1] / max(abs(classical), 1.0))

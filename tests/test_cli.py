@@ -668,7 +668,10 @@ def test_verify_at_an_extreme_theta_ends_in_an_exit_code(capsys, theta):
     assert "Traceback" not in err
     if code == 3:
         assert out == ""
-        assert err.startswith("error: overflow: sqrt(omega_x omega_x2) = 0.0 at q = 0.4, ")
+        assert err == (
+            "error: overflow: ortho_variable at q = 0.4, theta = 1e+100, beta = 2, (0, 0): "
+            "sqrt(omega_x omega_x2) = 0.0: the scale or its reciprocal exceeds the double range\n"
+        )
     else:
         assert err == "" and len(out.splitlines()) == 21
 

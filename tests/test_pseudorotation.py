@@ -640,6 +640,12 @@ def test_unitarity_is_one_sided():
     assert unitarity_residual(u) >= 1.0 - cols[0, 0]
 
 
+def test_unitarity_residual_is_bit_identical_to_its_recorded_value():
+    # exact, where test_obstructions pins it at relative 1e-6: a prefix of
+    # each offset block that drops or adds one interior state moves it
+    assert unitarity_residual(build(0.9, 0.3, 1, 24)) == 0.5363803127263884
+
+
 def test_unitarity_residual_refuses_a_gram_lost_to_underflow():
     # from T = 68 the top row of 41 offset blocks holds nan (an outer factor
     # of 0 times overflowing middle entries), and the column Gram sums over

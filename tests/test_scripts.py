@@ -1,7 +1,8 @@
 """Smoke test of the experiment scripts: each runs as its own process,
-exits 0 and writes its CSV header first, or ends a scan it cannot finish
-with one error line and exit code 3, or refuses with one error line and no
-traceback: exit code 2 for a bad argument, 3 for a numeric refusal."""
+exits 0 and writes its CSV header first to stdout (the scripts take no
+output path), or ends a scan it cannot finish with one error line and exit
+code 3, or refuses with one error line and no traceback: exit code 2 for a
+bad argument, 3 for a numeric refusal."""
 
 import os
 import subprocess
@@ -19,8 +20,7 @@ def run_script(script, args):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script),
-         *args, "--out", "-"],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -106,8 +106,21 @@ def test_unitarity_scan_ends_at_a_gram_lost_to_underflow():
             "error: --min-trunc must be >= 1, got 0",
         ),
         ("unitarity_scan.py", ["--window", "-1"], 2, "error: --window must be >= 0, got -1"),
+        # an empty scan printed its header alone and exited 0
+        (
+            "unitarity_scan.py",
+            ["--min-trunc", "12", "--max-trunc", "8"],
+            2,
+            "error: --max-trunc must be >= 12, got 8",
+        ),
+        # no cell drawn: four bands of 0 cells, max_abs_error 0.000e+00, exit 0
+        ("xi_sweep.py", ["--cells", "0"], 2, "error: --cells must be >= 1, got 0"),
+        ("xi_sweep.py", ["--cells", "-1"], 2, "error: --cells must be >= 1, got -1"),
     ],
-    ids=["nan_residual", "series", "overflow", "trunc", "step", "min_trunc", "window"],
+    ids=[
+        "nan_residual", "series", "overflow", "trunc", "step", "min_trunc", "window",
+        "max_trunc", "cells_0", "cells_negative",
+    ],
 )
 def test_script_refusal_is_one_error_line_and_no_table(script, args, code, error):
     proc = run_script(script, args)

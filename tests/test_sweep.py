@@ -2,7 +2,9 @@
 every drawn cell is a typed refusal or a finite value within its bound of
 an oracle.  xi is held to the 60-digit benchmark oracle (bench/oracle.py);
 weight, norm_factor and the q-exponentials to their defining products in
-50-digit mpmath, written out below apart from the package.
+50-digit mpmath, written out below apart from the package; the
+non-terminating basic_hypergeometric to mpmath.qhyper at 50 digits, within
+1e-12 of its sum of |terms| plus the tail it reports.
 
 qmeixner is not swept yet: its 50-digit re-sum has no stated bound where
 the terms cancel by more than about 33 digits (M_25(q^-25) at q = 0.1,
@@ -22,7 +24,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for bench.oracle
 from bench import oracle  # noqa: E402
 from qmeixner.errors import NonConvergent, PoleHit  # noqa: E402
 from qmeixner.meixner import MatrixElementParams, norm_factor, weight, xi  # noqa: E402
-from qmeixner.qseries import QContext, big_qexp, little_qexp  # noqa: E402
+from qmeixner.qseries import (  # noqa: E402
+    QContext,
+    basic_hypergeometric,
+    big_qexp,
+    little_qexp,
+)
 
 # the bound on |xi - oracle| that the benchmark's XI_TOL states
 XI_TOL = 1e-9
@@ -132,3 +139,58 @@ def test_big_qexp_is_refused_or_within_its_bound(q, z):
         return
     with mpmath.workdps(50):
         assert within(value, mp_poch_inf(-mpmath.mpf(z), mpmath.mpf(q)), QEXP_TOL)
+
+
+@st.composite
+def phi_cells(draw):
+    """(numerators, denominators, z) of a non-terminating r_phi_s that may
+    converge: r in 0..3, s in max(0, r - 1)..2, and |z| < 1 where r = s + 1."""
+    r = draw(st.integers(0, 3))
+    s = draw(st.integers(max(0, r - 1), 2))
+    params = st.floats(-3.0, 3.0)
+    numerators = draw(st.lists(params, min_size=r, max_size=r))
+    denominators = draw(st.lists(params, min_size=s, max_size=s))
+    if r == s + 1:
+        z = draw(st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True))
+    else:
+        z = draw(st.floats(-5.0, 5.0))
+    return numerators, denominators, z
+
+
+def mp_phi(numerators, denominators, q, z):
+    """r_phi_s by mpmath.qhyper; where z or a numerator factor 1 - a q^k is
+    exactly 0, the finite sum of the terms before it, from the definition
+    (qhyper's stopping test passes over zero terms and never ends there)."""
+    a_s = [mpmath.mpf(a) for a in numerators]
+    b_s = [mpmath.mpf(b) for b in denominators]
+    q, z = mpmath.mpf(q), mpmath.mpf(z)
+    # |a| <= 3 and q <= 0.98, so a q^k falls below 1 before k = 60
+    zeros = [k for a in a_s for k in range(60) if a * q**k == 1]
+    if z and not zeros:
+        return mpmath.qhyper(a_s, b_s, q, z)
+    p = 1 + len(b_s) - len(a_s)
+    return mpmath.fsum(
+        mpmath.fprod(mpmath.qp(a, q, n) for a in a_s)
+        / mpmath.fprod(mpmath.qp(b, q, n) for b in b_s)
+        / mpmath.qp(q, q, n)
+        * ((-1) ** n * q ** (n * (n - 1) // 2)) ** p
+        * z**n
+        for n in range(min(zeros, default=0) + 1)
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(q=st.floats(0.02, 0.98), cell=phi_cells())
+# its sum lost more bits to cancellation than it kept: -3.6e-10 was
+# returned for -9.0e-12
+@example(q=0.8861937987173055, cell=([-1.8050566346639796], [], -0.7799579842192175))
+def test_basic_hypergeometric_is_refused_or_within_its_bound(q, cell):
+    numerators, denominators, z = cell
+    try:
+        series = basic_hypergeometric(numerators, denominators, z, QContext(q=q))
+    except REFUSALS:
+        return
+    assert math.isfinite(series.value)
+    with mpmath.workdps(50):
+        exact = mp_phi(numerators, denominators, q, z)
+        assert abs(series.value - exact) <= 1e-12 * series.magnitude + series.tail_estimate

@@ -438,8 +438,8 @@ def test_ortho_variable_refuses_a_scale_beyond_the_double_range():
     with pytest.raises(OverflowError) as exc:
         check(RelationId.ORTHO_VARIABLE, grid=[GridPoint(0.4, 2, 1e100, 0, 0)])
     assert str(exc.value) == (
-        "sqrt(omega_x omega_x2) = 0.0 at q = 0.4, theta = 1e+100, beta = 2, (0, 0): "
-        "the scale or its reciprocal exceeds the double range"
+        "ortho_variable at q = 0.4, theta = 1e+100, beta = 2, (0, 0): "
+        "sqrt(omega_x omega_x2) = 0.0: the scale or its reciprocal exceeds the double range"
     )
 
 
