@@ -164,8 +164,8 @@ def cmd_xi(args) -> int:
     closed = args.source in ("closed", "both")
     operator = args.source in ("operator", "both")
     if operator:
-        # block beta - 1 holds n, x <= T at truncation T, and every entry is
-        # exact there; the B mode needs beta - 1 extra levels for the offset
+        # block beta - 1 holds n, x <= T at truncation T, each entry as any
+        # larger truncation holds it; the B mode needs beta - 1 extra levels
         trunc = max(args.nmax, args.xmax, 1)
         u = build_U(mp, FockTruncation(trunc, trunc + args.beta - 1))
 

@@ -59,6 +59,7 @@ __all__ = [
     "theta_squared",
     "admissible_c",
     "admissible_beta",
+    "admissible_indices",
     "classical_c",
     "MeixnerParams",
     "MatrixElementParams",
@@ -98,6 +99,16 @@ def admissible_beta(beta: int) -> int:
     if not isinstance(beta, int) or beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta}")
     return beta
+
+
+def admissible_indices(below_zero: Exception, **indices: int) -> None:
+    """ValueError naming an index that is not an int or a numpy integer (a
+    float or a bool is not one); below_zero where all are and one is < 0."""
+    for name, value in indices.items():
+        if type(value) is bool or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value}")
+    if min(indices.values()) < 0:
+        raise below_zero
 
 
 @dataclass(frozen=True)
@@ -197,8 +208,8 @@ def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
     so the sum stops after min(n, x) + 1 terms (_terminating_2phi1).
     OverflowError where M_n itself exceeds the double range.
     """
-    if n < 0 or x < 0:
-        raise ValueError("degree n and lattice point x must be >= 0")
+    if not (type(n) is type(x) is int and n >= 0 and x >= 0):
+        admissible_indices(ValueError("degree n and lattice point x must be >= 0"), n=n, x=x)
     return _qmeixner(p.ctx.q, p.c, p.b, n, x, p.beta, p.c_shift)
 
 
@@ -261,8 +272,8 @@ def weight(x: int, mp: MatrixElementParams) -> float:
     the factors [x+beta-1, x]_q and (-theta^2; q)_{x+beta} are at least 1, so
     a partial product that leaves the range takes omega_x out of it too.
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    if not (type(x) is int and x >= 0):
+        admissible_indices(ValueError("x must be >= 0"), x=x)
     return _precision_rule(
         _weight, (mp.ctx.q, mp.theta, x, mp.beta, mp._prefixes), _normal,
         lambda: f"omega_{x}",
@@ -298,8 +309,8 @@ def norm_factor(n: int, mp: MatrixElementParams) -> float:
     hold where h_n and every double it rests on (_norm) are normal;
     OverflowError where h_n exceeds the double range.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not (type(n) is int and n >= 0):
+        admissible_indices(ValueError("n must be >= 0"), n=n)
     return _precision_rule(
         _norm, (mp.ctx.q, mp.theta, n, mp.beta), _normal,
         lambda: f"h_{n} = norm_factor({n})",
@@ -338,8 +349,8 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
     a normal double (it is not at q = 0.5, theta = 0.3 from about x = 45 on)
     and M_n is finite.
     """
-    if n < 0 or x < 0:
-        raise ValueError("n and x must be >= 0")
+    if not (type(n) is type(x) is int and n >= 0 and x >= 0):
+        admissible_indices(ValueError("n and x must be >= 0"), n=n, x=x)
     return _precision_rule(
         _xi, (mp.ctx.q, mp.theta, n, x, mp.beta, mp._prefixes),
         lambda value, radicand, m_n: radicand >= _TINY and math.isfinite(m_n),
@@ -465,8 +476,8 @@ def classical_xi_limit(n: int, x: int, beta: int, tau: float) -> float:
     (-1)^x C(n+beta-1, n)^(1/2) C(x+beta-1, x)^(1/2)
         * tanh(tau)^(x+n) * cosh(tau)^-beta * M_n(x; beta, c).
     """
-    if n < 0 or x < 0:
-        raise ValueError("n and x must be >= 0")
+    if not (type(n) is type(x) is int and n >= 0 and x >= 0):
+        admissible_indices(ValueError("n and x must be >= 0"), n=n, x=x)
     admissible_beta(beta)
     c = classical_c(tau)
     if tau == 0.0:

@@ -11,9 +11,11 @@ A+B+ and A-B- keep the offset d = n_B - n_A fixed and the outer factors
 are diagonal, so U is real and block-diagonal over offsets; the block of
 offset d is the sector |n>_beta = |n, n+beta-1> with beta = d + 1.  On each
 block the two middle arguments are a single sub-diagonal and its negated
-transpose, whose q-exponentials are exact finite sums in closed form.
+transpose, whose q-exponentials are exact finite sums in closed form,
+each sub-diagonal written through one strided view of the flat result.
 So U depends on q, theta and the truncation alone, and one U serves every
-sector it holds: beta enters only when element() reads block beta - 1.
+sector it holds: beta enters only when element() reads block beta - 1,
+through a view of the sector made on its first read and looked up after.
 build_U stores U that way, one dense block per offset of side at most
 N + 1, each built on first read; the dense product-space matrix and the
 ladder matrices only when UOperator.matrix or .oscillators is read.
@@ -71,13 +73,12 @@ Numerical facts that shape the rest of the module:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._lazy import NumpyOnFirstUse
 from .errors import NonConvergent, OutOfTruncation, ResidualFailure
-from .meixner import MatrixElementParams, classical_c
+from .meixner import _HUGE, _TINY, MatrixElementParams, admissible_indices, classical_c
 from .oscillator import (
     FockTruncation,
     OperatorMatrix,
@@ -258,17 +259,19 @@ def _bidiagonal_qexp(sub: np.ndarray, kind: str, q: float) -> np.ndarray:
     sub[i] ... sub[i+k-1], so entry (i+k, i) of the result is that product
     over (q;q)_k, times q^C(k,2) for the big kind.  The factors are applied
     one step at a time in the order of the dense power series, which keeps
-    every intermediate at the size of a term of the result.
+    every intermediate at the size of a term of the result.  Entry (i+k, i)
+    is element k*size + i*(size+1) of the row-major result, so the k-th
+    sub-diagonal is written through one strided view of its flat form.
     """
     size = sub.size + 1
     out = np.eye(size)
+    flat = out.reshape(-1)
     term = np.ones(size)
     for k in range(1, size):
         term = (sub[k - 1 :] * term[:-1]) / (1.0 - q**k)
         if kind == "big":
             term = term * q ** (k - 1)
-        idx = np.arange(size - k)
-        out[idx + k, idx] = term
+        flat[k * size :: size + 1] = term
     return out
 
 
@@ -276,9 +279,13 @@ def _bidiagonal_qexp(sub: np.ndarray, kind: str, q: float) -> np.ndarray:
 class _OffsetBlocks:
     """An operator that keeps the offset d = n_B - n_A, one dense block per
     offset: block(d) builds block d by _build on its first read and caches
-    it; matrix is the dense product-space form, built from every block."""
+    it; matrix is the dense product-space form, built from every block.
+    view(beta) is sector beta's (block beta - 1, its size, rows, cols), made
+    on the sector's first read and kept in views: rows[n] and cols[x] are
+    the outer factors of entry (n, x) as floats (None off UOperator)."""
 
     blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False)
+    views: dict[int, tuple] = field(default_factory=dict, init=False)
 
     @property
     def offsets(self) -> range:
@@ -291,6 +298,15 @@ class _OffsetBlocks:
                 raise OutOfTruncation(f"offset {d} has no states under {self.truncation}")
             self.blocks[d] = self._build(d)
         return self.blocks[d]
+
+    def view(self, beta: int) -> tuple:
+        # validated before it is a key: 1.0 == 1 and hash(1.0) == hash(1)
+        block = self.block(sector_offset(self.truncation, beta))
+        view = self.views[beta] = (block, len(block), *self._runs(beta - 1, len(block)))
+        return view
+
+    def _runs(self, d: int, size: int) -> tuple:
+        return None, None
 
     @cached_property
     def matrix(self) -> OperatorMatrix:
@@ -330,6 +346,9 @@ class UOperator(_OffsetBlocks):
             sub = self.theta * (1.0 - q) * (pref * (self.a_up[na[:-1]] * self.b_up[na[:-1] + d]))
             mid = _bidiagonal_qexp(sub, "little", q) @ _bidiagonal_qexp(-sub, "big", q).T
             return self.row_factor[na][:, None] * mid * self.col_factor[na + d][None, :]
+
+    def _runs(self, d: int, size: int) -> tuple:
+        return self.row_factor[:size].tolist(), self.col_factor[d : d + size].tolist()
 
     @cached_property
     def oscillators(self) -> Oscillators:
@@ -388,32 +407,27 @@ def build_U(mp: MatrixElementParams, t: FockTruncation) -> UOperator:
     return UOperator(row_factor, col_factor, a_up, b_up, mp.theta, t, ctx)
 
 
-def _sector_entry(u: _OffsetBlocks, beta: int, n: int, x: int) -> float:
-    """Entry (n, x) of block beta - 1 of u: ValueError for a beta below 1,
-    OutOfTruncation for a sector u's truncation holds no state of or an
-    (n, x) outside the block."""
-    block = u.block(sector_offset(u.truncation, beta))
-    if n < 0 or x < 0 or n >= len(block) or x >= len(block):
-        raise OutOfTruncation(f"(n={n}, x={x}) outside sector of size {len(block)}")
-    return block.item(n, x)
-
-
 def element(u: UOperator, beta: int, n: int, x: int) -> float:
-    """Sector matrix element <n|_beta U |x>_beta, read from block beta-1.
+    """Sector matrix element <n|_beta U |x>_beta, entry (n, x) of u's view
+    of sector beta: the same at every truncation that holds it, up to the
+    cancellation of its sum (the module docstring says both).
 
-    Every entry of the block is exact at the truncation u was built with
-    (the module docstring says why), so OutOfTruncation is raised only for
-    a sector the truncation holds no state of or an (n, x) outside the
-    block; a beta below 1 is a ValueError.  Where an outer factor of the
-    element underflows to zero or a subnormal, or is not finite, the
-    four-factor product has lost the element and NonConvergent is raised;
-    so it is for a non-finite element.
+    OutOfTruncation for a sector the truncation holds no state of or an
+    (n, x) outside the block; ValueError for a beta below 1, or a beta, n or
+    x that is not an integer.  Where an outer factor of the element
+    underflows to zero or a subnormal, or is not finite, the four-factor
+    product has lost the element and NonConvergent is raised; so it is for
+    a non-finite element.
     """
-    value = _sector_entry(u, beta, n, x)
-    d1 = u.row_factor.item(n)
-    d4 = u.col_factor.item(x + beta - 1)
-    low, high = sys.float_info.min, sys.float_info.max
-    if not (low <= abs(d1) <= high and low <= abs(d4) <= high and math.isfinite(value)):
+    block, size, rows, cols = (type(beta) is int and u.views.get(beta)) or u.view(beta)
+    try:
+        if not (0 <= n < size and 0 <= x < size):
+            raise OutOfTruncation(f"(n={n}, x={x}) outside sector of size {size}")
+        value, d1, d4 = block.item(n, x), rows[n], cols[x]
+    except (TypeError, OutOfTruncation) as exc:
+        admissible_indices(exc, n=n, x=x)
+        raise
+    if not (_TINY <= d1 <= _HUGE and _TINY <= d4 <= _HUGE and math.isfinite(value)):
         raise NonConvergent(
             f"<{n}|U|{x}> in sector beta={beta} is lost in double precision: "
             f"outer factors {d1:.3g} and {d4:.3g}, element {value:.3g}"
@@ -833,4 +847,11 @@ def classical_element(u: ClassicalU, beta: int, n: int, x: int) -> float:
     """Sector element <n|_beta exp(tau(J~+ - J~-)) |x>_beta, read from block
     beta - 1 of u's truncation; refused as element refuses outside the
     block."""
-    return _sector_entry(u, beta, n, x)
+    block, size, _, _ = (type(beta) is int and u.views.get(beta)) or u.view(beta)
+    try:
+        if not (0 <= n < size and 0 <= x < size):
+            raise OutOfTruncation(f"(n={n}, x={x}) outside sector of size {size}")
+        return block.item(n, x)
+    except (TypeError, OutOfTruncation) as exc:
+        admissible_indices(exc, n=n, x=x)
+        raise

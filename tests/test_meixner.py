@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,39 @@ def test_negative_lattice_indices_are_refused():
     ):
         with pytest.raises(ValueError, match=">= 0"):
             value()
+
+
+# qmeixner and classical_xi_limit returned a value for the first three (a
+# sum of one term, the identity at tau = 0); the rest ended in a bare TypeError
+NON_INTEGER_INDICES = {
+    "qmeixner_n": (lambda mp: qmeixner(1.5, 0, mp.meixner_params()), "n", 1.5),
+    "qmeixner_x": (lambda mp: qmeixner(0, 2.5, mp.meixner_params()), "x", 2.5),
+    "classical_xi_limit": (lambda mp: classical_xi_limit(1.5, 0, 1, 0.0), "n", 1.5),
+    "xi_n": (lambda mp: xi(2.0, 3, mp), "n", 2.0),
+    "xi_x_negative": (lambda mp: xi(0, -1.5, mp), "x", -1.5),
+    "weight": (lambda mp: weight(2.5, mp), "x", 2.5),
+    "norm_factor": (lambda mp: norm_factor(1.5, mp), "n", 1.5),
+    "xi_bool": (lambda mp: xi(True, 0, mp), "n", True),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_INDICES)
+def test_a_non_integer_index_is_refused(case):
+    call, name, value = NON_INTEGER_INDICES[case]
+    with pytest.raises(ValueError) as exc:
+        call(MatrixElementParams(0.5, 1, CTX))
+    assert str(exc.value) == f"{name} must be an integer, got {value}"
+
+
+def test_a_numpy_integer_index_is_an_integer():
+    mp = MatrixElementParams(0.5, 2, CTX)
+    two, three = np.int64(2), np.int64(3)
+    assert qmeixner(two, three, mp.meixner_params()) == qmeixner(2, 3, mp.meixner_params())
+    assert xi(two, three, mp) == xi(2, 3, mp)
+    assert weight(three, mp) == weight(3, mp)
+    assert norm_factor(two, mp) == norm_factor(2, mp)
+    with pytest.raises(ValueError, match="n and x must be >= 0"):
+        xi(np.int64(-1), 0, mp)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -421,6 +421,46 @@ def test_blocks_are_built_once_on_first_read(bidiagonal_calls):
     assert len(bidiagonal_calls) == 2 * (2 * cap + 1)
 
 
+def test_sector_views_read_blocks_that_matrix_built(bidiagonal_calls):
+    # the benchmark's tracer densifies u.matrix first: a sector read after
+    # it builds no block and returns the matrix's entries
+    cap = 12
+    u = build_U(MatrixElementParams(0.3, 2, QContext(q=0.9)), FockTruncation(cap, cap + 1))
+    m = u.matrix.entries
+    built = len(bidiagonal_calls)
+    assert built == 2 * (2 * cap + 2)
+    sec = sector(u.truncation, 2)
+    for n in range(cap + 1):
+        for x in range(cap + 1):
+            assert element(u, 2, n, x) == m[sec[n], sec[x]]
+    assert len(bidiagonal_calls) == built
+
+
+def _bidiagonal_reference(sub, kind, q):
+    """_bidiagonal_qexp with each sub-diagonal written by np.arange fancy
+    indexing: the reference its strided write must match bit for bit."""
+    size = sub.size + 1
+    out = np.eye(size)
+    term = np.ones(size)
+    for k in range(1, size):
+        term = (sub[k - 1 :] * term[:-1]) / (1.0 - q**k)
+        if kind == "big":
+            term = term * q ** (k - 1)
+        idx = np.arange(size - k)
+        out[idx + k, idx] = term
+    return out
+
+
+def test_bidiagonal_qexp_matches_the_fancy_index_form_bit_for_bit():
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        sub = rng.standard_normal(rng.integers(0, 61)) * 10.0 ** rng.uniform(-3, 3)
+        q = rng.uniform(0.01, 0.999)
+        kind = rng.choice(["little", "big"])
+        got = pseudorotation._bidiagonal_qexp(sub, kind, q)
+        assert got.tobytes() == _bidiagonal_reference(sub, kind, q).tobytes()
+
+
 def test_truncation_gate_precedes_every_block(bidiagonal_calls):
     # build_U reads no beta: a sector the truncation cannot hold is refused
     # when element() asks for its block, before any block is built
@@ -522,6 +562,50 @@ def test_out_of_block_contract():
         element(u, 1, size, 0)
     with pytest.raises(OutOfTruncation, match="outside sector of size 13"):
         element(u, 1, 0, -1)
+
+
+def test_a_sector_read_keeps_beta_validation():
+    # 1.0 == 1 and hash(1.0) == hash(1): a read of sector 1 must not let
+    # beta = 1.0 through; True is an int and reads sector 1
+    u = build(0.5, 0.5, 1, 8)
+    value = element(u, 1, 0, 0)
+    with pytest.raises(ValueError, match="beta must be a positive integer, got 1.0"):
+        element(u, 1.0, 0, 0)
+    assert element(u, True, 0, 0) == value
+
+
+@pytest.mark.parametrize(
+    "n, x, text",
+    [
+        (1.5, 0, "n must be an integer, got 1.5"),
+        (0, 2.0, "x must be an integer, got 2.0"),
+        (-1.5, 0, "n must be an integer, got -1.5"),
+        (0, 99.5, "x must be an integer, got 99.5"),
+        (True, 0, "n must be an integer, got True"),
+    ],
+)
+def test_a_non_integer_index_is_refused_by_both_elements(n, x, text):
+    # inside the block these ended in a bare TypeError from .item(); outside
+    # it, -1.5 and 99.5 read as OutOfTruncation, as an integer index does
+    t = FockTruncation(8, 8)
+    for read, op in ((element, build_U(MatrixElementParams(0.3, 1, CTX), t)),
+                     (classical_element, classical_U(0.3, t))):
+        read(op, 1, 0, 0)  # the sector's view exists: the warm path refuses too
+        with pytest.raises(ValueError) as exc:
+            read(op, 1, n, x)
+        assert str(exc.value) == text
+        assert read(op, 1, np.int64(2), np.int64(3)) == read(op, 1, 2, 3)
+
+
+def test_lost_row_refusal_text():
+    u = build(0.5, 0.3, 1, 100)
+    for _ in range(2):  # the first read builds the sector, the second reuses it
+        with pytest.raises(NonConvergent) as exc:
+            element(u, 1, 49, 0)
+        assert str(exc.value) == (
+            "<49|U|0> in sector beta=1 is lost in double precision: "
+            "outer factors 0 and 1.05, element 0"
+        )
 
 
 @pytest.mark.parametrize("trunc", [6, 24])
@@ -902,6 +986,7 @@ def test_classical_blocks_stay_orthogonal_at_large_tau(tau):
 def test_classical_element_out_of_block():
     # a negative index would read the far end of the block
     u = classical_U(0.3, FockTruncation(6, 6))
+    assert classical_element(u, 1, 6, 6) == u.block(0)[6, 6]
     for n, x in ((7, 0), (-1, 0), (0, -1)):
         with pytest.raises(OutOfTruncation, match="outside sector of size 7"):
             classical_element(u, 1, n, x)
