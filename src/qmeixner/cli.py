@@ -9,7 +9,8 @@ Four subcommands:
   limit      error-vs-k convergence tables for the q -> 1 limits
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage error, 3 numeric/truncation error.  Output goes to stdout as CSV
+2 usage error, 3 numeric/truncation error, 141 (128 + SIGPIPE) when the
+reader of stdout closed it early.  Output goes to stdout as CSV
 (header row, LF endings) or JSON (one object with a "records" array);
 both formats carry identical values, with floats in shortest round-trip
 form.  Identical invocations produce byte-identical output.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import partial
 from typing import Callable
@@ -56,6 +58,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 # the exit-code table: commands raise, run maps what they raise to a code
 _NUMERIC_ERRORS = (NonConvergent, OutOfTruncation, PoleHit, ResidualFailure)
@@ -334,9 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(command: Callable[[], int]) -> int:
     """command()'s exit code, or the code of what it raises after one error
     line on stderr: EXIT_USAGE for a ValueError, EXIT_NUMERIC for a numeric
-    refusal.  The experiment scripts map their refusals through it too."""
+    refusal, EXIT_PIPE (no message) where the reader closed stdout early.
+    The experiment scripts map their refusals through it too."""
     try:
-        return command()
+        code = command()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ValueError as exc:
         code, message = EXIT_USAGE, str(exc)
     except OverflowError as exc:

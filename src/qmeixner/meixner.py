@@ -23,7 +23,8 @@ the polynomials satisfy sum_x omega_x M_n M_n' = delta * norm_factor(n).
 
 Precision rule, for qmeixner, xi, weight and norm_factor: each value has
 one body, a formula written once for either scalar type, float or Decimal,
-and one dispatcher, _precision_rule, runs it.  The value computed in
+and one dispatcher, qseries._precision_rule, runs it (q_pochhammer's body
+too).  The rule is stated here and applied there.  The value computed in
 doubles is returned only where the doubles it rests on are finite and
 normal and a sum has lost at most 16 bits to cancellation (sum of |terms|
 at most qseries.MAX_CANCELLATION = 2^16 times |sum|).  Otherwise the same
@@ -37,23 +38,23 @@ Classical (q -> 1) companions live at the bottom of the module.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import cached_property
 from typing import Callable
 
 from .qseries import (
+    _HUGE,
+    _TINY,
     MAX_CANCELLATION,
     QContext,
+    _as_int,
     _binomial,
+    _normal,
     _pochhammer,
-    _retake,
+    _precision_rule,
     ratio_sequence,
 )
-
-# the positive normal doubles
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 __all__ = [
     "theta_squared",
@@ -95,20 +96,23 @@ def admissible_c(c: float) -> float:
 
 
 def admissible_beta(beta: int) -> int:
-    """beta itself; ValueError unless it is a positive integer."""
-    if not isinstance(beta, int) or beta < 1:
+    """beta as a Python int; ValueError unless it is a positive integer."""
+    value = _as_int(beta)
+    if value is None or value < 1:
         raise ValueError(f"beta must be a positive integer, got {beta}")
-    return beta
+    return value
 
 
-def admissible_indices(below_zero: Exception, **indices: int) -> None:
-    """ValueError naming an index that is not an int or a numpy integer (a
-    float or a bool is not one); below_zero where all are and one is < 0."""
-    for name, value in indices.items():
-        if type(value) is bool or not hasattr(type(value), "__index__"):
+def admissible_indices(below_zero: Exception, **indices: int) -> tuple[int, ...]:
+    """The indices as Python ints; ValueError naming one that is not an
+    integer by qseries' integer rule, below_zero where all are and one is < 0."""
+    values = tuple(map(_as_int, indices.values()))
+    for (name, value), index in zip(indices.items(), values):
+        if index is None:
             raise ValueError(f"{name} must be an integer, got {value}")
-    if min(indices.values()) < 0:
+    if min(values) < 0:
         raise below_zero
+    return values
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ class MeixnerParams:
         if self.b is not None and not (0.0 < self.b < 1.0):
             raise ValueError(f"b must lie in (0, 1), got {self.b}")
         if self.beta is not None:
-            admissible_beta(self.beta)
+            object.__setattr__(self, "beta", admissible_beta(self.beta))
         admissible_c(self.c)
 
     @classmethod
@@ -158,7 +162,7 @@ class MatrixElementParams:
 
     def __post_init__(self):
         theta_squared(self.theta)
-        admissible_beta(self.beta)
+        object.__setattr__(self, "beta", admissible_beta(self.beta))
 
     def meixner_params(self) -> MeixnerParams:
         return MeixnerParams.from_beta(self.beta, self.theta * self.theta, self.ctx)
@@ -170,46 +174,11 @@ class MatrixElementParams:
         return {}
 
 
-def _precision_rule(
-    body: Callable[..., tuple], args: tuple, holds: Callable, what: Callable[[], str]
-) -> float:
-    """The precision rule of the module docstring, applied in this one place.
-
-    body(*args) is one formula for float and Decimal (qseries._retake)
-    that returns its value, then the doubles holds(*result) judges.  Where
-    holds refuses a double result, or a double overflowed or divided by an
-    underflowed 0, the body runs again on the exact decimals of args, and a
-    value beyond the double range is refused with OverflowError naming
-    what().  Inside a decimal run (a Decimal args[0]) the body just runs.
-    """
-    if isinstance(args[0], Decimal):
-        return body(*args)[0]
-    try:
-        result = body(*args)
-        if holds(*result):
-            return result[0]
-    except (OverflowError, ZeroDivisionError):  # a double left the range
-        pass
-    value = _retake(body, *args)
-    if math.isinf(value):
-        raise OverflowError(f"{what()} exceeds the double range")
-    return value
-
-
-def _normal(*values: float) -> bool:
-    """Whether every value is a positive, finite, normal double."""
-    return all(_TINY <= v <= _HUGE for v in values)
-
-
 def qmeixner(n: int, x: int, p: MeixnerParams) -> float:
-    """M_n(q^-x; b, c; q), exact terminating evaluation.
-
-    The numerator parameters q^-n and q^-x are exact integer powers of q,
-    so the sum stops after min(n, x) + 1 terms (_terminating_2phi1).
-    OverflowError where M_n itself exceeds the double range.
-    """
+    """M_n(q^-x; b, c; q), an exact terminating sum (_terminating_2phi1).
+    OverflowError where M_n itself exceeds the double range."""
     if not (type(n) is type(x) is int and n >= 0 and x >= 0):
-        admissible_indices(ValueError("degree n and lattice point x must be >= 0"), n=n, x=x)
+        n, x = admissible_indices(ValueError("degree n and lattice point x must be >= 0"), n=n, x=x)
     return _qmeixner(p.ctx.q, p.c, p.b, n, x, p.beta, p.c_shift)
 
 
@@ -273,7 +242,7 @@ def weight(x: int, mp: MatrixElementParams) -> float:
     a partial product that leaves the range takes omega_x out of it too.
     """
     if not (type(x) is int and x >= 0):
-        admissible_indices(ValueError("x must be >= 0"), x=x)
+        (x,) = admissible_indices(ValueError("x must be >= 0"), x=x)
     return _precision_rule(
         _weight, (mp.ctx.q, mp.theta, x, mp.beta, mp._prefixes), _normal,
         lambda: f"omega_{x}",
@@ -310,7 +279,7 @@ def norm_factor(n: int, mp: MatrixElementParams) -> float:
     OverflowError where h_n exceeds the double range.
     """
     if not (type(n) is int and n >= 0):
-        admissible_indices(ValueError("n must be >= 0"), n=n)
+        (n,) = admissible_indices(ValueError("n must be >= 0"), n=n)
     return _precision_rule(
         _norm, (mp.ctx.q, mp.theta, n, mp.beta), _normal,
         lambda: f"h_{n} = norm_factor({n})",
@@ -350,7 +319,7 @@ def xi(n: int, x: int, mp: MatrixElementParams) -> float:
     and M_n is finite.
     """
     if not (type(n) is type(x) is int and n >= 0 and x >= 0):
-        admissible_indices(ValueError("n and x must be >= 0"), n=n, x=x)
+        n, x = admissible_indices(ValueError("n and x must be >= 0"), n=n, x=x)
     return _precision_rule(
         _xi, (mp.ctx.q, mp.theta, n, x, mp.beta, mp._prefixes),
         lambda value, radicand, m_n: radicand >= _TINY and math.isfinite(m_n),
@@ -431,10 +400,10 @@ def classical_meixner(n: int, x: float, beta: float, c: float) -> float:
     M_n(x; beta, c) = sum_g (-n)_g (-x)_g / ((beta)_g g!) (1 - 1/c)^g,
 
     the q -> 1 companion of M_n(q^-x; q^(beta-1), c/(1-c); q).
-    OverflowError where the sum exceeds the double range, as for qmeixner.
+    OverflowError where the sum exceeds the double range, as for qmeixner;
+    ValueError for an n that is not an integer >= 0.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    (n,) = admissible_indices(ValueError("n must be >= 0"), n=n)
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     if not (0.0 < c < 1.0):
@@ -477,8 +446,8 @@ def classical_xi_limit(n: int, x: int, beta: int, tau: float) -> float:
         * tanh(tau)^(x+n) * cosh(tau)^-beta * M_n(x; beta, c).
     """
     if not (type(n) is type(x) is int and n >= 0 and x >= 0):
-        admissible_indices(ValueError("n and x must be >= 0"), n=n, x=x)
-    admissible_beta(beta)
+        n, x = admissible_indices(ValueError("n and x must be >= 0"), n=n, x=x)
+    beta = admissible_beta(beta)
     c = classical_c(tau)
     if tau == 0.0:
         # the rotation degenerates to the identity

@@ -26,7 +26,6 @@ each sector spanned by |n>_beta = |n, n+beta-1>.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -34,7 +33,7 @@ from typing import NamedTuple
 from ._lazy import NumpyOnFirstUse
 from .errors import OutOfTruncation
 from .meixner import admissible_beta
-from .qseries import QContext
+from .qseries import QContext, _as_int
 
 np = NumpyOnFirstUse(globals())
 
@@ -59,22 +58,21 @@ __all__ = [
 class FockTruncation:
     """The truncated product space: the states |n_A, n_B> with 0 <= n_A <=
     n_a_max and 0 <= n_B <= n_b_max (both caps inclusive), enumerated
-    row-major, index = n_A*(n_b_max+1) + n_B."""
+    row-major, index = n_A*(n_b_max+1) + n_B.  The caps are integers >= 1
+    by qseries' integer rule, held as Python ints."""
 
     n_a_max: int
     n_b_max: int
 
     def __post_init__(self):
-        # operator.index admits ints and numpy integers, not floats or strings
-        try:
-            admissible = min(map(operator.index, (self.n_a_max, self.n_b_max))) >= 1
-        except TypeError:
-            admissible = False
-        if not admissible:
+        caps = _as_int(self.n_a_max), _as_int(self.n_b_max)
+        if None in caps or min(caps) < 1:
             raise ValueError(
                 "truncation caps must be integers >= 1, "
                 f"got {self.n_a_max!r} and {self.n_b_max!r}"
             )
+        object.__setattr__(self, "n_a_max", caps[0])
+        object.__setattr__(self, "n_b_max", caps[1])
 
     @property
     def dim(self) -> int:
@@ -215,12 +213,13 @@ def offset_block(t: FockTruncation, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sector_offset(t: FockTruncation, beta: int) -> int:
-    """Offset d = beta - 1 of the sector |n>_beta = |n, n+beta-1>; beta is
-    refused by admissible_beta's rule, and OutOfTruncation is raised when t
-    holds none of the sector's states."""
-    if admissible_beta(beta) - 1 > t.n_b_max:
+    """Offset d = beta - 1 of the sector |n>_beta = |n, n+beta-1>, a Python
+    int; beta is refused by admissible_beta's rule, and OutOfTruncation is
+    raised when t holds none of the sector's states."""
+    d = admissible_beta(beta) - 1
+    if d > t.n_b_max:
         raise OutOfTruncation(f"beta={beta} has no states under truncation {t}")
-    return beta - 1
+    return d
 
 
 def from_offset_blocks(t: FockTruncation, blocks: dict[int, np.ndarray]) -> OperatorMatrix:

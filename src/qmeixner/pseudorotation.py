@@ -11,18 +11,14 @@ A+B+ and A-B- keep the offset d = n_B - n_A fixed and the outer factors
 are diagonal, so U is real and block-diagonal over offsets; the block of
 offset d is the sector |n>_beta = |n, n+beta-1> with beta = d + 1.  On each
 block the two middle arguments are a single sub-diagonal and its negated
-transpose, whose q-exponentials are exact finite sums in closed form,
-each sub-diagonal written through one strided view of the flat result.
-So U depends on q, theta and the truncation alone, and one U serves every
+transpose, whose q-exponentials are exact finite sums in closed form.  So
+U depends on q, theta and the truncation alone, and one U serves every
 sector it holds: beta enters only when element() reads block beta - 1,
 through a view of the sector made on its first read and looked up after.
 build_U stores U that way, one dense block per offset of side at most
 N + 1, each built on first read; the dense product-space matrix and the
-ladder matrices only when UOperator.matrix or .oscillators is read.
-Both outer factors are values of F(m) = (-theta^2 q^m; q)_oo, whose
-neighbours differ by one factor 1 + theta^2 q^m, so a build takes one
-infinite product, F(0), and walks from it one factor per level: d1[n] =
-F(-n)^(-1/2) and d4[n] = F(n+1)^(1/2).  Entry (n, x) of block d,
+ladder matrices only when UOperator.matrix or .oscillators is read.  With
+build_U's outer factors d1 and d4, entry (n, x) of block d,
 d1[n] sum_{k <= min(n, x)} e_q(L_d)[n, k] E_q(-L_d^T)[k, x] d4[x + d], is a
 finite sum that never reaches the truncation edge, so it is the same at
 every truncation that holds it; the sector elements <n|_beta U |x>_beta
@@ -37,11 +33,11 @@ components of their arguments' nonzero pattern and sum one series per
 size class of blocks (s states in class ceil(log2 s), zero-padded to the
 largest of the class); qbch_conjugate, qexp_split and the exp_reorder_*
 identities inherit that, and the conjugated_* identities multiply by U
-one offset block at a time.  classical_U exponentiates
-J~+ - J~- one offset block at a time, each on its first read, by one
-eigendecomposition of the skew-symmetric block (numpy alone).  Dense
-product-space matrices exist only at the API edge: they are what these
-functions take and return.
+one offset block at a time.  classical_U exponentiates J~+ - J~- one
+offset block at a time, each on its first read, by one eigendecomposition
+of the skew-symmetric block (numpy alone), and element() reads its sectors
+as it reads U's.  Dense product-space matrices exist only at the API edge:
+they are what these functions take and return.
 
 Numerical facts that shape the rest of the module:
 
@@ -78,20 +74,22 @@ from functools import cached_property
 
 from ._lazy import NumpyOnFirstUse
 from .errors import NonConvergent, OutOfTruncation, ResidualFailure
-from .meixner import _HUGE, _TINY, MatrixElementParams, admissible_indices, classical_c
+from .meixner import MatrixElementParams, admissible_indices, classical_c
 from .oscillator import (
     FockTruncation,
     OperatorMatrix,
     Oscillators,
-    _shift_product,
     build_oscillators,
     from_offset_blocks,
     interior_indices,
     ladder_coefficients,
     offset_block,
     sector_offset,
+    su11_generators,
 )
 from .qseries import (
+    _HUGE,
+    _TINY,
     MAX_TERMS,
     TAIL_CUTOFF,
     TAIL_STREAK,
@@ -281,8 +279,9 @@ class _OffsetBlocks:
     offset: block(d) builds block d by _build on its first read and caches
     it; matrix is the dense product-space form, built from every block.
     view(beta) is sector beta's (block beta - 1, its size, rows, cols), made
-    on the sector's first read and kept in views: rows[n] and cols[x] are
-    the outer factors of entry (n, x) as floats (None off UOperator)."""
+    on the sector's first read and kept in views under beta as a Python
+    int: rows[n] and cols[x] are the outer factors of entry (n, x) as floats,
+    runs of 1.0 where the blocks carry none (ClassicalU)."""
 
     blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False)
     views: dict[int, tuple] = field(default_factory=dict, init=False)
@@ -301,12 +300,13 @@ class _OffsetBlocks:
 
     def view(self, beta: int) -> tuple:
         # validated before it is a key: 1.0 == 1 and hash(1.0) == hash(1)
-        block = self.block(sector_offset(self.truncation, beta))
-        view = self.views[beta] = (block, len(block), *self._runs(beta - 1, len(block)))
+        d = sector_offset(self.truncation, beta)
+        block = self.block(d)
+        view = self.views[d + 1] = (block, len(block), *self._runs(d, len(block)))
         return view
 
     def _runs(self, d: int, size: int) -> tuple:
-        return None, None
+        return [1.0] * size, [1.0] * size
 
     @cached_property
     def matrix(self) -> OperatorMatrix:
@@ -317,13 +317,12 @@ class _OffsetBlocks:
 class UOperator(_OffsetBlocks):
     """Built pseudorotation operator, stored one offset block at a time.
 
-    block(d) is U restricted to the states |m, m+d>, d = n_B - n_A, with m
-    running upward from max(0, -d), built on first read; U has no entries
-    between blocks.  row_factor[n_A] and col_factor[n_B] are the diagonal
-    outer factors e_q^(1/2)(-theta^2 q^-n_A) and E_q^(1/2)(theta^2 q^(n_B+1)),
-    walked by build_U from one infinite product and folded into the blocks;
-    a_up[n], b_up[n] are <n+1|A+|n>, <n+1|B+|n>.
-    oscillators are the ladder matrices of the truncation, built on first use.
+    block(d) is U on the states |m, m+d> of offset_block.  row_factor[n_A]
+    and col_factor[n_B] are the diagonal outer factors
+    e_q^(1/2)(-theta^2 q^-n_A) and E_q^(1/2)(theta^2 q^(n_B+1)), walked by
+    build_U and folded into the blocks; a_up[n], b_up[n] are <n+1|A+|n>,
+    <n+1|B+|n>.  oscillators are the truncation's ladder matrices, built on
+    first use.
     The interior that the identities are judged on is truncation.interior;
     sector_interior(beta) is the top sector index inside it.
     """
@@ -368,7 +367,7 @@ def build_U(mp: MatrixElementParams, t: FockTruncation) -> UOperator:
     theta(1-q) q^((d+1)/2) A+B+ is a sub-diagonal L_d and the lowering
     factor's is -L_d^T, so the block is
     d1 * (e_q(L_d) E_q(-L_d^T)) * d4 with both q-exponentials in closed
-    form (_bidiagonal_qexp), which UOperator.block(d) evaluates on first read.
+    form (_bidiagonal_qexp).
 
     The outer factors are values of one function, F(m) = (-theta^2 q^m; q)_oo:
     d1[n] = F(-n)^(-1/2) and d4[n] = F(n+1)^(1/2).  F(0) is the one infinite
@@ -379,10 +378,8 @@ def build_U(mp: MatrixElementParams, t: FockTruncation) -> UOperator:
     each factor depends on q, theta and its level alone, so it is the same
     at every truncation that holds the level.  A row product beyond the
     double range is inf and its factor 0, which element() refuses; a q^-n
-    beyond the range raises OverflowError naming the level.
-
-    U depends on q, theta and t alone: mp.beta is not read here, since every
-    sector lives in its own block and element() takes the beta it reads.
+    beyond the range raises OverflowError naming the level.  mp.beta is not
+    read: element() takes the beta it reads.
     """
     ctx = mp.ctx
     q = ctx.q
@@ -407,10 +404,11 @@ def build_U(mp: MatrixElementParams, t: FockTruncation) -> UOperator:
     return UOperator(row_factor, col_factor, a_up, b_up, mp.theta, t, ctx)
 
 
-def element(u: UOperator, beta: int, n: int, x: int) -> float:
+def element(u: _OffsetBlocks, beta: int, n: int, x: int) -> float:
     """Sector matrix element <n|_beta U |x>_beta, entry (n, x) of u's view
     of sector beta: the same at every truncation that holds it, up to the
-    cancellation of its sum (the module docstring says both).
+    cancellation of its sum (the module docstring says both).  It reads a
+    ClassicalU too, as classical_element, whose outer factors are 1.
 
     OutOfTruncation for a sector the truncation holds no state of or an
     (n, x) outside the block; ValueError for a beta below 1, or a beta, n or
@@ -451,14 +449,10 @@ def gram_deviations(u: UOperator, d: int, size: int) -> tuple[float, float]:
 def unitarity_residual(u: UOperator) -> float:
     """The max of gram_deviations over the interior block of each offset.
 
-    The two directions behave very differently: the row Gram matrix UU^T
-    converges to the identity, the column Gram U^T U to a projector with
-    diagonal entries strictly below 1.  The reported maximum is therefore an
-    honest measure of how far the truncated matrix is from two-sided
-    unitarity, not of the truncation quality alone.  Both Gram matrices are
-    block-diagonal over offsets like U, so they are formed block by block.
-    The interior of offset d is a prefix of its block: n_A <= na_top and
-    n_A + d <= nb_top.
+    It is dominated by the column defect of the module docstring, so it
+    measures how far the truncated U is from two-sided unitarity, not the
+    truncation quality alone.  The interior of offset d is a prefix of its
+    block: n_A <= na_top and n_A + d <= nb_top.
     """
     na_top, nb_top = u.truncation.interior
     worst = []
@@ -556,10 +550,8 @@ def conjugated_lowering(
 
         A- U(theta) = U(q^(-1/2) theta) R,
 
-    which is an entry-local identity, exact at any truncation; the sandwich
-    itself inherits the column-incompleteness of the truncated U^T and is
-    not formed.  Returns (R, interior residual); a residual above tol
-    raises ResidualFailure instead of passing silently.
+    as the module docstring explains.  Returns (R, interior residual); a
+    residual above tol raises ResidualFailure instead of passing silently.
     """
     _check_pair(u_theta, u_shift)
     osc, q, theta, na, nb = _levels(u_theta)
@@ -725,15 +717,13 @@ def qexp_split(
 def _scaled_ladders(
     osc: Oscillators, ctx: QContext
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boost-scaled pair ladders K± = (1-q) q^((B0-A0+1)/2) A± B±, with
-    the level arrays n_A and n_B (su11_generators' K±, without its J0)."""
+    """Boost-scaled pair ladders K± = (1-q) q^((B0-A0+1)/2) A± B±, the J±
+    of su11_generators at that prefactor, with the level arrays n_A and n_B."""
     basis = osc.a0.basis
     na = basis.na.astype(float)
     nb = basis.nb.astype(float)
-    pref = ((1.0 - ctx.q) * ctx.q ** ((nb - na + 1.0) / 2.0))[:, None]
-    k_plus = pref * _shift_product(osc.a_plus.entries, osc.b_plus.entries)
-    k_minus = pref * _shift_product(osc.a_minus.entries, osc.b_minus.entries)
-    return k_plus, k_minus, na, nb
+    _, k_plus, k_minus = su11_generators(osc, (1.0 - ctx.q) * ctx.q ** ((nb - na + 1.0) / 2.0))
+    return k_plus.entries, k_minus.entries, na, nb
 
 
 def _diag_qexp(kind: str, args: np.ndarray, ctx: QContext) -> np.ndarray:
@@ -813,13 +803,11 @@ class ClassicalU(_OffsetBlocks):
 
     J~+ = A~+B~+ takes |m, m+d> to sqrt((m+1)(m+1+d)) |m+1, m+1+d>, so on
     the block of offset d the generator is that sub-diagonal minus its
-    transpose.  block(d) exponentiates that block alone on its first read,
-    through one Hermitian eigendecomposition of i times the generator;
-    matrix is the dense product-space form, built from every block on
-    first read.  The generator is exactly antisymmetric under truncation,
-    hence normal, so the spectral form is orthogonal to machine precision at
-    any tau; only comparisons against the infinite-space closed form need
-    interior margins.
+    transpose, which block(d) exponentiates by one Hermitian
+    eigendecomposition of i times the generator.  The generator is exactly
+    antisymmetric under truncation, hence normal, so the spectral form is
+    orthogonal to machine precision at any tau; only comparisons against the
+    infinite-space closed form need interior margins.
     """
 
     tau: float
@@ -843,15 +831,4 @@ def classical_U(tau: float, t: FockTruncation) -> ClassicalU:
     return ClassicalU(tau, t)
 
 
-def classical_element(u: ClassicalU, beta: int, n: int, x: int) -> float:
-    """Sector element <n|_beta exp(tau(J~+ - J~-)) |x>_beta, read from block
-    beta - 1 of u's truncation; refused as element refuses outside the
-    block."""
-    block, size, _, _ = (type(beta) is int and u.views.get(beta)) or u.view(beta)
-    try:
-        if not (0 <= n < size and 0 <= x < size):
-            raise OutOfTruncation(f"(n={n}, x={x}) outside sector of size {size}")
-        return block.item(n, x)
-    except (TypeError, OutOfTruncation) as exc:
-        admissible_indices(exc, n=n, x=x)
-        raise
+classical_element = element  # a ClassicalU's view carries outer factors of 1

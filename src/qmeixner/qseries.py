@@ -35,19 +35,19 @@ the package (the matrix series of pseudorotation included):
 A sum is refused, with NonConvergent, at its first term that is not finite
 (for a matrix term, whose norm is not).
 
-A product (q_pochhammer, q_pochhammer_inf) that is neither a normal double
-nor exactly 0 is taken again in 50-digit decimals on its exact arguments
-(_retake), and refused with OverflowError beyond the double range.
-
-MAX_CANCELLATION (2^16) is the precision rule of the meixner module
-docstring, which states it once: a non-terminating basic_hypergeometric
-whose sum of |terms| exceeds this times |sum| has lost more than 16 bits
-to cancellation and is refused with NonConvergent.
+The precision rule of the meixner module docstring is applied here, by
+_precision_rule.  A product (q_pochhammer, q_pochhammer_inf) holds in
+doubles where it is a normal double or exactly 0.  MAX_CANCELLATION (2^16)
+is the rule's bound: a non-terminating basic_hypergeometric whose sum of
+|terms| exceeds this times |sum| has lost more than 16 bits to cancellation
+and is refused with NonConvergent.  Every integer argument of the package
+follows one rule, _as_int.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
@@ -84,6 +84,22 @@ MAX_CANCELLATION = 2.0**16
 # the package's one decimal context: 50 digits and an exponent range that no
 # value of the package leaves, for the fallbacks of the precision rule
 _DECIMAL = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# the positive normal doubles
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+
+
+def _normal(*values: float) -> bool:
+    """Whether every value is a positive, finite, normal double."""
+    return all(_TINY <= v <= _HUGE for v in values)
+
+
+def _as_int(value) -> int | None:
+    """value as a Python int where operator.index takes it (an int or a
+    numpy integer) and it is not a bool; None otherwise."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
 def _retake(body: Callable[..., tuple], *args) -> float:
@@ -95,6 +111,27 @@ def _retake(body: Callable[..., tuple], *args) -> float:
     with localcontext(_DECIMAL):
         exact = [Decimal(a) if isinstance(a, float) else a for a in args]
         return float(body(*exact)[0])
+
+
+def _precision_rule(
+    body: Callable[..., tuple], args: tuple, holds: Callable, what: Callable[[], str]
+) -> float:
+    """The precision rule of the meixner module docstring, in its one place:
+    body(*args) is one formula for float and Decimal (_retake) that returns
+    its value, then the doubles holds(*result) judges; what() names a value
+    refused beyond the double range.  A Decimal args[0] just runs the body."""
+    if isinstance(args[0], Decimal):
+        return body(*args)[0]
+    try:
+        result = body(*args)
+        if holds(*result):
+            return result[0]
+    except (OverflowError, ZeroDivisionError):  # a double left the range
+        pass
+    value = _retake(body, *args)
+    if math.isinf(value):
+        raise OverflowError(f"{what()} exceeds the double range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -172,18 +209,21 @@ def _factor(p: Param, q: float, k: int) -> float:
 
 def q_pochhammer(a: float, n: int, ctx: QContext) -> float:
     """Finite product (a; q)_n, re-taken or refused by the module's rule for
-    products; ValueError for an a that is not finite."""
+    products; ValueError for an a that is not finite or an n that is not an
+    integer >= 0."""
     if not math.isfinite(a):
         raise ValueError(f"(a; q)_n requires a finite a, got {a}")
-    if n < 0:
+    order = _as_int(n)
+    if order is None:
+        raise ValueError(f"q_pochhammer order n must be an integer, got {n}")
+    if order < 0:
         raise ValueError("q_pochhammer order n must be >= 0")
     q = ctx.q
-    prod = _pochhammer(a, q)(n)
-    if prod != 0.0 and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
-        prod = _retake(lambda a, q: (_pochhammer(a, q)(n),), a, q)
-        if math.isinf(prod):
-            raise OverflowError(f"(a; q)_n at a = {a}, n = {n}, q = {q} exceeds the double range")
-    return prod
+    return _precision_rule(
+        lambda a, q: (_pochhammer(a, q)(order),), (a, q),
+        lambda prod: prod == 0.0 or _normal(abs(prod)),
+        lambda: f"(a; q)_n at a = {a}, n = {order}, q = {q}",
+    )
 
 
 def _pochhammer(a, q) -> Callable[[int], object]:
@@ -200,7 +240,9 @@ def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> Serie
     |log prod_{k>=K} (1 - a q^k)| <= |a q^K| / (1 - q) to first order.
 
     A product that is not a normal double is re-taken or refused by the
-    module's rule for products.  With reciprocal=True the caller intends
+    module's rule for products, by a copy of _precision_rule: the tail
+    estimate reads the double run's last factor, and a reciprocal product
+    may be inf.  With reciprocal=True the caller intends
     to divide by the result: a factor vanishing within POLE_TOL raises
     PoleHit, and a product beyond the range is returned as inf, whose
     reciprocal rounds to 0 like any double below the range.  An a that is
@@ -210,7 +252,7 @@ def q_pochhammer_inf(a: float, ctx: QContext, reciprocal: bool = False) -> Serie
         raise ValueError(f"(a; q)_oo requires a finite a, got {a}")
     q = ctx.q
     prod, term, k = _pochhammer_inf(a, q, reciprocal)
-    if prod != 0.0 and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
+    if prod != 0.0 and not _normal(abs(prod)):
         prod = _retake(_pochhammer_inf, a, q, reciprocal)
         if math.isinf(prod) and not reciprocal:
             raise OverflowError(f"(a; q)_oo at a = {a}, q = {q} exceeds the double range")
@@ -244,8 +286,13 @@ def q_binomial(n: int, k: int, ctx: QContext) -> float:
     by min(k, n - k) first, so [n, k]_q == [n, n-k]_q follows the same
     product path and the symmetry holds exactly.  Every factor exceeds 1,
     so an inf product is a true overflow, refused with OverflowError.
-    ValueError for n < 0; a k outside [0, n] gives 0.
+    ValueError for an n or k that is not an integer and for n < 0; a k
+    outside [0, n] gives 0.
     """
+    indices = _as_int(n), _as_int(k)
+    if None in indices:
+        raise ValueError(f"q_binomial n and k must be integers, got {n} and {k}")
+    n, k = indices
     if n < 0:
         raise ValueError("q_binomial n must be >= 0")
     if k < 0 or k > n:

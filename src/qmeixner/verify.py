@@ -30,7 +30,6 @@ reported as skipped, not failed.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,8 +54,10 @@ from .meixner import (
     xi_dual,
 )
 from .qseries import (
+    _HUGE,
     QContext,
     QPower,
+    _normal,
     adaptive_sum,
     basic_hypergeometric,
     big_qexp,
@@ -414,11 +415,8 @@ def _scale_root(name: str, a: float, b: float) -> float:
     where that is a normal double, else sqrt(a) sqrt(b).  OverflowError
     where the root or its reciprocal exceeds the double range."""
     product = a * b
-    if sys.float_info.min <= product <= sys.float_info.max:
-        root = math.sqrt(product)
-    else:
-        root = math.sqrt(a) * math.sqrt(b)
-    if not 1.0 / sys.float_info.max <= root <= sys.float_info.max:
+    root = math.sqrt(product) if _normal(product) else math.sqrt(a) * math.sqrt(b)
+    if not 1.0 / _HUGE <= root <= _HUGE:
         raise OverflowError(
             f"{name} = {root!r}: the scale or its reciprocal exceeds the double range"
         )

@@ -230,6 +230,8 @@ NON_INTEGER_INDICES = {
     "weight": (lambda mp: weight(2.5, mp), "x", 2.5),
     "norm_factor": (lambda mp: norm_factor(1.5, mp), "n", 1.5),
     "xi_bool": (lambda mp: xi(True, 0, mp), "n", True),
+    # ended in a bare TypeError from range()
+    "classical_meixner": (lambda mp: classical_meixner(2.5, 1.0, 1.0, 0.5), "n", 2.5),
 }
 
 
@@ -242,14 +244,34 @@ def test_a_non_integer_index_is_refused(case):
 
 
 def test_a_numpy_integer_index_is_an_integer():
+    # the value is a float, as at an int index: a numpy index used to give
+    # an np.float64
     mp = MatrixElementParams(0.5, 2, CTX)
     two, three = np.int64(2), np.int64(3)
-    assert qmeixner(two, three, mp.meixner_params()) == qmeixner(2, 3, mp.meixner_params())
-    assert xi(two, three, mp) == xi(2, 3, mp)
-    assert weight(three, mp) == weight(3, mp)
-    assert norm_factor(two, mp) == norm_factor(2, mp)
+    pairs = [
+        (qmeixner(two, three, mp.meixner_params()), qmeixner(2, 3, mp.meixner_params())),
+        (xi(two, three, mp), xi(2, 3, mp)),
+        (weight(three, mp), weight(3, mp)),
+        (norm_factor(two, mp), norm_factor(2, mp)),
+        (classical_meixner(two, 1.5, 2.0, 0.5), classical_meixner(2, 1.5, 2.0, 0.5)),
+        (classical_xi_limit(two, three, np.int64(2), 0.5), classical_xi_limit(2, 3, 2, 0.5)),
+    ]
+    for value, same in pairs:
+        assert type(value) is float and value == same
     with pytest.raises(ValueError, match="n and x must be >= 0"):
         xi(np.int64(-1), 0, mp)
+
+
+def test_a_numpy_integer_beta_is_held_as_its_int():
+    # MatrixElementParams refused np.int64(2) as "not a positive integer, got 2"
+    for params, same in [
+        (MatrixElementParams(0.5, np.int64(2), CTX), MatrixElementParams(0.5, 2, CTX)),
+        (MeixnerParams.from_beta(np.int32(3), 0.5, CTX), MeixnerParams.from_beta(3, 0.5, CTX)),
+    ]:
+        assert type(params.beta) is int and params == same
+    for beta in (True, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match=f"^beta must be a positive integer, got {beta}$"):
+            MatrixElementParams(0.5, beta, CTX)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

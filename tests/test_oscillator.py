@@ -52,10 +52,13 @@ def interior_block(m: np.ndarray, basis: FockTruncation, margin: int) -> np.ndar
 
 def test_truncation_validation():
     # a cap that is not an integer is refused here, not by a later range()
-    for caps in [(0, 4), (float("nan"), 2), (3.5, 3), (3, 2.0), ("3", 3)]:
+    # and a bool is not an integer cap (FockTruncation(True, 2) was 2 by 3)
+    for caps in [(0, 4), (float("nan"), 2), (3.5, 3), (3, 2.0), ("3", 3), (True, 2)]:
         with pytest.raises(ValueError, match="truncation caps"):
             FockTruncation(*caps)
-    assert FockTruncation(np.int64(3), np.int32(2)).dim == 12
+    t = FockTruncation(np.int64(3), np.int32(2))
+    assert t == FockTruncation(3, 2) and t.dim == 12
+    assert type(t.n_a_max) is type(t.n_b_max) is int
 
 
 def test_basis_enumeration_roundtrip():
@@ -275,7 +278,8 @@ def test_offset_blocks_partition_the_product_basis(t):
 def test_sector_offset_is_the_one_empty_sector_rule():
     t = FockTruncation(4, 2)
     assert [sector_offset(t, beta) for beta in (1, 2, 3)] == [0, 1, 2]
-    for beta in (0, -1):
+    assert type(sector_offset(t, np.int64(2))) is int
+    for beta in (0, -1, True):
         with pytest.raises(ValueError, match="beta must be a positive integer"):
             sector_offset(t, beta)
     with pytest.raises(OutOfTruncation, match="beta=4 has no states"):

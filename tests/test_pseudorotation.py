@@ -566,12 +566,15 @@ def test_out_of_block_contract():
 
 def test_a_sector_read_keeps_beta_validation():
     # 1.0 == 1 and hash(1.0) == hash(1): a read of sector 1 must not let
-    # beta = 1.0 through; True is an int and reads sector 1
+    # beta = 1.0 through, nor True, which is an int but not an integer
+    # argument; a numpy integer reads the same view as the int
     u = build(0.5, 0.5, 1, 8)
     value = element(u, 1, 0, 0)
-    with pytest.raises(ValueError, match="beta must be a positive integer, got 1.0"):
-        element(u, 1.0, 0, 0)
-    assert element(u, True, 0, 0) == value
+    for beta in (1.0, True):
+        with pytest.raises(ValueError, match=f"beta must be a positive integer, got {beta}"):
+            element(u, beta, 0, 0)
+    assert element(u, np.int64(1), 0, 0) == value
+    assert list(u.views) == [1] and type(next(iter(u.views))) is int
 
 
 @pytest.mark.parametrize(
@@ -990,6 +993,15 @@ def test_classical_element_out_of_block():
     for n, x in ((7, 0), (-1, 0), (0, -1)):
         with pytest.raises(OutOfTruncation, match="outside sector of size 7"):
             classical_element(u, 1, n, x)
+
+
+def test_classical_element_is_element():
+    # one sector reader: a ClassicalU's view carries outer factors of 1
+    assert classical_element is element
+    u = classical_U(0.3, FockTruncation(6, 6))
+    assert element(u, np.int64(2), 3, 4) == u.block(1)[3, 4]
+    block, size, rows, cols = u.views[2]
+    assert size == 6 and rows == cols == [1.0] * 6
 
 
 @pytest.mark.parametrize("n_a, beta", [(8, 1), (9, 2), (12, 4), (13, 3)])

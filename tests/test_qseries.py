@@ -99,6 +99,33 @@ def test_qpower_requires_integer_exponent():
         QPower(1.5)
 
 
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: q_pochhammer(0.3, 2.5, CTX), "q_pochhammer order n must be an integer, got 2.5"),
+        (lambda: q_pochhammer(0.3, True, CTX), "q_pochhammer order n must be an integer, got True"),
+        (lambda: q_binomial(2.5, 1, CTX), "q_binomial n and k must be integers, got 2.5 and 1"),
+        (lambda: q_binomial(4, 1.0, CTX), "q_binomial n and k must be integers, got 4 and 1.0"),
+        (lambda: q_binomial(4, False, CTX), "q_binomial n and k must be integers, got 4 and False"),
+    ],
+)
+def test_q_products_refuse_an_order_that_is_not_an_integer(call, text):
+    # q_binomial(2.5, 1) returned 1.6464466094067263 and a bool was taken as
+    # 0 or 1; an order of 2.5 ended in a bare TypeError
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == text
+
+
+def test_q_products_take_a_numpy_integer_as_its_int():
+    pairs = [
+        (q_pochhammer(0.3, np.int64(3), CTX), q_pochhammer(0.3, 3, CTX)),
+        (q_binomial(np.int64(7), np.int32(3), CTX), q_binomial(7, 3, CTX)),
+    ]
+    for value, same in pairs:
+        assert type(value) is float and value == same
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         QContext(q=1.0)
